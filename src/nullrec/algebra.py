@@ -22,8 +22,11 @@ expand over compositions alpha of m into r positive parts,
 These exact values are the ground-truth oracle against which the split-chain
 simulation in :mod:`nullrec.splitting` is checked, and vice versa.
 
-All functions are pure: they never mutate their inputs and hold no state, so
-concurrent read-only use is safe.
+Every quantity derived from a model (H, G, pi, and the sampling tables and
+split ratio of :mod:`nullrec.splitting`) is built once, on first use, as a
+read-only cached attribute of the frozen :class:`FiniteMarkovModel`, so it can
+never go stale.  Concurrent read-only use is safe: a race on a first use at
+worst builds the same value twice, and no published array is ever written.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -78,15 +82,9 @@ class FiniteMarkovModel:
     nu: np.ndarray
 
     def __post_init__(self):
-        P = np.array(self.P, dtype=float)
-        s = np.array(self.s, dtype=float)
-        nu = np.array(self.nu, dtype=float)
-        for arr in (P, s, nu):
-            arr.flags.writeable = False
         object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "nu", nu)
+        for name in ("P", "s", "nu"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
         validate_atom(self)
 
     @property
@@ -100,6 +98,54 @@ class FiniteMarkovModel:
         except (TypeError, ValueError):
             return np.arange(self.d, dtype=float)
 
+    @cached_property
+    def H(self) -> np.ndarray:
+        """Taboo kernel P - s (x) nu; magnitudes below 1e-15 are clamped to zero."""
+        H = np.maximum(self.P - np.outer(self.s, self.nu), 0.0)
+        H[H < 1e-15] = 0.0
+        return _read_only(H)
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        """Fundamental kernel sum_l H^l (see :func:`fundamental_kernel`)."""
+        return fundamental_kernel(self.H).entries
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        """Invariant measure nu G, normalized so that pi . s = 1."""
+        return _read_only(self.nu @ self.G)
+
+    @cached_property
+    def cum_nu(self) -> np.ndarray:
+        """Cumulative table of nu for inverse-CDF draws."""
+        return _cumulative(self.nu)
+
+    @cached_property
+    def cum_P(self) -> np.ndarray:
+        """Row-wise cumulative table of P for inverse-CDF draws."""
+        return _cumulative(self.P)
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        """Split ratio s(x) nu(y) / p(x, y), zero where p(x, y) = 0."""
+        return _read_only(np.divide(np.outer(self.s, self.nu), self.P,
+                                    out=np.zeros_like(self.P), where=self.P > 0.0))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _cumulative(p: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, pinned to 1.0 from each row's last
+    positive entry on: rounding (0.7 + 0.2 + 0.1 = 0.9999999999999999) must not
+    let a uniform in [0, 1) land past it, on a zero-probability state."""
+    cum = np.minimum(np.cumsum(p, axis=-1), 1.0)
+    last = p.shape[-1] - 1 - np.argmax(p[..., ::-1] > 0.0, axis=-1)
+    cum[np.arange(p.shape[-1]) >= last[..., None]] = 1.0
+    return _read_only(cum)
+
 
 @dataclass(frozen=True)
 class KernelMatrix:
@@ -111,9 +157,7 @@ class KernelMatrix:
     tail_bound: float = 0.0
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _read_only(np.array(self.entries, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -125,9 +169,7 @@ class InvariantMeasure:
     pi: np.ndarray
 
     def __post_init__(self):
-        pi = np.array(self.pi, dtype=float)
-        pi.flags.writeable = False
-        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "pi", _read_only(np.array(self.pi, dtype=float)))
 
     @property
     def total_mass(self) -> float:
@@ -199,21 +241,15 @@ def validate_atom(model: FiniteMarkovModel) -> None:
 
 
 def taboo_kernel(model: FiniteMarkovModel) -> KernelMatrix:
-    """H = P - s (x) nu, the sub-stochastic kernel of surviving (no-split)
-    transitions.  Magnitudes below 1e-15 are clamped to zero."""
-    H = model.P - np.outer(model.s, model.nu)
-    H = np.where(np.abs(H) < 1e-15, 0.0, H)
-    if H.min() < -1e-12:
-        i, j = np.unravel_index(np.argmin(H), H.shape)
-        raise MinorizationViolated(int(i), int(j), float(-H[i, j]))
-    return KernelMatrix(np.maximum(H, 0.0), TABOO)
+    """The model's taboo kernel H = P - s (x) nu, as a :class:`KernelMatrix`."""
+    return KernelMatrix(model.H, TABOO)
 
 
 def _as_matrix(H) -> np.ndarray:
     return H.entries if isinstance(H, KernelMatrix) else np.asarray(H, dtype=float)
 
 
-def fundamental_kernel(H, tol: float = 1e-10) -> KernelMatrix:
+def fundamental_kernel(H) -> KernelMatrix:
     """G = sum_l H^l computed by solving (I - H) G = I directly.
 
     Requires the spectral radius of H to be < 1; a (near-)singular I - H
@@ -251,15 +287,7 @@ def fundamental_kernel_series(H, tol: float = 1e-10, max_terms: int = 1_000_000)
 
 def invariant_measure(model: FiniteMarkovModel) -> InvariantMeasure:
     """pi = nu G; satisfies pi P = pi and pi . s = 1."""
-    G = fundamental_kernel(taboo_kernel(model)).entries
-    return InvariantMeasure(model.nu @ G)
-
-
-def _pi_H_G(model: FiniteMarkovModel):
-    H = taboo_kernel(model).entries
-    G = fundamental_kernel(H).entries
-    pi = model.nu @ G
-    return pi, H, G
+    return InvariantMeasure(model.pi)
 
 
 def block_mean_variance(model: FiniteMarkovModel, g) -> tuple[float, float]:
@@ -269,9 +297,9 @@ def block_mean_variance(model: FiniteMarkovModel, g) -> tuple[float, float]:
     Tiny negative variances (rounding) are clamped to zero; anything below
     -1e-10 signals a broken model and raises."""
     g = np.asarray(g, dtype=float)
-    pi, H, G = _pi_H_G(model)
+    pi = model.pi
     mu = float(pi @ g)
-    second = float(pi @ (g * g) + 2.0 * (pi * g) @ (H @ (G @ g)))
+    second = float(pi @ (g * g) + 2.0 * (pi * g) @ (model.H @ (model.G @ g)))
     sigma2 = second - mu * mu
     if sigma2 < -1e-10:
         raise NegativeVariance(sigma2)
@@ -292,8 +320,7 @@ def _multinomial(m: int, alpha: Sequence[int]) -> int:
     return c
 
 
-def block_moment(model: FiniteMarkovModel, request: BlockMomentRequest,
-                 tol: float = 1e-12) -> float:
+def block_moment(model: FiniteMarkovModel, request: BlockMomentRequest) -> float:
     """E U0^m of the block sum of g, exactly, as the finite sum over
     compositions of m with inner geometric sums closed by G (no truncation).
 
@@ -302,8 +329,8 @@ def block_moment(model: FiniteMarkovModel, request: BlockMomentRequest,
     g = request.g
     if g.shape != (model.d,):
         raise ValueError(f"g must have length {model.d}, got shape {g.shape}")
-    pi, H, G = _pi_H_G(model)
-    HG = H @ G
+    G = model.G
+    HG = model.H @ G
     total = 0.0
     for r in range(1, request.m + 1):
         for alpha in _compositions(request.m, r):
@@ -334,7 +361,7 @@ def enumerated_block_moments(model: FiniteMarkovModel, g, orders,
     g = np.asarray(g, dtype=float)
     orders = tuple(orders)
     d = model.d
-    H = np.maximum(model.P - np.outer(model.s, model.nu), 0.0)
+    H = model.H
     s = model.s
     if start == "nu":
         init = model.nu
@@ -390,20 +417,14 @@ def enumerated_block_moments(model: FiniteMarkovModel, g, orders,
     return {m: SeriesValue(totals[m], math.inf) for m in orders}
 
 
-def enumerated_block_moment(model: FiniteMarkovModel, g, m: int,
-                            start: int | str = "nu", depth: int = 60) -> SeriesValue:
-    return enumerated_block_moments(model, g, (m,), start=start, depth=depth)[m]
-
-
 def _survival_masses(model: FiniteMarkovModel, start, floor: float = 1e-250,
                      cap: int = 500_000) -> np.ndarray:
     """mass[j] = P_start(no regeneration in the first j transitions),
     computed exactly until it underflows."""
-    H = np.maximum(model.P - np.outer(model.s, model.nu), 0.0)
-    u = model.nu.copy() if start == "nu" else np.eye(model.d)[start]
+    u = model.nu if start == "nu" else np.eye(model.d)[start]
     masses = [1.0]
     for _ in range(cap):
-        u = u @ H
+        u = u @ model.H
         mass = float(u.sum())
         masses.append(mass)
         if mass < floor:
@@ -430,11 +451,10 @@ def weighted_block_moment(model: FiniteMarkovModel, a, g, m: int,
     if a_sup is None:
         a_sup = float(np.abs(a).max())
     gmax = float(np.abs(g).max())
-    H = np.maximum(model.P - np.outer(model.s, model.nu), 0.0)
-    u0 = model.nu if start == "nu" else np.eye(model.d)[start]
+    H = model.H
+    u = model.nu if start == "nu" else np.eye(model.d)[start]
 
     rows = np.empty((L + 1, model.d))
-    u = u0.astype(float)
     for j in range(L + 1):
         rows[j] = u
         u = u @ H
@@ -485,7 +505,7 @@ def generalized_autocov(model: FiniteMarkovModel, g, f=None, ell: int = 0) -> fl
     f = g if f is None else np.asarray(f, dtype=float)
     if ell < 0:
         return generalized_autocov(model, f, g, -ell)
-    pi, _H, _G = _pi_H_G(model)
+    pi = model.pi
     mu_g = float(pi @ g)
     mu_f = float(pi @ f)
     f0 = f - model.s * mu_f
@@ -509,10 +529,10 @@ def sigma2_from_series(model: FiniteMarkovModel, g, tol: float = 1e-8,
     tail bound; the two sides use different formulas, so the agreement is a
     genuine cross-check."""
     g = np.asarray(g, dtype=float)
-    pi, _H, G = _pi_H_G(model)
+    pi = model.pi
     mu_g = float(pi @ g)
     g0 = g - model.s * mu_g
-    psi = G @ g0
+    psi = model.G @ g0
     phi = (pi * g) @ model.P - mu_g * model.nu
 
     total = generalized_autocov(model, g, None, 0)
@@ -530,12 +550,11 @@ def sigma2_from_series(model: FiniteMarkovModel, g, tol: float = 1e-8,
 def regeneration_gap_coefficients(model: FiniteMarkovModel, count: int) -> np.ndarray:
     """b[l] = nu H^{l-1} s for l = 1..count: the law of the gap between
     successive regenerations (equivalently of the first block length)."""
-    H = np.maximum(model.P - np.outer(model.s, model.nu), 0.0)
-    u = model.nu.copy()
+    u = model.nu
     out = np.empty(count)
     for l in range(count):
         out[l] = float(u @ model.s)
-        u = u @ H
+        u = u @ model.H
     return out
 
 
@@ -548,9 +567,7 @@ def embedded_transition(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel,
     X-chain and must have total mass 1 (recurrence); a deficit raises.  The
     series is truncated once the remaining coefficient mass is below tol, so
     the result is row-stochastic within that mass."""
-    H1 = np.maximum(x_model.P - np.outer(x_model.s, x_model.nu), 0.0)
-    G1 = fundamental_kernel(H1).entries
-    total_mass = float(x_model.nu @ (G1 @ x_model.s))
+    total_mass = float(x_model.nu @ (x_model.G @ x_model.s))
     if total_mass < 1.0 - max(tol, 1e-9):
         raise CoefficientMassDeficit(total_mass, tol)
 
@@ -562,7 +579,7 @@ def embedded_transition(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel,
     for _l in range(max_terms):
         b = float(u @ x_model.s)
         Phi += b * Ppow
-        u = u @ H1
+        u = u @ x_model.H
         remaining = float(u.sum())
         if remaining < tol:
             break
@@ -613,12 +630,12 @@ def compound_block_moment(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel
         raise ValueError("m must be >= 1")
     gX = np.asarray(gX, dtype=float)
     gW = np.asarray(gW, dtype=float)
-    pi1 = invariant_measure(x_model).pi
-    pi2 = invariant_measure(w_model).pi
+    pi1 = x_model.pi
+    pi2 = w_model.pi
     if m == 1:
         return SeriesValue(float(pi1 @ gX) * float(pi2 @ gW), 0.0)
 
-    H1 = np.maximum(x_model.P - np.outer(x_model.s, x_model.nu), 0.0)
+    H1 = x_model.H
     P2 = w_model.P
     base = _taboo_sup_decay(H1)
     tails = np.concatenate([np.cumsum(base[::-1])[::-1], [0.0]])  # sum_{k>=j} base_k

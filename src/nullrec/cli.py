@@ -219,7 +219,7 @@ def _cmd_moments_check(args) -> int:
     enums = enumerated_block_moments(model, g, orders, start=start, depth=args.depth)
     rows = []
     for m in orders:
-        algebraic = block_moment(model, BlockMomentRequest(g=g, m=m, start=start), tol=args.tol)
+        algebraic = block_moment(model, BlockMomentRequest(g=g, m=m, start=start))
         enum = enums[m]
         rows.append((m, algebraic, enum.value, abs(algebraic - enum.value), enum.tail_bound))
     for m, a, e, diff, tail in rows:
@@ -234,7 +234,7 @@ def _cmd_moments_check(args) -> int:
                 writer.writerow([row[0]] + [_fmt(v) for v in row[1:]])
         _write_metadata(out, "moments-check", {
             "chain": args.chain, "g": args.g, "m": args.m, "start": args.start,
-            "depth": args.depth, "tol": args.tol,
+            "depth": args.depth,
         })
     return 0
 
@@ -331,7 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--start", default="nu")
     p.add_argument("--depth", type=int, default=60)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_moments_check)
 

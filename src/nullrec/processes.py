@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,6 +34,7 @@ FAMILIES = ("INDEP", "SHARED_INNOVATION", "AR1_LINKED", "MA_LINKED", "FINITE_PRO
 
 _SQ5 = math.sqrt(0.5)
 _SQ3 = math.sqrt(3.0)
+_STEP_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -115,10 +117,8 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> GeneratedPath:
 
     if fam == "FINITE_PRODUCT":
         U = rng.random((n + 1, 2))
-        xi = _chain_path(spec.x_chain, U[:, 0])
-        wi = _chain_path(spec.w_chain, U[:, 1])
-        x = spec.x_chain.state_values()[xi]
-        w = spec.w_chain.state_values()[wi]
+        x = spec.x_chain.state_values()[step_chain(spec.x_chain, U[0, 0], U[1:, 0])]
+        w = spec.w_chain.state_values()[step_chain(spec.w_chain, U[0, 1], U[1:, 1])]
         z = spec.f(x) + w
         return GeneratedPath(x, w, z, None)
 
@@ -148,17 +148,21 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> GeneratedPath:
     return GeneratedPath(x, w, z, e)
 
 
-def _chain_path(model: FiniteMarkovModel, uniforms: np.ndarray) -> np.ndarray:
-    """State-index path started from nu, one uniform per step."""
-    cum_nu = np.cumsum(model.nu)
-    cum_p = np.cumsum(model.P, axis=1)
-    n = len(uniforms) - 1
-    idx = np.empty(n + 1, dtype=np.int64)
-    idx[0] = np.searchsorted(cum_nu, uniforms[0], side="right")
-    for t in range(n):
-        idx[t + 1] = np.searchsorted(cum_p[idx[t]], uniforms[t + 1], side="right")
-    np.clip(idx, 0, model.d - 1, out=idx)
-    return idx
+def step_chain(model: FiniteMarkovModel, u0: float, u: np.ndarray) -> np.ndarray:
+    """State-index path x_0..x_n of a finite chain started from nu, by inverse
+    CDF: x_0 from the uniform u0, then x_{t+1} from row x_t of P with u[t].
+    The uniforms are read in bounded chunks, so the Python-level copies stay
+    small however long the path."""
+    rows = model.cum_P.tolist()
+    x = np.empty(len(u) + 1, dtype=np.int64)
+    x[0] = xi = bisect_right(model.cum_nu.tolist(), u0)
+    for start in range(0, len(u), _STEP_CHUNK):
+        chunk = []
+        for v in u[start:start + _STEP_CHUNK].tolist():
+            xi = bisect_right(rows[xi], v)
+            chunk.append(xi)
+        x[start + 1:start + 1 + len(chunk)] = chunk
+    return x
 
 
 def theoretical_cross_moment(spec: ProcessSpec, t: int) -> float:

@@ -16,14 +16,13 @@ Besides single trajectories, the module ships vectorized i.i.d. block
 samplers (many replicas stepped in lockstep, each terminated at its first
 regeneration).  They are the Monte Carlo side of the dual-oracle checks
 against :mod:`nullrec.algebra` and stay deliberately independent of it: they
-never touch the fundamental kernel, only P, s and nu.
+never touch G or pi, only the model's cum_nu, cum_P and R (from P, s, nu).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .algebra import FiniteMarkovModel
 from .errors import InvalidHalfwidth, InvalidSpec, UnknownProcessFamily
-from .processes import ProcessSpec, generate
+from .processes import ProcessSpec, generate, step_chain
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -105,32 +104,14 @@ class BlockDecomposition(NamedTuple):
     lengths: np.ndarray
 
 
-def _finite_split_path(model: FiniteMarkovModel, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+def _split_chain(model: FiniteMarkovModel, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Index path x_0..x_n started from nu, with flags y_0..y_n (the flag at
-    n uses one transition beyond the kept path)."""
-    d = model.d
-    cum_nu = np.cumsum(model.nu).tolist()
-    cum_rows = [np.cumsum(row).tolist() for row in model.P]
-    P = model.P
-    s = model.s
-    nu = model.nu
-    ratio = [[(s[i] * nu[j] / P[i, j]) if P[i, j] > 0.0 else 0.0 for j in range(d)]
-             for i in range(d)]
-
-    u = rng.random(2 * (n + 1) + 1)
-    x = np.empty(n + 2, dtype=np.int64)
-    y = np.zeros(n + 1, dtype=np.uint8)
-    x[0] = min(bisect_right(cum_nu, u[0]), d - 1)
-    k = 1
-    xi = int(x[0])
-    for t in range(n + 1):
-        xj = min(bisect_right(cum_rows[xi], u[k]), d - 1)
-        if u[k + 1] < ratio[xi][xj]:
-            y[t] = 1
-        x[t + 1] = xj
-        xi = xj
-        k += 2
-    return x[:n + 1], y
+    n uses one transition beyond the kept path).  The uniforms interleave:
+    u[0] draws x_0, then u[2t+1] the step out of x_t and u[2t+2] its flag."""
+    u = rng.random(2 * n + 3)
+    x = step_chain(model, u[0], u[1::2])
+    y = (u[2::2] < model.R[x[:-1], x[1:]]).astype(np.uint8)
+    return x[:-1], y
 
 
 def simulate_split(process, n: int, seed: int) -> SplitTrajectory:
@@ -140,8 +121,7 @@ def simulate_split(process, n: int, seed: int) -> SplitTrajectory:
     y = y_x y_w), or a random-walk ProcessSpec (flags from the walk's atom;
     the disturbance rides along).  Identical inputs give identical output."""
     if isinstance(process, FiniteMarkovModel):
-        rng = np.random.default_rng(seed)
-        x, y = _finite_split_path(process, n, rng)
+        x, y = _split_chain(process, n, np.random.default_rng(seed))
         return SplitTrajectory(x=x, y=y, tau=np.flatnonzero(y), seed=seed,
                                states=process.states)
 
@@ -150,8 +130,8 @@ def simulate_split(process, n: int, seed: int) -> SplitTrajectory:
 
     if process.family == "FINITE_PRODUCT":
         rng = np.random.default_rng(seed)
-        x, y1 = _finite_split_path(process.x_chain, n, rng)
-        w, y2 = _finite_split_path(process.w_chain, n, rng)
+        x, y1 = _split_chain(process.x_chain, n, rng)
+        w, y2 = _split_chain(process.w_chain, n, rng)
         y = (y1 & y2).astype(np.uint8)
         return SplitTrajectory(x=x, y=y, tau=np.flatnonzero(y), seed=seed,
                                w=w, states=process.x_chain.states,
@@ -232,9 +212,18 @@ def block_sums(traj: SplitTrajectory, g) -> BlockDecomposition:
 
 # --- vectorized Monte Carlo samplers ------------------------------------------
 
-def _draw_rows(cum_p: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Categorical draw per replica from the row of cum_p picked by states."""
-    return (u[:, None] > cum_p[states]).sum(axis=1)
+def _draw_start(model: FiniteMarkovModel, u: np.ndarray) -> np.ndarray:
+    """Initial state per replica, drawn from nu."""
+    return np.searchsorted(model.cum_nu, u, side="right")
+
+
+def _draw_step(model: FiniteMarkovModel, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Next state per replica from its row of P: the count of table entries
+    <= u, as in :func:`nullrec.processes.step_chain` (the last one is 1.0)."""
+    nxt = np.zeros_like(states)
+    for j in range(model.d - 1):
+        nxt += model.cum_P[states, j] <= u
+    return nxt
 
 
 def sample_blocks(model: FiniteMarkovModel, g, n_blocks: int, seed: int,
@@ -244,12 +233,8 @@ def sample_blocks(model: FiniteMarkovModel, g, n_blocks: int, seed: int,
     lockstep; each stops at its first regeneration."""
     g = np.asarray(g, dtype=float)
     rng = np.random.default_rng(seed)
-    cum_nu = np.cumsum(model.nu)
-    cum_p = np.cumsum(model.P, axis=1)
-    d = model.d
-    s, nu, P = model.s, model.nu, model.P
 
-    x = np.minimum(np.searchsorted(cum_nu, rng.random(n_blocks), side="right"), d - 1)
+    x = _draw_start(model, rng.random(n_blocks))
     U = g[x].astype(float)
     L = np.ones(n_blocks, dtype=np.int64)
     alive = np.arange(n_blocks)
@@ -257,9 +242,8 @@ def sample_blocks(model: FiniteMarkovModel, g, n_blocks: int, seed: int,
         if alive.size == 0:
             return U, L
         xa = x[alive]
-        nx = np.minimum(_draw_rows(cum_p, xa, rng.random(alive.size)), d - 1)
-        ratio = s[xa] * nu[nx] / P[xa, nx]
-        survive = rng.random(alive.size) >= ratio
+        nx = _draw_step(model, xa, rng.random(alive.size))
+        survive = rng.random(alive.size) >= model.R[xa, nx]
         keep = alive[survive]
         nxs = nx[survive]
         x[keep] = nxs
@@ -279,12 +263,9 @@ def sample_compound_block_sums(x_model: FiniteMarkovModel, w_model: FiniteMarkov
     gW = np.asarray(gW, dtype=float)
     orders = tuple(orders)
     rng = np.random.default_rng(seed)
-    cum_nu1, cum_p1 = np.cumsum(x_model.nu), np.cumsum(x_model.P, axis=1)
-    cum_nu2, cum_p2 = np.cumsum(w_model.nu), np.cumsum(w_model.P, axis=1)
-    d1, d2 = x_model.d, w_model.d
 
-    x = np.minimum(np.searchsorted(cum_nu1, rng.random(n_blocks), side="right"), d1 - 1)
-    w = np.minimum(np.searchsorted(cum_nu2, rng.random(n_blocks), side="right"), d2 - 1)
+    x = _draw_start(x_model, rng.random(n_blocks))
+    w = _draw_start(w_model, rng.random(n_blocks))
     V = gX[x] * gW[w]
     S = {m: np.zeros(n_blocks) for m in orders}
     alive = np.arange(n_blocks)
@@ -292,10 +273,10 @@ def sample_compound_block_sums(x_model: FiniteMarkovModel, w_model: FiniteMarkov
         if alive.size == 0:
             return S
         xa, wa = x[alive], w[alive]
-        nx = np.minimum(_draw_rows(cum_p1, xa, rng.random(alive.size)), d1 - 1)
-        nw = np.minimum(_draw_rows(cum_p2, wa, rng.random(alive.size)), d2 - 1)
-        y1 = rng.random(alive.size) < x_model.s[xa] * x_model.nu[nx] / x_model.P[xa, nx]
-        y2 = rng.random(alive.size) < w_model.s[wa] * w_model.nu[nw] / w_model.P[wa, nw]
+        nx = _draw_step(x_model, xa, rng.random(alive.size))
+        nw = _draw_step(w_model, wa, rng.random(alive.size))
+        y1 = rng.random(alive.size) < x_model.R[xa, nx]
+        y2 = rng.random(alive.size) < w_model.R[wa, nw]
         sub_end = alive[y1]
         for m in orders:
             S[m][sub_end] += V[sub_end] ** m
@@ -319,19 +300,16 @@ def sample_embedded_counts(x_model: FiniteMarkovModel, w_model: FiniteMarkovMode
     pooled over independently evolving replicas, until at least n_pairs
     embedded steps have been recorded."""
     rng = np.random.default_rng(seed)
-    cum_nu1, cum_p1 = np.cumsum(x_model.nu), np.cumsum(x_model.P, axis=1)
-    cum_nu2, cum_p2 = np.cumsum(w_model.nu), np.cumsum(w_model.P, axis=1)
-    d1, d2 = x_model.d, w_model.d
 
-    x = np.minimum(np.searchsorted(cum_nu1, rng.random(replicas), side="right"), d1 - 1)
-    w = np.minimum(np.searchsorted(cum_nu2, rng.random(replicas), side="right"), d2 - 1)
+    x = _draw_start(x_model, rng.random(replicas))
+    w = _draw_start(w_model, rng.random(replicas))
     last_w = np.full(replicas, -1, dtype=np.int64)
-    counts = np.zeros((d2, d2), dtype=np.int64)
+    counts = np.zeros((w_model.d, w_model.d), dtype=np.int64)
     total = 0
     for _ in range(max_rounds):
-        nx = np.minimum(_draw_rows(cum_p1, x, rng.random(replicas)), d1 - 1)
-        y1 = rng.random(replicas) < x_model.s[x] * x_model.nu[nx] / x_model.P[x, nx]
-        nw = np.minimum(_draw_rows(cum_p2, w, rng.random(replicas)), d2 - 1)
+        nx = _draw_step(x_model, x, rng.random(replicas))
+        y1 = rng.random(replicas) < x_model.R[x, nx]
+        nw = _draw_step(w_model, w, rng.random(replicas))
         hit = np.flatnonzero(y1)
         if hit.size:
             prev = last_w[hit]

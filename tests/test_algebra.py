@@ -192,7 +192,7 @@ class TestBlockMoment:
         g = np.array([1.0, 0.0])
         for start in (0, 1):
             exact = alg.block_moment(two_state, alg.BlockMomentRequest(g=g, m=2, start=start))
-            enum = alg.enumerated_block_moment(two_state, g, 2, start=start, depth=80)
+            enum = alg.enumerated_block_moments(two_state, g, (2,), start=start, depth=80)[2]
             assert abs(exact - enum.value) <= 1e-10 + enum.tail_bound
 
     def test_order_cap(self, two_state):
@@ -380,3 +380,67 @@ class TestChainFiles:
                 "s": [0.8, 0.8],
                 "nu": [0.7, 0.3],
             })
+
+
+class TestModelCache:
+    DERIVED = ("H", "G", "pi", "cum_nu", "cum_P", "R")
+
+    def test_fundamental_kernel_built_once_per_model(self, monkeypatch):
+        calls = []
+        original = alg.fundamental_kernel
+
+        def counting(H):
+            calls.append(1)
+            return original(H)
+
+        monkeypatch.setattr(alg, "fundamental_kernel", counting)
+        model = random_model(np.random.default_rng(31), d=4)
+        g = np.array([1.0, -0.5, 2.0, 0.25])
+        alg.invariant_measure(model)
+        alg.block_mean_variance(model, g)
+        for m in range(1, 7):
+            alg.block_moment(model, alg.BlockMomentRequest(g=g, m=m))
+        for ell in range(-5, 6):
+            alg.generalized_autocov(model, g, None, ell)
+        alg.sigma2_from_series(model, g)
+        alg.compound_block_moment(model, model, g, g, 2)
+        assert len(calls) == 1
+
+    def test_derived_arrays_are_read_only_and_kept(self, two_state):
+        for name in self.DERIVED:
+            arr = getattr(two_state, name)
+            assert arr.flags.writeable is False, name
+            assert getattr(two_state, name) is arr, name
+
+    def test_taboo_kernel_matches_cached_attribute(self, two_state):
+        np.testing.assert_array_equal(alg.taboo_kernel(two_state).entries, two_state.H)
+        np.testing.assert_array_equal(alg.invariant_measure(two_state).pi, two_state.pi)
+
+    @given(st.integers(0, 10_000))
+    def test_exact_identities_on_random_chains(self, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, d=int(rng.integers(2, 9)))
+        pi, G = model.pi, model.G
+        scale = float(np.abs(pi).max())
+        assert np.abs(pi @ model.P - pi).max() <= 1e-10 * scale
+        assert abs(float(pi @ model.s) - 1.0) <= 1e-10
+        assert np.abs(G @ model.s - 1.0).max() <= 1e-10
+
+    def test_cumulative_tables_pinned_at_last_positive_entry(self):
+        P = np.array([[0.7, 0.2, 0.1, 0.0], [0.5, 0.0, 0.5, 0.0],
+                      [0.25, 0.25, 0.25, 0.25], [1.0, 0.0, 0.0, 0.0]])
+        assert np.cumsum(P[0])[2] < 1.0  # the rounding the tables must absorb
+        model = alg.FiniteMarkovModel(states=(0, 1, 2, 3), P=P, s=0.5 * P[:, 0],
+                                      nu=[1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(model.cum_P[0], [0.7, 0.7 + 0.2, 1.0, 1.0])
+        np.testing.assert_array_equal(model.cum_P[1], [0.5, 0.5, 1.0, 1.0])
+        np.testing.assert_array_equal(model.cum_nu, [1.0, 1.0, 1.0, 1.0])
+        assert (np.diff(model.cum_P, axis=1) >= 0.0).all()
+
+    def test_split_ratio_zero_off_support(self):
+        P = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        model = alg.FiniteMarkovModel(states=(0, 1, 2), P=P, s=[0.4, 0.0, 0.4],
+                                      nu=[1.0, 0.0, 0.0])
+        expected = np.zeros((3, 3))
+        expected[0, 0] = expected[2, 0] = 0.4 / 0.5
+        np.testing.assert_array_equal(model.R, expected)

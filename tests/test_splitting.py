@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +9,43 @@ from hypothesis import strategies as st
 import nullrec.algebra as alg
 import nullrec.splitting as sp
 from nullrec.errors import InvalidHalfwidth, UnknownProcessFamily
-from nullrec.processes import ProcessSpec, linear
+from nullrec.processes import ProcessSpec, generate, linear, step_chain
 from tests.conftest import random_model
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def reference_split_path(model, n, rng):
+    """Slow reference for the finite split chain: one interleaved pair of
+    uniforms per step, state by searching the row's running sum, flag by the
+    ratio s(x) nu(y) / p(x, y) computed on the spot."""
+    d = model.d
+    cum_nu = np.cumsum(model.nu)
+    cum_rows = np.cumsum(model.P, axis=1)
+    u = rng.random(2 * (n + 1) + 1)
+    x = np.empty(n + 2, dtype=np.int64)
+    y = np.zeros(n + 1, dtype=np.uint8)
+    x[0] = min(np.searchsorted(cum_nu, u[0], side="right"), d - 1)
+    k = 1
+    for t in range(n + 1):
+        xi = x[t]
+        xj = min(np.searchsorted(cum_rows[xi], u[k], side="right"), d - 1)
+        if u[k + 1] < model.s[xi] * model.nu[xj] / model.P[xi, xj]:
+            y[t] = 1
+        x[t + 1] = xj
+        k += 2
+    return x[:n + 1], y
+
+
+def reference_chain_path(model, uniforms):
+    """Slow reference for a finite chain driven by one uniform per step."""
+    cum_nu = np.cumsum(model.nu)
+    cum_p = np.cumsum(model.P, axis=1)
+    idx = np.empty(len(uniforms), dtype=np.int64)
+    idx[0] = np.searchsorted(cum_nu, uniforms[0], side="right")
+    for t in range(len(uniforms) - 1):
+        idx[t + 1] = np.searchsorted(cum_p[idx[t]], uniforms[t + 1], side="right")
+    return np.minimum(idx, model.d - 1)
 
 
 def two_sample_ks(a, b):
@@ -105,6 +141,85 @@ class TestSimulateSplit:
         assert traj.w is not None
         np.testing.assert_array_equal(traj.y, traj.y_x & traj.y_w)
         np.testing.assert_array_equal(traj.tau, np.flatnonzero(traj.y))
+
+
+class TestStepperAgainstSlowReference:
+    SEEDS = (0, 1, 9, 123)
+
+    def _chains(self):
+        yield alg.load_model(CONFIGS / "threestate.json")
+        yield alg.load_model(CONFIGS / "twostate.json")
+        yield random_model(np.random.default_rng(50), d=50)
+
+    def test_finite_split_chain(self):
+        for model in self._chains():
+            for seed in self.SEEDS:
+                traj = sp.simulate_split(model, 3000, seed)
+                x, y = reference_split_path(model, 3000, np.random.default_rng(seed))
+                np.testing.assert_array_equal(traj.x, x)
+                np.testing.assert_array_equal(traj.y, y)
+
+    def test_long_path_spans_several_chunks(self):
+        model = alg.load_model(CONFIGS / "threestate.json")
+        traj = sp.simulate_split(model, 150_000, 5)
+        x, y = reference_split_path(model, 150_000, np.random.default_rng(5))
+        np.testing.assert_array_equal(traj.x, x)
+        np.testing.assert_array_equal(traj.y, y)
+
+    def test_product_split_chain(self):
+        chains = list(self._chains())
+        for x_chain, w_chain in ((chains[0], chains[1]), (chains[2], chains[0])):
+            spec = ProcessSpec(family="FINITE_PRODUCT", f=linear(), x_chain=x_chain,
+                               w_chain=w_chain)
+            for seed in self.SEEDS:
+                traj = sp.simulate_split(spec, 2000, seed)
+                rng = np.random.default_rng(seed)
+                x, y_x = reference_split_path(x_chain, 2000, rng)
+                w, y_w = reference_split_path(w_chain, 2000, rng)
+                for got, want in ((traj.x, x), (traj.w, w), (traj.y_x, y_x), (traj.y_w, y_w)):
+                    np.testing.assert_array_equal(got, want)
+
+    def test_generate_finite_product(self):
+        chains = list(self._chains())
+        spec = ProcessSpec(family="FINITE_PRODUCT", f=linear(1.0, 0.5), x_chain=chains[2],
+                           w_chain=chains[0])
+        for seed in self.SEEDS:
+            path = generate(spec, 2000, seed)
+            U = np.random.default_rng(seed).random((2001, 2))
+            xi = reference_chain_path(spec.x_chain, U[:, 0])
+            wi = reference_chain_path(spec.w_chain, U[:, 1])
+            np.testing.assert_array_equal(path.x, spec.x_chain.state_values()[xi])
+            np.testing.assert_array_equal(path.w, spec.w_chain.state_values()[wi])
+
+
+class TestTableRounding:
+    """Row 0 sums to 0.9999999999999999 in floating point, so a uniform just
+    below 1 must still select its last positive-probability state; row 1
+    starts with a zero-probability state that a zero uniform must skip."""
+
+    P = np.array([[0.7, 0.2, 0.1, 0.0], [0.0, 0.5, 0.5, 0.0],
+                  [0.25, 0.25, 0.25, 0.25], [1.0, 0.0, 0.0, 0.0]])
+
+    def _started_at(self, state):
+        nu = np.eye(4)[state]
+        return alg.FiniteMarkovModel(states=(0, 1, 2, 3), P=self.P, s=np.zeros(4), nu=nu)
+
+    def test_top_uniform_stays_on_support(self):
+        model = self._started_at(0)
+        u = np.nextafter(1.0, 0.0)
+        assert step_chain(model, 0.0, np.array([u]))[1] == 2
+        assert sp._draw_step(model, np.array([0]), np.array([u]))[0] == 2
+
+    def test_stepper_and_lockstep_draw_agree(self):
+        table = self._started_at(0).cum_P.ravel()
+        grid = np.concatenate([table, np.nextafter(table, 0.0), np.linspace(0.0, 1.0, 101)])
+        grid = grid[grid < 1.0]
+        for state in range(4):
+            model = self._started_at(state)
+            seq = [step_chain(model, 0.0, np.array([u]))[1] for u in grid]
+            lock = sp._draw_step(model, np.full(len(grid), state), grid)
+            np.testing.assert_array_equal(lock, seq)
+            assert (self.P[state, lock] > 0.0).all()
 
 
 class TestRegenerationStats:
