@@ -48,6 +48,7 @@ from .processes import (
     empirical_corr_decay,
     generate,
     linear,
+    stream,
     theoretical_cross_moment,
 )
 from .splitting import (

@@ -87,6 +87,12 @@ class FiniteMarkovModel:
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
         validate_atom(self)
 
+    def __reduce__(self):
+        # Rebuild through the constructor, so an unpickled model (e.g. in a
+        # worker process) has read-only arrays again and the cached derived
+        # quantities are recomputed there rather than shipped.
+        return (type(self), (self.states, self.P, self.s, self.nu))
+
     @property
     def d(self) -> int:
         return len(self.states)

@@ -10,6 +10,11 @@ Two admission protocols:
     modal        run exactly n steps and evaluate at the sample's modal
                  value, a realization-dependent central point.
 
+Every replication records the path length it used: n + 1 for modal, and
+T + 1 for fixed_point, T the stopping time (max_path_length + 1 for a guard
+rejection, a right-censored value).  Fixed-point paths are streamed and cut
+at T, so no row beyond T's block is drawn.
+
 Each admitted replication contributes one studentized statistic; the
 empirical law is summarized by its Kolmogorov-Smirnov distance to the
 standard normal (the statistic is already normalized by the known limit
@@ -41,7 +46,7 @@ from .errors import (
     TooFewValues,
 )
 from .estimator import EPANECHNIKOV, Kernel, local_bandwidth, modal_value, nw_estimate
-from .processes import ProcessSpec, generate, spec_from_dict, spec_to_dict
+from .processes import ProcessSpec, generate, spec_from_dict, spec_to_dict, stream
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -92,6 +97,8 @@ class CltProtocol:
         else:
             if self.x_eval is None or self.window is None or self.local_count is None:
                 raise InvalidSpec("fixed_point mode requires x_eval, window and local_count")
+            if self.local_count < 1:
+                raise InvalidSpec("fixed_point mode requires local_count >= 1")
             lo, hi = self.window
             if not (lo < self.x_eval < hi):
                 raise InvalidSpec(f"x_eval {self.x_eval!r} must lie inside the window {self.window!r}")
@@ -113,6 +120,7 @@ class RepRecord:
     f_hat: Optional[float]
     studentized: Optional[float]
     status: str
+    path_length: int
 
 
 @dataclass(frozen=True)
@@ -128,13 +136,34 @@ class CltExperimentResult:
     sd: float
 
 
-def _window_count(x: np.ndarray, window: tuple[float, float]) -> np.ndarray:
-    lo, hi = window
-    return np.cumsum((x > lo) & (x < hi))
+def _rejection(rep: int, seed: int, size, status: str, path_length: int) -> RepRecord:
+    return RepRecord(rep, seed, size, None, None, None, None, None, status, path_length)
 
 
-def _rejection(rep: int, seed: int, size, status: str) -> RepRecord:
-    return RepRecord(rep, seed, size, None, None, None, None, None, status)
+def _fixed_point_path(protocol: CltProtocol, seed: int):
+    """x and z for t = 0..T, T the first time `local_count` observations
+    have fallen in the window, or None when T > max_path_length.  The path
+    is streamed block by block and no row after T's block is drawn."""
+    lo, hi = protocol.window
+    limit = protocol.max_path_length + 1
+    missing = protocol.local_count
+    xs, zs = [], []
+    rows = 0
+    for block in stream(protocol.process, seed):
+        x, z = block.x[:limit - rows], block.z[:limit - rows]
+        inside = (x > lo) & (x < hi)
+        found = int(np.count_nonzero(inside))
+        if found >= missing:
+            stop = int(np.flatnonzero(inside)[missing - 1])
+            xs.append(x[:stop + 1])
+            zs.append(z[:stop + 1])
+            return np.concatenate(xs), np.concatenate(zs)
+        missing -= found
+        xs.append(x)
+        zs.append(z)
+        rows += len(x)
+        if rows == limit:
+            return None
 
 
 def _run_rep(protocol: CltProtocol, rep: int) -> RepRecord:
@@ -146,19 +175,11 @@ def _run_rep(protocol: CltProtocol, rep: int) -> RepRecord:
         x_eval = modal_value(x, protocol.kernel)
         size = protocol.n
     else:
-        n_len = 4096
-        while True:
-            n_len = min(n_len, protocol.max_path_length)
-            path = generate(spec, n_len, seed)
-            counts = _window_count(path.x, protocol.window)
-            if counts[-1] >= protocol.local_count:
-                stop = int(np.argmax(counts >= protocol.local_count))
-                x = path.x[:stop + 1]
-                z = path.z[:stop + 1]
-                break
-            if n_len >= protocol.max_path_length:
-                return _rejection(rep, seed, None, GUARD)
-            n_len *= 2
+        cut = _fixed_point_path(protocol, seed)
+        if cut is None:
+            # Right-censored: the stopping time is beyond the guard.
+            return _rejection(rep, seed, None, GUARD, protocol.max_path_length + 1)
+        x, z = cut
         x_eval = protocol.x_eval
         size = protocol.local_count
 
@@ -171,9 +192,9 @@ def _run_rep(protocol: CltProtocol, rep: int) -> RepRecord:
         report = nw_estimate(x, z, x_eval, h, protocol.kernel, window=window,
                              f_true_at_x=float(spec.f(x_eval)))
     except (EmptyNeighborhood, EmptyOccupation):
-        return _rejection(rep, seed, size, EMPTY)
+        return _rejection(rep, seed, size, EMPTY, len(x))
     return RepRecord(rep, seed, size, float(x_eval), float(h), report.sum_k,
-                     report.f_hat, report.studentized, ADMITTED)
+                     report.f_hat, report.studentized, ADMITTED, len(x))
 
 
 def run_clt(protocol: CltProtocol, threads: Optional[int] = None) -> CltExperimentResult:
@@ -265,10 +286,11 @@ def write_replication_csv(result: CltExperimentResult, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rep", "seed", "n_or_local_count", "x_eval", "h",
-                         "sum_k", "f_hat", "studentized", "status"])
+                         "sum_k", "f_hat", "studentized", "status", "path_length"])
         for r in result.records:
             writer.writerow([r.rep, r.seed, _fmt(r.size), _fmt(r.x_eval), _fmt(r.h),
-                             _fmt(r.sum_k), _fmt(r.f_hat), _fmt(r.studentized), r.status])
+                             _fmt(r.sum_k), _fmt(r.f_hat), _fmt(r.studentized), r.status,
+                             r.path_length])
 
 
 def write_summary_csv(results, path) -> None:

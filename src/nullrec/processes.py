@@ -14,7 +14,10 @@ response z = f(x) + w, driven by standard-normal innovations:
 
 Generation is deterministic given (spec, n, seed), and the first n+1 points
 of a longer run with the same seed coincide with a shorter one (draws are
-consumed in time-major order), which lets callers grow a path incrementally.
+consumed in time-major order).  stream(spec, seed) yields the run as
+consecutive row blocks that carry the linking state between them, so a
+caller that stops at a data-dependent time draws each row once; generate is
+its first block.
 """
 
 from __future__ import annotations
@@ -91,8 +94,9 @@ class ProcessSpec:
 
 @dataclass(frozen=True)
 class GeneratedPath:
-    """Arrays of length n+1; e holds the walk innovations (e[0] is unused by
-    the walk and only feeds disturbance start-up terms)."""
+    """Arrays over t = 0..n (or over one block of :func:`stream`); e holds
+    the walk innovations (e[0] is unused by the walk and only feeds
+    disturbance start-up terms)."""
 
     x: np.ndarray
     w: np.ndarray
@@ -112,56 +116,87 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> GeneratedPath:
     reproduces w identically."""
     if n < 0:
         raise InvalidSpec("n must be >= 0")
+    return next(stream(spec, seed, chunk=n + 1))
+
+
+def stream(spec: ProcessSpec, seed: int, chunk: int = _STEP_CHUNK):
+    """Endless run of the system as consecutive `chunk`-row blocks: rows
+    0..chunk-1, then chunk..2 chunk-1, and so on, each a GeneratedPath.
+
+    The state that links rows (the walk's running sum, w_{t-1}, e_{t-1} and
+    eps_{t-1}, the chain states) is carried from block to block, and the
+    draws are taken in time-major order, so the blocks concatenated are
+    bit-identical to one generate() call with the same seed."""
+    if chunk < 1:
+        raise InvalidSpec("chunk must be >= 1")
     rng = np.random.default_rng(seed)
     fam = spec.family
 
     if fam == "FINITE_PRODUCT":
-        U = rng.random((n + 1, 2))
-        x = spec.x_chain.state_values()[step_chain(spec.x_chain, U[0, 0], U[1:, 0])]
-        w = spec.w_chain.state_values()[step_chain(spec.w_chain, U[0, 1], U[1:, 1])]
-        z = spec.f(x) + w
-        return GeneratedPath(x, w, z, None)
+        chains = (spec.x_chain, spec.w_chain)
+        values = [c.state_values() for c in chains]
+        # x_0 from nu; each later block steps on from the last state before it.
+        U = rng.random((chunk, 2))
+        paths = [step_chain(c, bisect_right(c.cum_nu.tolist(), U[0, j]), U[1:, j])
+                 for j, c in enumerate(chains)]
+        while True:
+            x, w = (v[p] for v, p in zip(values, paths))
+            yield GeneratedPath(x, w, spec.f(x) + w, None)
+            U = rng.random((chunk, 2))
+            paths = [step_chain(c, int(p[-1]), U[:, j])[1:]
+                     for j, (c, p) in enumerate(zip(chains, paths))]
 
     ncols = 3 if fam == "MA_LINKED" else 2
-    E = rng.standard_normal((n + 1, ncols))
-    e = spec.sigma_e * E[:, 0]
-    x = np.empty(n + 1)
-    x[0] = spec.x0
-    x[1:] = spec.x0 + np.cumsum(e[1:])
+    a, b = spec.a, spec.b
+    first = True
+    walk = w_prev = e_prev = eps_prev = 0.0
+    while True:
+        E = rng.standard_normal((chunk, ncols))
+        e = spec.sigma_e * E[:, 0]
+        # The running sum of e_1..e_t, as one sequential cumsum over all
+        # blocks (e_0 is not a walk increment); x0 is added afterwards.
+        x = e.copy()
+        x[0] = 0.0 if first else walk + e[0]
+        np.cumsum(x, out=x)
+        walk = x[-1]
+        x += spec.x0
 
-    if fam == "INDEP":
-        w = spec.sigma_w * E[:, 1]
-    elif fam == "SHARED_INNOVATION":
-        w = _SQ5 * E[:, 0] + _SQ5 * E[:, 1]
-    elif fam == "AR1_LINKED":
-        u = spec.sigma_u * E[:, 1]
-        w = np.empty(n + 1)
-        w[0] = _ar1_stationary_sd(spec) * E[0, 1]
-        a, b = spec.a, spec.b
-        for t in range(1, n + 1):
-            w[t] = a * w[t - 1] + b * e[t] + u[t]
-    else:  # MA_LINKED
-        w = np.empty(n + 1)
-        w[0] = E[0, 2]
-        w[1:] = (E[1:, 0] + E[:-1, 0] + E[:-1, 1]) / _SQ3
-    z = spec.f(x) + w
-    return GeneratedPath(x, w, z, e)
+        if fam == "INDEP":
+            w = spec.sigma_w * E[:, 1]
+        elif fam == "SHARED_INNOVATION":
+            w = _SQ5 * E[:, 0] + _SQ5 * E[:, 1]
+        elif fam == "AR1_LINKED":
+            u = spec.sigma_u * E[:, 1]
+            w = np.empty(chunk)
+            w[0] = (_ar1_stationary_sd(spec) * E[0, 1] if first
+                    else a * w_prev + b * e[0] + u[0])
+            for t in range(1, chunk):
+                w[t] = a * w[t - 1] + b * e[t] + u[t]
+            w_prev = w[-1]
+        else:  # MA_LINKED
+            w = np.empty(chunk)
+            w[0] = E[0, 2] if first else (E[0, 0] + e_prev + eps_prev) / _SQ3
+            w[1:] = (E[1:, 0] + E[:-1, 0] + E[:-1, 1]) / _SQ3
+            e_prev, eps_prev = E[-1, 0], E[-1, 1]
+        first = False
+        yield GeneratedPath(x, w, spec.f(x) + w, e)
 
 
-def step_chain(model: FiniteMarkovModel, u0: float, u: np.ndarray) -> np.ndarray:
-    """State-index path x_0..x_n of a finite chain started from nu, by inverse
-    CDF: x_0 from the uniform u0, then x_{t+1} from row x_t of P with u[t].
-    The uniforms are read in bounded chunks, so the Python-level copies stay
-    small however long the path."""
+def step_chain(model: FiniteMarkovModel, start: int, u: np.ndarray) -> np.ndarray:
+    """State-index path x_0..x_n of a finite chain from the state index
+    x_0 = start, by inverse CDF: x_{t+1} from row x_t of P with u[t].  (A
+    chain started from nu draws its start as the count of cum_nu entries
+    <= u0.)  The uniforms are read in bounded chunks, so the Python-level
+    copies stay small however long the path."""
     rows = model.cum_P.tolist()
     x = np.empty(len(u) + 1, dtype=np.int64)
-    x[0] = xi = bisect_right(model.cum_nu.tolist(), u0)
-    for start in range(0, len(u), _STEP_CHUNK):
+    x[0] = xi = start
+    for i0 in range(0, len(u), _STEP_CHUNK):
         chunk = []
-        for v in u[start:start + _STEP_CHUNK].tolist():
+        for v in u[i0:i0 + _STEP_CHUNK].tolist():
             xi = bisect_right(rows[xi], v)
             chunk.append(xi)
-        x[start + 1:start + 1 + len(chunk)] = chunk
+        x[i0 + 1:i0 + 1 + len(chunk)] = chunk
     return x
 
 

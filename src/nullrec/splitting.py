@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from inspect import Parameter, signature
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -109,7 +110,7 @@ def _split_chain(model: FiniteMarkovModel, n: int, rng) -> tuple[np.ndarray, np.
     n uses one transition beyond the kept path).  The uniforms interleave:
     u[0] draws x_0, then u[2t+1] the step out of x_t and u[2t+2] its flag."""
     u = rng.random(2 * n + 3)
-    x = step_chain(model, u[0], u[1::2])
+    x = step_chain(model, int(_draw_start(model, u[0])), u[1::2])
     y = (u[2::2] < model.R[x[:-1], x[1:]]).astype(np.uint8)
     return x[:-1], y
 
@@ -177,13 +178,23 @@ def occupation_count(traj: SplitTrajectory, C) -> int:
     return int(np.isin(x, idxs).sum())
 
 
+def _takes_two_positional(g) -> bool:
+    """Whether the callable g can be called as g(x, w)."""
+    if isinstance(g, np.ufunc):
+        return g.nin >= 2
+    try:
+        params = signature(g).parameters.values()
+    except (TypeError, ValueError):  # no introspectable signature
+        return False
+    positional = (Parameter.POSITIONAL_ONLY, Parameter.POSITIONAL_OR_KEYWORD)
+    return (any(p.kind is Parameter.VAR_POSITIONAL for p in params)
+            or sum(p.kind in positional for p in params) >= 2)
+
+
 def _evaluate(traj: SplitTrajectory, g) -> np.ndarray:
     if callable(g):
-        if traj.w is not None:
-            try:
-                return np.asarray(g(traj.x, traj.w), dtype=float)
-            except TypeError:
-                pass
+        if traj.w is not None and _takes_two_positional(g):
+            return np.asarray(g(traj.x, traj.w), dtype=float)
         return np.asarray(g(traj.x), dtype=float)
     arr = np.asarray(g, dtype=float)
     if traj.states is None:
@@ -194,7 +205,9 @@ def _evaluate(traj: SplitTrajectory, g) -> np.ndarray:
 def block_sums(traj: SplitTrajectory, g) -> BlockDecomposition:
     """Partition the path sum of g at the regeneration indices.
 
-    g is a per-state array on finite chains, or a callable g(x) / g(x, w).
+    g is a per-state array on finite chains, or a callable g(x) / g(x, w);
+    a callable that takes two positional arguments is given w when the
+    trajectory has one, and any error it raises propagates.
     u0 + sum(blocks) + tail recombines to the direct sum."""
     vals = _evaluate(traj, g)
     prefix = np.concatenate([[0.0], np.cumsum(vals)])

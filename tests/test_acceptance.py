@@ -187,6 +187,25 @@ def test_criterion_7_fixed_point_replication():
             f"guard rejections = {guard}, {elapsed:.0f}s")
 
 
+def test_criterion_7_stopping_time_heavy_tail():
+    """The fixed-point stopping time T of the walk has P(T > t) ~ t^(-1/2),
+    the beta = 1/2 null recurrence; guard rejections count as T > 1e6."""
+    start = time.perf_counter()
+    spec = pr.ProcessSpec(family="INDEP", f=pr.linear())
+    proto = mc.CltProtocol(process=spec, mode="fixed_point", reps=1400,
+                           base_seed=271828, x_eval=7.5, window=(5.0, 10.0),
+                           local_count=100)
+    res = mc.run_clt(proto)
+    stop = np.array([r.path_length - 1 for r in res.records])
+    ts = np.array([1e4, 3e4, 1e5, 3e5, 1e6 - 1])
+    survival = np.array([(stop > t).mean() for t in ts])
+    slope = float(np.polyfit(np.log(ts), np.log(survival), 1)[0])
+    elapsed = time.perf_counter() - start
+    _report(7, -0.65 <= slope <= -0.35,
+            f"log-log slope of P(T > t) = {slope:.3f}, guard = {res.guard_exceeded}, "
+            f"{elapsed:.1f}s")
+
+
 def test_criterion_8_modal_replication_both_wirings():
     start = time.perf_counter()
     systems = {

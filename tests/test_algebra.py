@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -444,3 +445,15 @@ class TestModelCache:
         expected = np.zeros((3, 3))
         expected[0, 0] = expected[2, 0] = 0.4 / 0.5
         np.testing.assert_array_equal(model.R, expected)
+
+    def test_pickle_round_trip_rebuilds_through_constructor(self):
+        model = random_model(np.random.default_rng(32), d=5)
+        for name in self.DERIVED:
+            getattr(model, name)
+        again = pickle.loads(pickle.dumps(model))
+        assert set(again.__dict__) == {"states", "P", "s", "nu"}
+        assert again.states == model.states
+        for name in ("P", "s", "nu") + self.DERIVED:
+            arr = getattr(again, name)
+            np.testing.assert_array_equal(arr, getattr(model, name), err_msg=name)
+            assert arr.flags.writeable is False, name

@@ -1,13 +1,22 @@
 import math
 from dataclasses import replace
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 import nullrec.montecarlo as mc
-from nullrec.errors import AllRejected, IncomparableProtocols, InvalidSpec, TooFewValues
-from nullrec.processes import ProcessSpec, generate, linear
+from nullrec.errors import (
+    AllRejected,
+    EmptyNeighborhood,
+    EmptyOccupation,
+    IncomparableProtocols,
+    InvalidSpec,
+    TooFewValues,
+)
+from nullrec.estimator import local_bandwidth, nw_estimate
+from nullrec.processes import ProcessSpec, generate, linear, stream
 
 
 def modal_protocol(n=300, reps=40, seed=123, family="INDEP", f=None, **kw):
@@ -57,6 +66,9 @@ class TestProtocolValidation:
         with pytest.raises(InvalidSpec):
             mc.CltProtocol(process=spec, mode="fixed_point", reps=5, x_eval=12.0,
                            window=(5.0, 10.0), local_count=50)
+        with pytest.raises(InvalidSpec):
+            mc.CltProtocol(process=spec, mode="fixed_point", reps=5, x_eval=7.5,
+                           window=(5.0, 10.0), local_count=0)
 
 
 class TestRunClt:
@@ -112,6 +124,90 @@ class TestRunClt:
             mc.run_clt(proto)
 
 
+def reference_fixed_point_rep(protocol, rep):
+    """Slow reference for a fixed-point replication: regenerate the whole
+    path from scratch at 4096, 8192, ... rows (capped at the guard) until
+    local_count window observations have accumulated."""
+    seed = mc.derive_seed(protocol.base_seed, rep)
+    lo, hi = protocol.window
+    n_len = 4096
+    while True:
+        n_len = min(n_len, protocol.max_path_length)
+        path = generate(protocol.process, n_len, seed)
+        counts = np.cumsum((path.x > lo) & (path.x < hi))
+        if counts[-1] >= protocol.local_count:
+            stop = int(np.argmax(counts >= protocol.local_count))
+            break
+        if n_len >= protocol.max_path_length:
+            return mc.RepRecord(rep, seed, None, None, None, None, None, None, mc.GUARD,
+                                protocol.max_path_length + 1)
+        n_len *= 2
+    x, z = path.x[:stop + 1], path.z[:stop + 1]
+    x_eval, size = protocol.x_eval, protocol.local_count
+    try:
+        h = protocol.fixed_h
+        if h is None:
+            h = local_bandwidth(x, x_eval, protocol.window, protocol.c0, protocol.kernel)
+        report = nw_estimate(x, z, x_eval, h, protocol.kernel, window=protocol.window,
+                             f_true_at_x=float(protocol.process.f(x_eval)))
+    except (EmptyNeighborhood, EmptyOccupation):
+        return mc.RepRecord(rep, seed, size, None, None, None, None, None, mc.EMPTY, stop + 1)
+    return mc.RepRecord(rep, seed, size, float(x_eval), float(h), report.sum_k, report.f_hat,
+                        report.studentized, mc.ADMITTED, stop + 1)
+
+
+class TestFixedPointStream:
+    """The streamed fixed-point replication against the regrow-by-doubling
+    reference, on a tight guard that yields admitted, guard and empty reps."""
+
+    @pytest.fixture
+    def protocol(self):
+        spec = ProcessSpec(family="INDEP", f=linear(0.5, 1.0))
+        return mc.CltProtocol(process=spec, mode="fixed_point", reps=40, base_seed=3,
+                              x_eval=7.5, window=(5.0, 10.0), local_count=60,
+                              fixed_h=0.05, max_path_length=6000)
+
+    @pytest.fixture
+    def reference(self, protocol):
+        return [reference_fixed_point_rep(protocol, r) for r in range(protocol.reps)]
+
+    def test_reference_covers_every_status(self, reference):
+        assert {r.status for r in reference} == {mc.ADMITTED, mc.EMPTY, mc.GUARD}
+
+    def test_records_equal_reference(self, protocol, reference, monkeypatch):
+        assert list(mc.run_clt(protocol).records) == reference
+        # Small blocks: the stopping index and the guard fall blocks deep.
+        for chunk in (1, 97, 4096, protocol.max_path_length + 1):
+            monkeypatch.setattr(mc, "stream", partial(stream, chunk=chunk))
+            assert [mc._run_rep(protocol, r) for r in range(protocol.reps)] == reference
+
+    def test_block_boundary_at_stopping_index(self, protocol, reference, monkeypatch):
+        for r, rec in enumerate(reference):
+            if rec.status == mc.GUARD:
+                continue
+            stop = rec.path_length - 1
+            for chunk in (stop, stop + 1):  # stop opens a block / ends one
+                monkeypatch.setattr(mc, "stream", partial(stream, chunk=chunk))
+                assert mc._run_rep(protocol, r) == rec
+
+    def test_path_length(self, protocol, reference):
+        guard = [r for r in reference if r.status == mc.GUARD]
+        assert all(r.path_length == protocol.max_path_length + 1 for r in guard)
+        lo, hi = protocol.window
+        for rec in reference:
+            if rec.status == mc.GUARD:
+                continue
+            x = generate(protocol.process, rec.path_length - 1, rec.seed).x
+            inside = (x > lo) & (x < hi)
+            assert inside.sum() == protocol.local_count and inside[-1]
+        modal = mc.run_clt(modal_protocol(n=150, reps=12, seed=4))
+        assert {r.path_length for r in modal.records} == {151}
+
+    def test_threads_keep_records(self, protocol):
+        serial = mc.run_clt(protocol, threads=1)
+        assert mc.run_clt(protocol, threads=2).records == serial.records
+
+
 class TestTrendReport:
     def _result(self, proto, ks, sd=1.0):
         return mc.CltExperimentResult(protocol=proto, records=(), values=np.zeros(10),
@@ -155,7 +251,9 @@ class TestCsvAndJson:
         mc.write_replication_csv(res, rep_path)
         mc.write_summary_csv([res], sum_path)
         rep_lines = rep_path.read_text().strip().splitlines()
-        assert rep_lines[0] == "rep,seed,n_or_local_count,x_eval,h,sum_k,f_hat,studentized,status"
+        assert rep_lines[0] == ("rep,seed,n_or_local_count,x_eval,h,sum_k,f_hat,studentized,"
+                                "status,path_length")
+        assert all(line.endswith(",201") for line in rep_lines[1:])
         assert len(rep_lines) == 16
         header, row = sum_path.read_text().strip().splitlines()
         assert header == "protocol_id,size,reps,admitted,ks_distance,mean,sd"

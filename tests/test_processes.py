@@ -105,6 +105,48 @@ class TestGenerate:
         np.testing.assert_array_equal(path.z, path.x + path.w)
 
 
+class TestStream:
+    """Blocks of stream() concatenated are bit-identical to one generate()
+    call, across block boundaries, for every family."""
+
+    N = 2500
+
+    def _specs(self):
+        rng = np.random.default_rng(4)
+        for family in pr.FAMILIES:
+            chains = {}
+            if family == "FINITE_PRODUCT":
+                chains = dict(x_chain=random_model(rng, d=3), w_chain=random_model(rng, d=5))
+            yield pr.ProcessSpec(family=family, f=pr.linear(1.5, -0.25), x0=-2.75, **chains)
+
+    @staticmethod
+    def _concat(spec, seed, chunk, rows):
+        blocks = []
+        for block in pr.stream(spec, seed, chunk=chunk):
+            assert len(block.x) == chunk
+            blocks.append(block)
+            if chunk * len(blocks) >= rows:
+                break
+        return {name: np.concatenate([getattr(b, name) for b in blocks])[:rows]
+                for name in ("x", "w", "z", "e") if getattr(blocks[0], name) is not None}
+
+    def test_blocks_match_one_shot(self):
+        for spec in self._specs():
+            for seed in (0, 21):
+                whole = pr.generate(spec, self.N, seed)
+                for chunk in (1, 2, 997, self.N + 1):
+                    got = self._concat(spec, seed, chunk, self.N + 1)
+                    assert set(got) == ({"x", "w", "z"} if whole.e is None
+                                        else {"x", "w", "z", "e"})
+                    for name, arr in got.items():
+                        np.testing.assert_array_equal(arr, getattr(whole, name),
+                                                      err_msg=f"{spec.family} {name} {chunk}")
+
+    def test_invalid_chunk(self, indep):
+        with pytest.raises(InvalidSpec):
+            next(pr.stream(indep, 0, chunk=0))
+
+
 class TestAr1Moments:
     def test_formula_values(self):
         spec = pr.ProcessSpec(family="AR1_LINKED", a=0.5, b=1.0, sigma_e=1.0)

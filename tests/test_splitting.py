@@ -207,7 +207,7 @@ class TestTableRounding:
     def test_top_uniform_stays_on_support(self):
         model = self._started_at(0)
         u = np.nextafter(1.0, 0.0)
-        assert step_chain(model, 0.0, np.array([u]))[1] == 2
+        assert step_chain(model, 0, np.array([u]))[1] == 2
         assert sp._draw_step(model, np.array([0]), np.array([u]))[0] == 2
 
     def test_stepper_and_lockstep_draw_agree(self):
@@ -216,7 +216,7 @@ class TestTableRounding:
         grid = grid[grid < 1.0]
         for state in range(4):
             model = self._started_at(state)
-            seq = [step_chain(model, 0.0, np.array([u]))[1] for u in grid]
+            seq = [step_chain(model, state, np.array([u]))[1] for u in grid]
             lock = sp._draw_step(model, np.full(len(grid), state), grid)
             np.testing.assert_array_equal(lock, seq)
             assert (self.P[state, lock] > 0.0).all()
@@ -307,6 +307,25 @@ class TestBlockSums:
         bd = sp.block_sums(traj, lambda x, w: x * w)
         direct = float((traj.x * traj.w).sum())
         assert bd.u0 + bd.blocks.sum() + bd.tail == pytest.approx(direct, rel=1e-9)
+
+    def test_two_argument_callable_errors_propagate(self):
+        traj = sp.simulate_split(ProcessSpec(family="SHARED_INNOVATION", f=linear()), 200, 6)
+
+        def broken(x, w):
+            raise TypeError("bug inside g")
+
+        with pytest.raises(TypeError, match="bug inside g"):
+            sp.block_sums(traj, broken)
+
+    def test_callable_arity_picks_the_call(self):
+        traj = sp.simulate_split(ProcessSpec(family="SHARED_INNOVATION", f=linear()), 300, 8)
+        cases = [(lambda x: 2.0 * x, 2.0 * traj.x),
+                 (lambda x, *rest: x - rest[0], traj.x - traj.w),
+                 (np.abs, np.abs(traj.x)),
+                 (np.add, traj.x + traj.w)]
+        for g, vals in cases:
+            bd = sp.block_sums(traj, g)
+            assert bd.u0 + bd.blocks.sum() + bd.tail == pytest.approx(vals.sum(), rel=1e-9)
 
     def test_block_sample_moments_match_algebra(self, two_state):
         # ~1e5 blocks from one long trajectory
