@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -119,27 +120,21 @@ class TestStream:
                 chains = dict(x_chain=random_model(rng, d=3), w_chain=random_model(rng, d=5))
             yield pr.ProcessSpec(family=family, f=pr.linear(1.5, -0.25), x0=-2.75, **chains)
 
-    @staticmethod
-    def _concat(spec, seed, chunk, rows):
-        blocks = []
-        for block in pr.stream(spec, seed, chunk=chunk):
-            assert len(block.x) == chunk
-            blocks.append(block)
-            if chunk * len(blocks) >= rows:
-                break
-        return {name: np.concatenate([getattr(b, name) for b in blocks])[:rows]
-                for name in ("x", "w", "z", "e") if getattr(blocks[0], name) is not None}
-
     def test_blocks_match_one_shot(self):
+        rows = self.N + 1
         for spec in self._specs():
             for seed in (0, 21):
                 whole = pr.generate(spec, self.N, seed)
-                for chunk in (1, 2, 997, self.N + 1):
-                    got = self._concat(spec, seed, chunk, self.N + 1)
-                    assert set(got) == ({"x", "w", "z"} if whole.e is None
-                                        else {"x", "w", "z", "e"})
-                    for name, arr in got.items():
-                        np.testing.assert_array_equal(arr, getattr(whole, name),
+                for chunk in (1, 2, 997, rows):
+                    blocks = list(islice(pr.stream(spec, seed, chunk=chunk), -(-rows // chunk)))
+                    assert all(len(b.x) == chunk for b in blocks)
+                    for name in ("x", "w", "z", "e"):
+                        want = getattr(whole, name)
+                        got = [getattr(b, name) for b in blocks]
+                        if want is None:
+                            assert all(g is None for g in got)
+                            continue
+                        np.testing.assert_array_equal(np.concatenate(got)[:rows], want,
                                                       err_msg=f"{spec.family} {name} {chunk}")
 
     def test_invalid_chunk(self, indep):
