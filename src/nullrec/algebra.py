@@ -52,6 +52,7 @@ from .errors import (
 )
 
 STOCHASTIC_TOL = 1e-12
+_G_RESIDUAL_TOL = 1e-6
 MOMENT_ORDER_CAP = 6
 
 TABOO = "taboo"
@@ -92,6 +93,17 @@ class FiniteMarkovModel:
         # worker process) has read-only arrays again and the cached derived
         # quantities are recomputed there rather than shipped.
         return (type(self), (self.states, self.P, self.s, self.nu))
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteMarkovModel):
+            return NotImplemented
+        return self.states == other.states and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in ("P", "s", "nu"))
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it.
+        return hash((self.states,) + tuple((getattr(self, name) + 0.0).tobytes()
+                                           for name in ("P", "s", "nu")))
 
     @property
     def d(self) -> int:
@@ -258,17 +270,22 @@ def _as_matrix(H) -> np.ndarray:
 def fundamental_kernel(H) -> KernelMatrix:
     """G = sum_l H^l computed by solving (I - H) G = I directly.
 
-    Requires the spectral radius of H to be < 1; a (near-)singular I - H
-    signals that the split chain never regenerates."""
+    For H >= 0 the series converges iff I - H is a nonsingular M-matrix, i.e.
+    iff (I - H)^{-1} exists and is >= 0 entrywise.  G s = 1 holds exactly for
+    s = (I - H) 1 (the atom's s when H = P - s (x) nu), so its residual
+    measures how close I - H is to singular, i.e. to a chain that never
+    regenerates."""
     Hm = _as_matrix(H)
     d = Hm.shape[0]
-    eigs = np.linalg.eigvals(Hm)
-    if np.abs(eigs).max() >= 1.0 - 1e-10:
-        raise SeriesDiverges(f"spectral radius of H is {np.abs(eigs).max()!r} >= 1")
     try:
         G = np.linalg.solve(np.eye(d) - Hm, np.eye(d))
     except np.linalg.LinAlgError as exc:
         raise SeriesDiverges(str(exc)) from exc
+    if not np.isfinite(G).all() or G.min() < 0.0:
+        raise SeriesDiverges("(I - H)^-1 is not entrywise nonnegative: H has spectral radius >= 1")
+    residual = float(np.abs(G @ (1.0 - Hm.sum(axis=1)) - 1.0).max())
+    if residual > _G_RESIDUAL_TOL:
+        raise SeriesDiverges(f"max |G s - 1| = {residual!r}: I - H is too close to singular")
     return KernelMatrix(G, FUNDAMENTAL)
 
 

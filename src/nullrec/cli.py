@@ -36,6 +36,7 @@ from .algebra import (
 )
 from .estimator import EPANECHNIKOV, Kernel, local_bandwidth, nw_estimate
 from .montecarlo import (
+    _fmt,
     protocols_from_dict,
     run_clt,
     trend_report,
@@ -69,14 +70,6 @@ _EXIT_CODES = {
 }
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
 def _load_json(path) -> dict:
     try:
         with open(path) as fh:
@@ -85,16 +78,11 @@ def _load_json(path) -> dict:
         raise err.ConfigParse(f"{path}: {exc}") from exc
 
 
-def _load_chain(path):
+def _load(loader, path):
+    """A chain or process spec read by `loader`, with file and format errors
+    raised as ConfigParse."""
     try:
-        return load_model(path)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise err.ConfigParse(f"{path}: {exc}") from exc
-
-
-def _load_spec(path):
-    try:
-        return load_spec(path)
+        return loader(path)
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         raise err.ConfigParse(f"{path}: {exc}") from exc
 
@@ -116,6 +104,13 @@ def _write_metadata(out: Path, command: str, config: dict) -> None:
             fh.write("\n")
     except OSError as exc:
         raise err.IoFailure(str(exc)) from exc
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -140,7 +135,7 @@ def _threads(args) -> int:
 def _cmd_simulate(args) -> int:
     if (args.chain is None) == (args.spec is None):
         raise err.ConfigParse("simulate needs exactly one of --chain or --spec")
-    process = _load_chain(args.chain) if args.chain else _load_spec(args.spec)
+    process = _load(load_model, args.chain) if args.chain else _load(load_spec, args.spec)
     traj = simulate_split(process, args.n, args.seed)
     out = _out_dir(args.out)
     write_trajectory_csv(traj, out / "trajectory.csv")
@@ -152,7 +147,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load(load_spec, args.spec)
     kernel = Kernel(args.kernel, c=args.kernel_c) if args.kernel != "epanechnikov" else EPANECHNIKOV
     path = generate(spec, args.n, args.seed)
     rows = []
@@ -163,13 +158,10 @@ def _cmd_estimate(args) -> int:
                           f_true_at_x=float(spec.f(x_eval)))
         rows.append(rep)
     out = _out_dir(args.out)
-    with open(out / "estimate.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_eval", "f_hat", "h", "sum_k", "t_c", "p_hat_c", "studentized"])
-        for rep in rows:
-            writer.writerow([_fmt(rep.x_eval), _fmt(rep.f_hat), _fmt(rep.h),
-                             _fmt(rep.sum_k), rep.t_c, _fmt(rep.p_hat_c),
-                             _fmt(rep.studentized)])
+    _write_csv(out / "estimate.csv",
+               ["x_eval", "f_hat", "h", "sum_k", "t_c", "p_hat_c", "studentized"],
+               ([_fmt(rep.x_eval), _fmt(rep.f_hat), _fmt(rep.h), _fmt(rep.sum_k), rep.t_c,
+                 _fmt(rep.p_hat_c), _fmt(rep.studentized)] for rep in rows))
     _write_metadata(out, "estimate", {
         "spec": args.spec, "n": args.n, "seed": args.seed, "x_eval": args.x_eval,
         "kernel": kernel.kind, "c0": args.c0, "h": args.h,
@@ -212,7 +204,7 @@ def _cmd_clt(args) -> int:
 
 
 def _cmd_moments_check(args) -> int:
-    model = _load_chain(args.chain)
+    model = _load(load_model, args.chain)
     g = _parse_vector(args.g)
     start = "nu" if args.start == "nu" else int(args.start)
     orders = tuple(range(1, args.m + 1))
@@ -227,11 +219,9 @@ def _cmd_moments_check(args) -> int:
               f"enum_tail_bound={_fmt(tail)}")
     if args.out:
         out = _out_dir(args.out)
-        with open(out / "moments.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "algebraic", "enumeration", "abs_diff", "enum_tail_bound"])
-            for row in rows:
-                writer.writerow([row[0]] + [_fmt(v) for v in row[1:]])
+        _write_csv(out / "moments.csv",
+                   ["m", "algebraic", "enumeration", "abs_diff", "enum_tail_bound"],
+                   ([row[0]] + [_fmt(v) for v in row[1:]] for row in rows))
         _write_metadata(out, "moments-check", {
             "chain": args.chain, "g": args.g, "m": args.m, "start": args.start,
             "depth": args.depth,
@@ -240,7 +230,7 @@ def _cmd_moments_check(args) -> int:
 
 
 def _cmd_autocov(args) -> int:
-    model = _load_chain(args.chain)
+    model = _load(load_model, args.chain)
     g = _parse_vector(args.g)
     f = _parse_vector(args.f) if args.f else None
     rows = [(ell, generalized_autocov(model, g, f, ell))
@@ -251,11 +241,7 @@ def _cmd_autocov(args) -> int:
           f"sigma2_blocks={_fmt(sigma2)} |diff|={_fmt(abs(series.value - sigma2))}")
     if args.out:
         out = _out_dir(args.out)
-        with open(out / "autocov.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["ell", "gamma"])
-            for ell, val in rows:
-                writer.writerow([ell, _fmt(val)])
+        _write_csv(out / "autocov.csv", ["ell", "gamma"], ([ell, _fmt(val)] for ell, val in rows))
         _write_metadata(out, "autocov", {
             "chain": args.chain, "g": args.g, "f": args.f,
             "ell_max": args.ell_max, "tol": args.tol,
@@ -265,8 +251,8 @@ def _cmd_autocov(args) -> int:
 
 
 def _cmd_embedded(args) -> int:
-    x_model = _load_chain(args.chain)
-    w_model = _load_chain(args.wchain)
+    x_model = _load(load_model, args.chain)
+    w_model = _load(load_model, args.wchain)
     result = embedded_transition(x_model, w_model, tol=args.tol)
     coeffs = regeneration_gap_coefficients(x_model, args.coeffs)
     print(f"coefficient_mass={_fmt(float(coeffs.sum()))} tail_bound={_fmt(result.tail_bound)}")
@@ -274,16 +260,11 @@ def _cmd_embedded(args) -> int:
         print(f"row {w_model.states[i]}: " + " ".join(_fmt(v) for v in row))
     if args.out:
         out = _out_dir(args.out)
-        with open(out / "embedded.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["from_state"] + [str(s) for s in w_model.states])
-            for i, row in enumerate(result.entries):
-                writer.writerow([w_model.states[i]] + [_fmt(v) for v in row])
-        with open(out / "gap_coefficients.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lag", "coefficient"])
-            for i, b in enumerate(coeffs, start=1):
-                writer.writerow([i, _fmt(float(b))])
+        _write_csv(out / "embedded.csv", ["from_state"] + [str(s) for s in w_model.states],
+                   ([w_model.states[i]] + [_fmt(v) for v in row]
+                    for i, row in enumerate(result.entries)))
+        _write_csv(out / "gap_coefficients.csv", ["lag", "coefficient"],
+                   ([i, _fmt(float(b))] for i, b in enumerate(coeffs, start=1)))
         _write_metadata(out, "embedded", {
             "chain": args.chain, "wchain": args.wchain, "tol": args.tol,
             "coefficient_mass": float(coeffs.sum()), "tail_bound": result.tail_bound,

@@ -23,6 +23,14 @@ Bandwidths follow the local rule h = c0 * (T_C(n) p_hat_C(x))^{-1/5}, with
 the pilot density taken at a fixed reference bandwidth of one tenth of the
 window width; the constant c0 can be chosen by leave-one-out
 cross-validation.
+
+The estimate at one point is a direct O(n) sum.  Every sum over all sample
+points at once (the modal point, the pilot and leave-one-out sums of
+cross-validation) goes through one primitive, _kernel_sums, in O(n) memory.
+Its Epanechnikov sums are prefix-sum differences of offsets to the centre of
+a block holding the whole window (locally re-centred, as in Seifert,
+Brockmann, Engel & Gasser 1994 and Fan & Marron 1994): every term is of the
+size of the bandwidth, so the sums do not change when the sample is shifted.
 """
 
 from __future__ import annotations
@@ -159,8 +167,7 @@ def local_bandwidth(x, x_eval: float, window: Optional[tuple[float, float]] = No
     return c0 * (t_c * p_hat) ** (-0.2)
 
 
-def cv_constant(x, z, grid, kernel: Kernel = EPANECHNIKOV,
-                window_halfwidth: float = DEFAULT_WINDOW_HALFWIDTH) -> float:
+def cv_constant(x, z, grid, kernel: Kernel = EPANECHNIKOV) -> float:
     """Pick the bandwidth constant c0 from `grid` minimizing the leave-one-out
     squared prediction error under the local bandwidth rule, skipping points
     whose leave-one-out neighborhood is empty."""
@@ -173,23 +180,27 @@ def cv_constant(x, z, grid, kernel: Kernel = EPANECHNIKOV,
     if not grid:
         raise ValueError("empty candidate grid")
 
-    h_ref = 2.0 * window_halfwidth / 10.0
-    diffs = x[None, :] - x[:, None]  # diffs[t, s] = x_s - x_t
-    pilot = kernel.weights(diffs / h_ref).sum(axis=1) / h_ref  # T_C p_hat at each point
+    order = np.argsort(x, kind="stable")
+    xs, zs = x[order], z[order]
+    h_ref = 2.0 * DEFAULT_WINDOW_HALFWIDTH / 10.0
+    pilot = _kernel_sums(xs, h_ref, kernel) / h_ref  # T_C p_hat at each point
+    k0 = float(kernel.weights(0.0))
 
     best_c0, best_err = None, math.inf
     for c0 in grid:
-        if pilot.min() <= 0.0:
-            continue
         h = c0 * pilot ** (-0.2)
-        W = kernel.weights(diffs / h[:, None])
-        np.fill_diagonal(W, 0.0)
-        wsum = W.sum(axis=1)
-        usable = wsum > 0.0
+        # Leaving a point out removes its own K(0) term.  Its neighborhood is
+        # empty when no other point has positive weight (K(+-1) = 0 for the
+        # Epanechnikov kernel, so its window is open); the difference of the
+        # sums below is rounding noise then, so it is not compared with 0.
+        lo, hi = _window(xs, kernel.support_radius * h, open_=kernel.kind == "epanechnikov")
+        usable = hi - lo > 1
         if not usable.any():
             continue
-        pred = (W[usable] @ z) / wsum[usable]
-        err = float(((z[usable] - pred) ** 2).sum())
+        wsum = _kernel_sums(xs, h, kernel) - k0
+        wz = _kernel_sums(xs, h, kernel, zs) - k0 * zs
+        pred = wz[usable] / wsum[usable]
+        err = float(((zs[usable] - pred) ** 2).sum())
         if err < best_err:
             best_err, best_c0 = err, c0
     if best_c0 is None:
@@ -214,27 +225,64 @@ def modal_value(x, kernel: Kernel = EPANECHNIKOV, pilot_h: Optional[float] = Non
         pilot_h = 1.06 * sd * x.size ** (-0.2) if sd > 0 else 1.0
 
     xs = np.sort(x)
-    if kernel.kind == "epanechnikov":
-        dens = _epanechnikov_counts(xs, pilot_h)
-    else:
-        radius = kernel.support_radius * pilot_h
-        lo = np.searchsorted(xs, xs - radius, side="left")
-        hi = np.searchsorted(xs, xs + radius, side="right")
-        dens = np.empty(xs.size)
-        for i in range(xs.size):
-            dens[i] = kernel.weights((xs[lo[i]:hi[i]] - xs[i]) / pilot_h).sum()
+    dens = _kernel_sums(xs, pilot_h, kernel)
     dmax = float(dens.max())
     thresh = dmax - abs(dmax) * 1e-12
     return float(xs[dens >= thresh][0])
 
 
-def _epanechnikov_counts(xs: np.ndarray, h: float) -> np.ndarray:
-    """sum_j (1 - ((x_j - x_i)/h)^2)_+ for sorted xs via prefix sums."""
-    lo = np.searchsorted(xs, xs - h, side="left")
-    hi = np.searchsorted(xs, xs + h, side="right")
-    c1 = np.concatenate([[0.0], np.cumsum(xs)])
-    c2 = np.concatenate([[0.0], np.cumsum(xs * xs)])
-    cnt = (hi - lo).astype(float)
-    s1 = c1[hi] - c1[lo]
-    s2 = c2[hi] - c2[lo]
-    return cnt - (s2 - 2.0 * xs * s1 + cnt * xs * xs) / (h * h)
+def _window(xs: np.ndarray, r, open_: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Index bounds [lo, hi) at each point xs_i of the sorted sample xs of the
+    points with |xs_j - xs_i| <= r_i (< r_i when open_), for one radius r or
+    one per point."""
+    lo = np.searchsorted(xs, xs - r, side="right" if open_ else "left")
+    if np.ndim(r) == 0:
+        # With one radius, x_j reaches x_i iff x_i reaches x_j (up to rounding
+        # at the edge), so hi_i is the number of points j with lo_j <= i.
+        return lo, np.cumsum(np.bincount(lo, minlength=xs.size))[:xs.size]
+    return lo, np.searchsorted(xs, xs + r, side="left" if open_ else "right")
+
+
+def _kernel_sums(xs: np.ndarray, h, kernel: Kernel, v: Optional[np.ndarray] = None) -> np.ndarray:
+    """sum_j K((xs_j - xs_i)/h_i) v_j at every point xs_i of the sorted sample
+    xs, for one bandwidth h or one per point, and v_j = 1 when v is None.
+
+    Other kernels are summed window by window.  The Epanechnikov sum is
+    S0 - (S2 - 2 d_i S1 + d_i^2 S0) / h_i^2 with Sm = sum_window d_j^m v_j and
+    d the offset to the centre of a block holding the whole window: of two
+    grids of blocks 5 max(h) wide, staggered by half a block, each point takes
+    the one where it is nearer the centre, so its window ends max(h)/4 or more
+    inside.  A block's offsets all use one float centre, and the prefix sums
+    restart at every block (each block's total is taken off again at the
+    next one's first point), so no term grows with |x| or n."""
+    h = np.asarray(h, dtype=float)
+    lo, hi = _window(xs, kernel.support_radius * h)
+    if kernel.kind != "epanechnikov":
+        hs = np.broadcast_to(h, xs.shape).tolist()
+        sums = np.empty(xs.size)
+        for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+            w = kernel.weights((xs[a:b] - xs[i]) / hs[i])
+            sums[i] = w.sum() if v is None else w @ v[a:b]
+        return sums
+
+    n = xs.size
+    width = 5.0 * float(h.max())
+    shift = np.array([[0.0], [0.5 * width]])
+    block = np.floor((xs - xs[0] + shift) / width)  # one row per grid
+    d = xs - (xs[0] + (block + 0.5) * width - shift)
+    offset = n * (np.abs(d[1]) < np.abs(d[0]))  # where each point's grid starts below
+    block[1] += block[0, -1] + 1.0
+    d = d.ravel()
+    first = np.flatnonzero(np.diff(block.ravel())) + 1  # where a block starts
+    vv = None if v is None else np.tile(v, 2)
+    y = np.stack([d, d * d] if v is None else [vv, d * vv, d * d * vv])
+    carry = np.add.reduceat(y, np.concatenate([[0], first]), axis=1)[:, :-1]
+    y[:, first] -= carry
+    ends = np.zeros((len(y), 2 * n + 1))
+    np.cumsum(y, axis=1, out=ends[:, 1:])
+    starts = ends.copy()
+    starts[:, first] -= carry
+    moments = np.take(ends, hi + offset, axis=1) - np.take(starts, lo + offset, axis=1)
+    s0, s1, s2 = (hi - lo, *moments) if v is None else moments
+    di = d[np.arange(n) + offset]
+    return 0.75 * (s0 - (s2 - 2.0 * di * s1 + di * di * s0) / (h * h))  # K(u) = 0.75 (1 - u^2)

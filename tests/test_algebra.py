@@ -111,6 +111,25 @@ class TestFundamentalKernel:
         with pytest.raises(SeriesDiverges):
             alg.fundamental_kernel_series(alg.taboo_kernel(model), max_terms=2000)
 
+    @pytest.mark.parametrize("eps, accepted", [(1e-4, True), (1e-8, True), (1e-12, False),
+                                               (1e-15, False), (0.0, False)])
+    def test_near_singular_sweep(self, two_state, eps, accepted):
+        # s = (eps, eps): I - H has the eigenvalue eps, and max |G s - 1| grows
+        # like rounding / eps until the solve fails at eps = 0.
+        model = alg.FiniteMarkovModel(states=(0, 1), P=two_state.P, s=[eps, eps], nu=[0.5, 0.5])
+        H = alg.taboo_kernel(model)
+        if accepted:
+            G = alg.fundamental_kernel(H).entries
+            np.testing.assert_allclose(G @ model.s, 1.0, atol=1e-6)
+        else:
+            with pytest.raises(SeriesDiverges):
+                alg.fundamental_kernel(H)
+
+    def test_negative_inverse_raises(self):
+        # spectral radius 1.5: I - H is invertible but its inverse is negative
+        with pytest.raises(SeriesDiverges):
+            alg.fundamental_kernel(np.array([[0.0, 1.5], [1.0, 0.0]]))
+
 
 class TestInvariantMeasure:
     def test_symmetric_two_state(self, two_state):
@@ -457,3 +476,13 @@ class TestModelCache:
             arr = getattr(again, name)
             np.testing.assert_array_equal(arr, getattr(model, name), err_msg=name)
             assert arr.flags.writeable is False, name
+
+    def test_equality_and_hash_by_value(self):
+        a = alg.load_model("configs/threestate.json")
+        b = alg.load_model("configs/threestate.json")
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        other = alg.FiniteMarkovModel(states=a.states, P=a.P, s=a.s * 0.5, nu=a.nu)
+        assert a != other
+        assert a != alg.load_model("configs/twostate.json")
+        assert a != "threestate"

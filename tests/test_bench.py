@@ -1,6 +1,6 @@
-"""Smoke test of the benchmark at tiny sizes, on the two workloads that run
-the finite-chain algebra and the split-chain samplers.  The traced run wraps
-nullrec functions by name, so a renamed entry point fails here."""
+"""Smoke test of the benchmark at tiny sizes, on the workloads that run the
+finite-chain algebra, the split-chain samplers and the estimator.  The traced
+run wraps nullrec functions by name, so a renamed entry point fails here."""
 
 import json
 import subprocess
@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 11
 
 
-@pytest.mark.parametrize("workload", ["chain_exact", "split_simulate"])
+@pytest.mark.parametrize("workload", ["chain_exact", "split_simulate", "modal_estimate"])
 def test_traced_tiny_run_passes_its_checks(workload):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),

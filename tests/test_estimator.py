@@ -240,3 +240,67 @@ class TestModalValue:
         kernel = est.gaussian_truncated(2.0)
         got = est.modal_value(data, kernel=kernel, pilot_h=0.5)
         assert got in data
+
+    @pytest.mark.parametrize("kernel", [est.EPANECHNIKOV, est.gaussian_truncated(2.5)])
+    def test_translation_equivariance_on_walks(self, kernel):
+        from nullrec.processes import ProcessSpec, generate, linear
+
+        spec = ProcessSpec(family="INDEP", f=linear())
+        for seed in range(5):
+            x = generate(spec, 3000, seed=seed).x
+            h = 1.06 * float(x.std()) * x.size ** (-0.2)
+            base = est.modal_value(x, kernel, pilot_h=h)
+            moved = est.modal_value(x + 1e6, kernel, pilot_h=h)
+            assert np.flatnonzero(x + 1e6 == moved)[0] == np.flatnonzero(x == base)[0]
+
+
+def direct_kernel_sums(xs, h, kernel, v=None):
+    """The slow reference: the one-point sum at every sample point."""
+    h = np.broadcast_to(h, xs.shape)
+    v = np.ones(xs.size) if v is None else v
+    return np.array([kernel.weights((xs - xs[i]) / h[i]) @ v for i in range(xs.size)])
+
+
+class TestKernelSums:
+    @pytest.mark.parametrize("kernel", [est.EPANECHNIKOV, est.gaussian_truncated(2.5)])
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_matches_direct_sum(self, kernel, shift):
+        from nullrec.processes import load_spec, generate
+
+        spec = load_spec("configs/rw_indep.json")
+        rng = np.random.default_rng(12)
+        for seed in range(3):
+            path = generate(spec, 1500, seed=seed)
+            order = np.argsort(path.x, kind="stable")
+            xs, zs = path.x[order] + shift, path.z[order]
+            h0 = 1.06 * float(xs.std()) * xs.size ** (-0.2)
+            for h in (h0, h0 * rng.uniform(0.5, 1.5, xs.size)):
+                for v in (None, zs):
+                    want = direct_kernel_sums(xs, h, kernel, v)
+                    got = est._kernel_sums(xs, h, kernel, v)
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_window_edges(self):
+        xs = np.array([0.0, 1.0, 2.0, 2.0, 5.0])
+        lo, hi = est._window(xs, 1.0)
+        np.testing.assert_array_equal(lo, [0, 0, 1, 1, 4])
+        np.testing.assert_array_equal(hi, [2, 4, 4, 4, 5])
+        lo, hi = est._window(xs, np.full(5, 1.0), open_=True)
+        np.testing.assert_array_equal(lo, [0, 1, 2, 2, 4])
+        np.testing.assert_array_equal(hi, [1, 2, 4, 4, 5])
+
+
+class TestCvMemory:
+    def test_linear_memory_at_1e5(self):
+        import tracemalloc
+
+        from nullrec.processes import ProcessSpec, generate, linear
+
+        path = generate(ProcessSpec(family="INDEP", f=linear()), 100_000, seed=3)
+        tracemalloc.start()
+        try:
+            est.cv_constant(path.x, path.z, [0.5, 1.0, 2.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20

@@ -193,6 +193,7 @@ class TestSpecJson:
         again = pr.spec_from_dict(pr.spec_to_dict(spec))
         np.testing.assert_array_equal(again.x_chain.P, two_state.P)
         np.testing.assert_array_equal(again.w_chain.P, wm.P)
+        assert again == spec
 
     def test_defaults(self):
         spec = pr.spec_from_dict({"family": "INDEP"})
