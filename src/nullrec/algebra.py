@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import (
     CoefficientMassDeficit,
+    InvalidSpec,
     MinorizationViolated,
     NegativeVariance,
     NotIrreducible,
@@ -54,10 +55,11 @@ from .errors import (
 STOCHASTIC_TOL = 1e-12
 _G_RESIDUAL_TOL = 1e-6
 MOMENT_ORDER_CAP = 6
+_MAX_TERMS = 500_000  # cap on a compound block moment's truncation point
+_STACK = 4096  # powers stacked per matrix product in _outer_power_sum
 
 TABOO = "taboo"
 FUNDAMENTAL = "fundamental"
-POWER = "power"
 EMBEDDED = "embedded"
 
 
@@ -167,8 +169,8 @@ def _cumulative(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """A d x d kernel derived from a model: taboo H, fundamental G, a power
-    H^j, or an embedded transition matrix."""
+    """A d x d kernel derived from a model: taboo H, fundamental G, or an
+    embedded transition matrix."""
 
     entries: np.ndarray
     kind: str
@@ -238,7 +240,9 @@ def validate_atom(model: FiniteMarkovModel) -> None:
     P, s, nu = model.P, model.s, model.nu
     d = model.d
     if P.shape != (d, d) or s.shape != (d,) or nu.shape != (d,):
-        raise ValueError(f"inconsistent shapes: P{P.shape}, s{s.shape}, nu{nu.shape}, d={d}")
+        raise InvalidSpec(f"inconsistent shapes: P{P.shape}, s{s.shape}, nu{nu.shape}, d={d}")
+    if not all(np.isfinite(arr).all() for arr in (P, s, nu)):
+        raise InvalidSpec("P, s and nu must be finite")
     for i in range(d):
         if P[i].min() < -STOCHASTIC_TOL or abs(P[i].sum() - 1.0) > STOCHASTIC_TOL:
             raise NotStochastic(i, float(P[i].sum()))
@@ -440,21 +444,6 @@ def enumerated_block_moments(model: FiniteMarkovModel, g, orders,
     return {m: SeriesValue(totals[m], math.inf) for m in orders}
 
 
-def _survival_masses(model: FiniteMarkovModel, start, floor: float = 1e-250,
-                     cap: int = 500_000) -> np.ndarray:
-    """mass[j] = P_start(no regeneration in the first j transitions),
-    computed exactly until it underflows."""
-    u = model.nu if start == "nu" else np.eye(model.d)[start]
-    masses = [1.0]
-    for _ in range(cap):
-        u = u @ model.H
-        mass = float(u.sum())
-        masses.append(mass)
-        if mass < floor:
-            return np.array(masses)
-    raise TruncationInsufficient(float(masses[-1]), floor)
-
-
 def weighted_block_moment(model: FiniteMarkovModel, a, g, m: int,
                           tol: float = 1e-10, start: int | str = "nu",
                           a_sup: float | None = None) -> SeriesValue:
@@ -462,8 +451,10 @@ def weighted_block_moment(model: FiniteMarkovModel, a, g, m: int,
 
     The coefficient sequence is supplied as a finite prefix a_0..a_L; the
     omitted tail is bounded using sup|a| (by default the prefix maximum,
-    assumed to dominate the unseen coefficients) times the exact survival
-    masses of the taboo kernel.  Raises when that bound exceeds tol."""
+    assumed to dominate the unseen coefficients) times the survival masses
+    mass_j = start H^j 1, summed exactly through G: with u = start H^(L+1),
+    sum_{j>L} mass_j = u G 1 and sum_{j>L} j mass_j = u ((L+1) G 1 + H G G 1).
+    Raises when that bound exceeds tol."""
     if m not in (1, 2):
         raise OrderTooLarge(m, 2)
     a = np.asarray(a, dtype=float)
@@ -481,11 +472,8 @@ def weighted_block_moment(model: FiniteMarkovModel, a, g, m: int,
     for j in range(L + 1):
         rows[j] = u
         u = u @ H
-
-    masses = _survival_masses(model, start)
-    if len(masses) <= L + 1:
-        masses = np.concatenate([masses, np.zeros(L + 2 - len(masses))])
-    mass_tail = float(masses[L + 1:].sum())  # sum_{j > L} mass_j
+    G1 = model.G.sum(axis=1)
+    mass_tail = float(u @ G1)  # sum_{j > L} mass_j
 
     if m == 1:
         value = float(a @ (rows @ g))
@@ -507,7 +495,7 @@ def weighted_block_moment(model: FiniteMarkovModel, a, g, m: int,
         value = diag + 2.0 * cross
         # omitted: diagonal j > L plus cross pairs (j, l>=1) with j + l > L;
         # |d_{j,l}| <= gmax^2 mass_{j+l} and #{(j, l): j + l = k} = k
-        k_weighted = float((np.arange(len(masses)) * masses)[L + 1:].sum())
+        k_weighted = float(u @ ((L + 1) * G1 + H @ (model.G @ G1)))  # sum_{j > L} j mass_j
         tail = (a_sup ** 2) * (gmax ** 2) * (mass_tail + 2.0 * k_weighted)
     if not (tail <= tol):
         raise TruncationInsufficient(tail, tol)
@@ -621,18 +609,22 @@ def embedded_transition(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel,
     return KernelMatrix(P_tilde, EMBEDDED, tail_bound=remaining)
 
 
-def _taboo_sup_decay(H: np.ndarray, floor: float = 1e-250,
-                     cap: int = 500_000) -> np.ndarray:
-    """base[k] = max_i (H^k 1)(i): sup over start states of the survival
-    probability after k taboo steps."""
-    v = np.ones(H.shape[0])
-    base = [1.0]
-    for _ in range(cap):
-        v = H @ v
-        base.append(float(v.max()))
-        if base[-1] < floor:
-            return np.array(base)
-    raise TruncationInsufficient(base[-1], floor)
+def _outer_power_sum(A: np.ndarray, B: np.ndarray, x: np.ndarray, y: np.ndarray,
+                     L: int) -> np.ndarray:
+    """sum_{j=1..L} outer(A^j x, B^j y), as products of _STACK stacked powers
+    at a time, so memory does not grow with L."""
+    total = np.zeros((len(x), len(y)))
+    for j0 in range(0, L, _STACK):
+        n = min(_STACK, L - j0)
+        X = np.empty((n, len(x)))
+        Y = np.empty((n, len(y)))
+        for k in range(n):
+            x = A @ x
+            y = B @ y
+            X[k] = x
+            Y[k] = y
+        total += X.T @ Y
+    return total
 
 
 def compound_block_moment(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel,
@@ -644,9 +636,11 @@ def compound_block_moment(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel
             {pi1 I_{gX^a1} H1^{j2} ... H1^{jr} gX^ar}
           x {pi2 I_{gW^a1} P2^{j2} ... P2^{jr} gW^ar}
 
-    For m = 1 this factorizes exactly as {pi1 gX} {pi2 gW} (no series).  The
-    inner sums are truncated where the geometric decay of H1 powers drives
-    the bound below tol."""
+    For m = 1 this factorizes exactly as {pi1 gX} {pi2 gW} (no series).  For
+    m = 2, 3 every j runs to L, and the sums over j are contracted as d1 x d2
+    matrices sum_j outer(H1^j x, P2^j y).  P2 is stochastic, so the omitted
+    steps j > L are bounded through the X side, by max_i (H1^(L+1) G 1)_i;
+    L doubles from 8 until the bound is at most tol."""
     if m > 3:
         raise OrderTooLarge(m, 3)
     if m < 1:
@@ -660,79 +654,44 @@ def compound_block_moment(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel
 
     H1 = x_model.H
     P2 = w_model.P
-    base = _taboo_sup_decay(H1)
-    tails = np.concatenate([np.cumsum(base[::-1])[::-1], [0.0]])  # sum_{k>=j} base_k
+    G1 = x_model.G.sum(axis=1)
     Xmax = float(np.abs(gX).max())
     Wmax = float(np.abs(gW).max())
-    w_consts = {a: float(pi2 @ np.abs(gW) ** a) for a in range(1, m)}
-    x_consts = {a: float(pi1 @ np.abs(gX) ** a) for a in range(1, m)}
-
-    def tail_bound(L: int) -> float:
-        # r = 2 terms: sum_{j > L} base_j; r = 3: pairs with j2 > L or j3 > L.
-        bound = 0.0
-        for r in range(2, m + 1):
-            for alpha in _compositions(m, r):
-                coef = _multinomial(m, alpha)
-                cx = x_consts[alpha[0]] * Xmax ** (m - alpha[0])
-                cw = w_consts[alpha[0]] * Wmax ** (m - alpha[0])
-                if r == 2:
-                    out = float(tails[min(L + 1, len(tails) - 1)])
-                else:
-                    t1 = float(tails[1]) if len(tails) > 1 else 0.0
-                    out = 2.0 * float(tails[min(L + 1, len(tails) - 1)]) * t1
-                bound += coef * cx * cw * out
-        return bound
+    sup_1 = float((H1 @ G1).max())
+    # bound(L) = scale * sup_{L+1}: r = 2 terms omit j > L; r = 3 terms omit
+    # the pairs with j2 > L or j3 > L, the other index summing to <= sup_1.
+    scale = 0.0
+    for r in range(2, m + 1):
+        for alpha in _compositions(m, r):
+            a = alpha[0]
+            c = (_multinomial(m, alpha) * float(pi1 @ np.abs(gX) ** a) * Xmax ** (m - a)
+                 * float(pi2 @ np.abs(gW) ** a) * Wmax ** (m - a))
+            scale += c if r == 2 else 2.0 * c * sup_1
 
     L = 8
-    while tail_bound(L) > tol:
+    v = G1
+    for _ in range(L + 1):
+        v = H1 @ v
+    while (bound := scale * float(v.max())) > tol:
+        if 2 * L > _MAX_TERMS:
+            raise TruncationInsufficient(bound, tol)
+        for _ in range(L):
+            v = H1 @ v
         L *= 2
-        if L + 2 >= len(base):
-            if tail_bound(len(base) - 2) > tol:
-                raise TruncationInsufficient(tail_bound(len(base) - 2), tol)
-            L = len(base) - 2
-            break
-    bound = tail_bound(L)
 
+    C = {b: _outer_power_sum(H1, P2, gX ** b, gW ** b, L) for b in range(1, m)}
     total = 0.0
     for r in range(1, m + 1):
         for alpha in _compositions(m, r):
-            coef = _multinomial(m, alpha)
+            a = alpha[0]
             if r == 1:
-                total += coef * float(pi1 @ gX ** alpha[0]) * float(pi2 @ gW ** alpha[0])
+                term = float(pi1 @ gX ** a) * float(pi2 @ gW ** a)
             elif r == 2:
-                a, b = alpha
-                xl = pi1 * gX ** a
-                wl = pi2 * gW ** a
-                vx = gX ** b
-                vw = gW ** b
-                acc = 0.0
-                for _j in range(1, L + 1):
-                    vx = H1 @ vx
-                    vw = P2 @ vw
-                    acc += float(xl @ vx) * float(wl @ vw)
-                total += coef * acc
+                term = float((pi1 * gX ** a) @ C[alpha[1]] @ (pi2 * gW ** a))
             else:
-                rowsX = np.empty((L + 1, x_model.d))
-                rowsW = np.empty((L + 1, w_model.d))
-                ux = pi1 * gX
-                uw = pi2 * gW
-                for j in range(L + 1):
-                    rowsX[j] = ux
-                    rowsW[j] = uw
-                    ux = ux @ H1
-                    uw = uw @ P2
-                colsX = np.empty((L + 1, x_model.d))
-                colsW = np.empty((L + 1, w_model.d))
-                vx = gX.copy()
-                vw = gW.copy()
-                for j in range(L + 1):
-                    colsX[j] = vx
-                    colsW[j] = vw
-                    vx = H1 @ vx
-                    vw = P2 @ vw
-                MX = rowsX[1:] @ (colsX[1:] * gX).T
-                MW = rowsW[1:] @ (colsW[1:] * gW).T
-                total += coef * float((MX * MW).sum())
+                A = _outer_power_sum(H1.T, P2.T, pi1 * gX ** a, pi2 * gW ** a, L)
+                term = float((A * np.outer(gX ** alpha[1], gW ** alpha[1]) * C[alpha[2]]).sum())
+            total += _multinomial(m, alpha) * term
     return SeriesValue(total, bound)
 
 

@@ -80,10 +80,10 @@ def _load_json(path) -> dict:
 
 def _load(loader, path):
     """A chain or process spec read by `loader`, with file and format errors
-    raised as ConfigParse."""
+    (also an unparseable number or a ragged matrix) raised as ConfigParse."""
     try:
         return loader(path)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise err.ConfigParse(f"{path}: {exc}") from exc
 
 

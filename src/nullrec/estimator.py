@@ -214,10 +214,15 @@ def modal_value(x, kernel: Kernel = EPANECHNIKOV, pilot_h: Optional[float] = Non
     a realization-dependent central evaluation point.
 
     Ties (within one part in 1e12) go to the leftmost observation.  The
-    default pilot bandwidth is Silverman's 1.06 sd n^{-1/5}."""
+    default pilot bandwidth is Silverman's 1.06 sd n^{-1/5}; a given one
+    must be finite and positive, with a square that does not underflow."""
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("modal_value needs a nonempty sample")
+    if pilot_h is not None and not (math.isfinite(pilot_h) and pilot_h > 0.0
+                                    and pilot_h * pilot_h > 0.0):
+        raise ValueError(f"pilot bandwidth must be finite and positive with a nonzero square, "
+                         f"got {pilot_h!r}")
     if x.size == 1:
         return float(x[0])
     if pilot_h is None:

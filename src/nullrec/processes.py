@@ -137,7 +137,7 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STEP_CHUNK):
         values = [c.state_values() for c in chains]
         # x_0 from nu; each later block steps on from the last state before it.
         U = rng.random((chunk, 2))
-        paths = [step_chain(c, bisect_right(c.cum_nu.tolist(), U[0, j]), U[1:, j])
+        paths = [step_chain(c, int(draw_start(c, U[0, j])), U[1:, j])
                  for j, c in enumerate(chains)]
         while True:
             x, w = (v[p] for v, p in zip(values, paths))
@@ -184,10 +184,10 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STEP_CHUNK):
 
 def step_chain(model: FiniteMarkovModel, start: int, u: np.ndarray) -> np.ndarray:
     """State-index path x_0..x_n of a finite chain from the state index
-    x_0 = start, by inverse CDF: x_{t+1} from row x_t of P with u[t].  (A
-    chain started from nu draws its start as the count of cum_nu entries
-    <= u0.)  The uniforms are read in bounded chunks, so the Python-level
-    copies stay small however long the path."""
+    x_0 = start, by inverse CDF: x_{t+1} from row x_t of P with u[t], the
+    count of entries <= u[t] in that row's cumulative table.  The uniforms
+    are read in bounded chunks, so the Python-level copies stay small
+    however long the path."""
     rows = model.cum_P.tolist()
     x = np.empty(len(u) + 1, dtype=np.int64)
     x[0] = xi = start
@@ -198,6 +198,12 @@ def step_chain(model: FiniteMarkovModel, start: int, u: np.ndarray) -> np.ndarra
             chunk.append(xi)
         x[i0 + 1:i0 + 1 + len(chunk)] = chunk
     return x
+
+
+def draw_start(model: FiniteMarkovModel, u):
+    """Start state index drawn from nu, one per uniform in u: the count of
+    cum_nu entries <= u, the rule :func:`step_chain` applies to P."""
+    return np.searchsorted(model.cum_nu, u, side="right")
 
 
 def theoretical_cross_moment(spec: ProcessSpec, t: int) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .algebra import FiniteMarkovModel
 from .errors import InvalidHalfwidth, InvalidSpec, UnknownProcessFamily
-from .processes import ProcessSpec, generate, step_chain
+from .processes import ProcessSpec, draw_start, generate, step_chain
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -110,7 +110,7 @@ def _split_chain(model: FiniteMarkovModel, n: int, rng) -> tuple[np.ndarray, np.
     n uses one transition beyond the kept path).  The uniforms interleave:
     u[0] draws x_0, then u[2t+1] the step out of x_t and u[2t+2] its flag."""
     u = rng.random(2 * n + 3)
-    x = step_chain(model, int(_draw_start(model, u[0])), u[1::2])
+    x = step_chain(model, int(draw_start(model, u[0])), u[1::2])
     y = (u[2::2] < model.R[x[:-1], x[1:]]).astype(np.uint8)
     return x[:-1], y
 
@@ -225,11 +225,6 @@ def block_sums(traj: SplitTrajectory, g) -> BlockDecomposition:
 
 # --- vectorized Monte Carlo samplers ------------------------------------------
 
-def _draw_start(model: FiniteMarkovModel, u: np.ndarray) -> np.ndarray:
-    """Initial state per replica, drawn from nu."""
-    return np.searchsorted(model.cum_nu, u, side="right")
-
-
 def _draw_step(model: FiniteMarkovModel, states: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Next state per replica from its row of P: the count of table entries
     <= u, as in :func:`nullrec.processes.step_chain` (the last one is 1.0)."""
@@ -247,7 +242,7 @@ def sample_blocks(model: FiniteMarkovModel, g, n_blocks: int, seed: int,
     g = np.asarray(g, dtype=float)
     rng = np.random.default_rng(seed)
 
-    x = _draw_start(model, rng.random(n_blocks))
+    x = draw_start(model, rng.random(n_blocks))
     U = g[x].astype(float)
     L = np.ones(n_blocks, dtype=np.int64)
     alive = np.arange(n_blocks)
@@ -277,8 +272,8 @@ def sample_compound_block_sums(x_model: FiniteMarkovModel, w_model: FiniteMarkov
     orders = tuple(orders)
     rng = np.random.default_rng(seed)
 
-    x = _draw_start(x_model, rng.random(n_blocks))
-    w = _draw_start(w_model, rng.random(n_blocks))
+    x = draw_start(x_model, rng.random(n_blocks))
+    w = draw_start(w_model, rng.random(n_blocks))
     V = gX[x] * gW[w]
     S = {m: np.zeros(n_blocks) for m in orders}
     alive = np.arange(n_blocks)
@@ -314,8 +309,8 @@ def sample_embedded_counts(x_model: FiniteMarkovModel, w_model: FiniteMarkovMode
     embedded steps have been recorded."""
     rng = np.random.default_rng(seed)
 
-    x = _draw_start(x_model, rng.random(replicas))
-    w = _draw_start(w_model, rng.random(replicas))
+    x = draw_start(x_model, rng.random(replicas))
+    w = draw_start(w_model, rng.random(replicas))
     last_w = np.full(replicas, -1, dtype=np.int64)
     counts = np.zeros((w_model.d, w_model.d), dtype=np.int64)
     total = 0

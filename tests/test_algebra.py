@@ -375,6 +375,185 @@ class TestCompoundBlockMoment:
             alg.compound_block_moment(two_state, two_state, [1, 0], [1, 0], 4)
 
 
+# --- slow references for the block-moment tails -------------------------------
+# The walks the algebra used before it closed these tails through G: they step
+# H until a mass underflows, then sum everything past the truncation point.
+
+def reference_survival_masses(model, start, floor=1e-250, cap=500_000):
+    """mass[j] = P_start(no regeneration in the first j transitions),
+    computed exactly until it underflows."""
+    u = model.nu if start == "nu" else np.eye(model.d)[start]
+    masses = [1.0]
+    for _ in range(cap):
+        u = u @ model.H
+        masses.append(float(u.sum()))
+        if masses[-1] < floor:
+            return np.array(masses)
+    raise TruncationInsufficient(masses[-1], floor)
+
+
+def reference_weighted_tail(model, a, g, m, start="nu"):
+    """The tail bound of weighted_block_moment from the summed survival masses."""
+    L = len(a) - 1
+    masses = reference_survival_masses(model, start)
+    masses = np.concatenate([masses, np.zeros(max(0, L + 2 - len(masses)))])
+    scale = float(np.abs(a).max()) * float(np.abs(g).max())
+    if m == 1:
+        return scale * float(masses[L + 1:].sum())
+    k_weighted = float((np.arange(len(masses)) * masses)[L + 1:].sum())
+    return scale ** 2 * (float(masses[L + 1:].sum()) + 2.0 * k_weighted)
+
+
+def reference_taboo_sup_decay(H, floor=1e-250, cap=500_000):
+    """base[k] = max_i (H^k 1)(i)."""
+    v = np.ones(H.shape[0])
+    base = [1.0]
+    for _ in range(cap):
+        v = H @ v
+        base.append(float(v.max()))
+        if base[-1] < floor:
+            return np.array(base)
+    raise TruncationInsufficient(base[-1], floor)
+
+
+def reference_compound(x_model, w_model, gX, gW, m, tol=1e-10, L=None):
+    """(value, tail bound, L) of compound_block_moment for m in {2, 3} with the
+    tail bound sum_{k>=j} max_i (H1^k 1)_i and the inner sums contracted as
+    L x L matrices; a given L overrides the truncation point."""
+    gX = np.asarray(gX, dtype=float)
+    gW = np.asarray(gW, dtype=float)
+    pi1, pi2, H1, P2 = x_model.pi, w_model.pi, x_model.H, w_model.P
+    base = reference_taboo_sup_decay(H1)
+    tails = np.concatenate([np.cumsum(base[::-1])[::-1], [0.0]])
+    Xmax, Wmax = float(np.abs(gX).max()), float(np.abs(gW).max())
+
+    def tail_bound(L):
+        bound = 0.0
+        for r in range(2, m + 1):
+            for alpha in alg._compositions(m, r):
+                a = alpha[0]
+                c = (alg._multinomial(m, alpha) * float(pi1 @ np.abs(gX) ** a)
+                     * Xmax ** (m - a) * float(pi2 @ np.abs(gW) ** a) * Wmax ** (m - a))
+                out = float(tails[min(L + 1, len(tails) - 1)])
+                bound += c * (out if r == 2 else 2.0 * out * float(tails[1]))
+        return bound
+
+    if L is None:
+        L = 8
+        while tail_bound(L) > tol:
+            L *= 2
+    total = 0.0
+    for r in range(1, m + 1):
+        for alpha in alg._compositions(m, r):
+            coef = alg._multinomial(m, alpha)
+            if r == 1:
+                total += coef * float(pi1 @ gX ** alpha[0]) * float(pi2 @ gW ** alpha[0])
+            elif r == 2:
+                a, b = alpha
+                xl, wl, vx, vw = pi1 * gX ** a, pi2 * gW ** a, gX ** b, gW ** b
+                for _ in range(L):
+                    vx, vw = H1 @ vx, P2 @ vw
+                    total += coef * float(xl @ vx) * float(wl @ vw)
+            else:
+                rows, cols = [], []
+                for (model, P, gv, piv) in ((x_model, H1, gX, pi1), (w_model, P2, gW, pi2)):
+                    u, v = piv * gv, gv.copy()
+                    R, C = np.empty((L + 1, model.d)), np.empty((L + 1, model.d))
+                    for j in range(L + 1):
+                        R[j], C[j] = u, v
+                        u, v = u @ P, P @ v
+                    rows.append(R)
+                    cols.append(C * gv)
+                MX = rows[0][1:] @ cols[0][1:].T
+                MW = rows[1][1:] @ cols[1][1:].T
+                total += coef * float((MX * MW).sum())
+    return total, tail_bound(L), L
+
+
+def tail_test_chains():
+    """Seeded chains with d = 2..8 and one with d = 50."""
+    rng = np.random.default_rng(2024)
+    return [random_model(rng, d=d) for d in list(range(2, 9)) * 2 + [50]]
+
+
+def near_singular_two_state(s=1e-3):
+    """Regenerates with probability s per step: H has spectral radius 1 - s."""
+    return alg.FiniteMarkovModel(states=(0, 1), P=[[0.5, 0.5], [0.5, 0.5]],
+                                 s=[s, s], nu=[0.5, 0.5])
+
+
+class TestTailsThroughG:
+    def test_weighted_tails_match_summed_survival_masses(self):
+        rng = np.random.default_rng(7)
+        for model in tail_test_chains():
+            g = rng.normal(size=model.d)
+            for length in (1, 6, 25):
+                a = rng.uniform(0.2, 1.0, size=length)
+                for m in (1, 2):
+                    for start in ("nu", model.d - 1):
+                        got = alg.weighted_block_moment(model, a, g, m, tol=math.inf,
+                                                        start=start)
+                        ref = reference_weighted_tail(model, a, g, m, start)
+                        assert got.tail_bound == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_compound_matches_the_square_contraction(self):
+        w_model = alg.load_model("configs/threestate.json")
+        rng = np.random.default_rng(8)
+        for x_model in tail_test_chains():
+            gX = rng.uniform(-1.0, 1.0, size=x_model.d)
+            gW = rng.uniform(-1.0, 1.0, size=3)
+            for m in (2, 3):
+                got = alg.compound_block_moment(x_model, w_model, gX, gW, m)
+                value, bound, L = reference_compound(x_model, w_model, gX, gW, m)
+                assert got.value == pytest.approx(value, rel=1e-12, abs=0.0)
+                assert got.tail_bound <= bound * (1.0 + 1e-12)
+                # The new truncation point is never past the old one, so 4 L
+                # of the old one is at least four times the new one.  Many
+                # bounds are far below double rounding, hence the 1e-13.
+                far, _, _ = reference_compound(x_model, w_model, gX, gW, m, L=4 * L)
+                assert abs(got.value - far) <= got.tail_bound + 1e-13 * abs(far)
+
+    def test_outer_power_sum_across_stacks(self):
+        rng = np.random.default_rng(9)
+        A = random_model(rng, d=3).H
+        B = random_model(rng, d=2).P
+        x, y = rng.normal(size=3), rng.normal(size=2)
+        L = 2 * alg._STACK + 5
+        expected = np.zeros((3, 2))
+        u, v = x, y
+        for _ in range(L):
+            u, v = A @ u, B @ v
+            expected += np.outer(u, v)
+        np.testing.assert_allclose(alg._outer_power_sum(A, B, x, y, L), expected,
+                                   rtol=1e-12, atol=1e-300)
+
+    def test_spectral_radius_near_one(self):
+        x_model = near_singular_two_state()
+        w_model = alg.load_model("configs/threestate.json")
+        res = alg.compound_block_moment(x_model, w_model, [1.0, -0.5], [1.0, -0.5, 2.0], 2)
+        assert math.isfinite(res.value) and res.tail_bound <= 1e-10
+        # E U0 of g = 1{X = 0} is half the mean block length 1/s = 1000.
+        res = alg.weighted_block_moment(x_model, np.ones(40_000), [1.0, 0.0], 1)
+        assert abs(res.value - 500.0) <= res.tail_bound + 1e-12 * 500.0
+
+    def test_compound_memory_does_not_grow_with_the_square_of_L(self):
+        import tracemalloc
+
+        # L reaches 8192 here, where two L x L matrices would take 1 GiB.
+        x_model = near_singular_two_state(1e-2)
+        w_model = alg.load_model("configs/threestate.json")
+        x_model.G, w_model.pi  # build the cached quantities outside the trace
+        tracemalloc.start()
+        try:
+            res = alg.compound_block_moment(x_model, w_model, [1.0, -0.5],
+                                            [1.0, -0.5, 2.0], 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(res.value) and res.tail_bound <= 1e-10
+        assert peak < 16 * 2 ** 20
+
+
 class TestChainFiles:
     def test_decimal_strings_accepted(self):
         model = alg.model_from_dict({

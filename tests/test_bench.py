@@ -1,6 +1,7 @@
-"""Smoke test of the benchmark at tiny sizes, on the workloads that run the
-finite-chain algebra, the split-chain samplers and the estimator.  The traced
-run wraps nullrec functions by name, so a renamed entry point fails here."""
+"""Smoke test of the benchmark at tiny sizes, on all four workloads: the
+finite-chain algebra, the split-chain samplers, the estimator and the
+fixed-point replications.  The traced run wraps nullrec functions by name,
+so a renamed entry point fails here."""
 
 import json
 import subprocess
@@ -13,7 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 11
 
 
-@pytest.mark.parametrize("workload", ["chain_exact", "split_simulate", "modal_estimate"])
+@pytest.mark.parametrize("workload", ["chain_exact", "split_simulate", "modal_estimate",
+                                      "fixed_point_walk"])
 def test_traced_tiny_run_passes_its_checks(workload):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),

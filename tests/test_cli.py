@@ -86,6 +86,48 @@ class TestSimulate:
                      "--out", str(tmp_path / "x")]) == 4
 
 
+GOOD_CHAIN = {"states": [0, 1], "P": [[0.5, 0.5], [0.5, 0.5]], "s": [0.5, 0.5],
+              "nu": [0.5, 0.5]}
+MALFORMED_CHAINS = {
+    "unparseable_entry": ({**GOOD_CHAIN, "P": [["a", 0.5], [0.5, 0.5]]}, "ConfigParse", 2),
+    "ragged_P": ({**GOOD_CHAIN, "P": [[0.5, 0.5], [1.0]]}, "ConfigParse", 2),
+    "nan_entry": ({**GOOD_CHAIN, "P": [["nan", 0.5], [0.5, 0.5]]}, "InvalidSpec", 4),
+    "one_row_P": ({**GOOD_CHAIN, "P": [[0.5, 0.5]]}, "InvalidSpec", 4),
+    "short_s": ({**GOOD_CHAIN, "s": [0.5]}, "InvalidSpec", 4),
+}
+
+
+class TestMalformedChainFiles:
+    """Every malformed chain file ends in its documented exit code and one
+    JSON line on stderr, never a traceback."""
+
+    @staticmethod
+    def assert_one_error_line(capsys, error, code):
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == error and report["exit_code"] == code
+
+    @pytest.mark.parametrize("case", MALFORMED_CHAINS)
+    def test_through_chain(self, case, tmp_path, capsys):
+        chain, error, code = MALFORMED_CHAINS[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(chain))
+        assert main(["moments-check", "--chain", str(path), "--g", "1,0", "--m", "1"]) == code
+        self.assert_one_error_line(capsys, error, code)
+
+    @pytest.mark.parametrize("case", MALFORMED_CHAINS)
+    def test_through_finite_product_spec(self, case, tmp_path, capsys):
+        chain, error, code = MALFORMED_CHAINS[case]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"family": "FINITE_PRODUCT",
+                                    "params": {"x_chain": GOOD_CHAIN, "w_chain": chain}}))
+        out = tmp_path / "run"
+        assert main(["simulate", "--spec", str(path), "--n", "10", "--out", str(out)]) == code
+        self.assert_one_error_line(capsys, error, code)
+        assert not out.exists()
+
+
 class TestEstimate:
     def test_writes_curve(self, spec_path, tmp_path):
         out = tmp_path / "est"

@@ -241,6 +241,12 @@ class TestModalValue:
         got = est.modal_value(data, kernel=kernel, pilot_h=0.5)
         assert got in data
 
+    @pytest.mark.parametrize("pilot_h", [0.0, -1.0, math.nan, math.inf, 1e-300])
+    def test_rejects_bad_pilot_bandwidth(self, pilot_h):
+        # 1e-300 is positive, but its square underflows to 0.
+        with pytest.raises(ValueError, match="pilot bandwidth"):
+            est.modal_value(np.array([0.0, 1.0, 1.0, 3.0]), pilot_h=pilot_h)
+
     @pytest.mark.parametrize("kernel", [est.EPANECHNIKOV, est.gaussian_truncated(2.5)])
     def test_translation_equivariance_on_walks(self, kernel):
         from nullrec.processes import ProcessSpec, generate, linear

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import nullrec.algebra as alg
 import nullrec.splitting as sp
 from nullrec.errors import InvalidHalfwidth, UnknownProcessFamily
-from nullrec.processes import ProcessSpec, generate, linear, step_chain
+from nullrec.processes import ProcessSpec, draw_start, generate, linear, step_chain
 from tests.conftest import random_model
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -220,6 +221,16 @@ class TestTableRounding:
             lock = sp._draw_step(model, np.full(len(grid), state), grid)
             np.testing.assert_array_equal(lock, seq)
             assert (self.P[state, lock] > 0.0).all()
+
+    def test_start_draw_follows_the_stepper_rule(self):
+        for row in self.P:
+            model = alg.FiniteMarkovModel(states=(0, 1, 2, 3), P=self.P, s=np.zeros(4), nu=row)
+            table = model.cum_nu
+            grid = np.concatenate([table, np.nextafter(table, 0.0), np.linspace(0.0, 1.0, 101)])
+            grid = grid[grid < 1.0]
+            drawn = draw_start(model, grid)
+            np.testing.assert_array_equal(drawn, [bisect_right(table.tolist(), u) for u in grid])
+            assert (row[drawn] > 0.0).all()
 
 
 class TestRegenerationStats:
