@@ -55,8 +55,7 @@ from .errors import (
 STOCHASTIC_TOL = 1e-12
 _G_RESIDUAL_TOL = 1e-6
 MOMENT_ORDER_CAP = 6
-_MAX_TERMS = 500_000  # cap on a compound block moment's truncation point
-_STACK = 4096  # powers stacked per matrix product in _outer_power_sum
+_MAX_DOUBLINGS = 53  # past 2^53 terms a double no longer counts the index exactly
 
 TABOO = "taboo"
 FUNDAMENTAL = "fundamental"
@@ -530,11 +529,14 @@ def generalized_autocov(model: FiniteMarkovModel, g, f=None, ell: int = 0) -> fl
     return float(phi @ vec)
 
 
-def sigma2_from_series(model: FiniteMarkovModel, g, tol: float = 1e-8,
-                       max_lag: int = 100_000) -> SeriesValue:
+def sigma2_from_series(model: FiniteMarkovModel, g, tol: float = 1e-8) -> SeriesValue:
     """Block variance as the two-sided sum of generalized autocovariances,
-    gamma(0) + 2 sum_{l>=1} gamma(l), truncated when the exact remainder
-    phi_g P^L G g0 drops below tol/2.
+    gamma(0) + 2 sum_{l>=1} gamma(l) with gamma(l) = phi_g P^(l-1) g0, doubled
+    (:func:`_doubling_sum`) to the first power of two N at which the exact
+    remainder phi_g P^N G g0 is below tol/2.  The doubling squares the centred
+    kernel Q = P - 1 (x) pi / (pi . 1), whose powers decay, not P, whose
+    row-sum error doubles with each squaring: phi_g . 1 = 0 makes
+    phi_g Q^l = phi_g P^l term for term.
 
     Must agree with :func:`block_mean_variance` within tol plus the reported
     tail bound; the two sides use different formulas, so the agreement is a
@@ -545,17 +547,11 @@ def sigma2_from_series(model: FiniteMarkovModel, g, tol: float = 1e-8,
     g0 = g - model.s * mu_g
     psi = model.G @ g0
     phi = (pi * g) @ model.P - mu_g * model.nu
-
-    total = generalized_autocov(model, g, None, 0)
-    row = phi.copy()
-    remainder = math.inf
-    for _ell in range(1, max_lag + 1):
-        total += 2.0 * float(row @ g0)
-        row = row @ model.P
-        remainder = abs(2.0 * float(row @ psi))
-        if remainder <= tol / 2.0:
-            return SeriesValue(total, remainder)
-    raise TruncationInsufficient(remainder, tol)
+    Q = model.P - pi / pi.sum()
+    lags, remainder = _doubling_sum(Q, g0[:, None], np.ones((1, 1)),
+                                    lambda _n, Qn: abs(2.0 * float(phi @ (Qn @ psi))), tol / 2.0)
+    total = generalized_autocov(model, g, None, 0) + 2.0 * float(phi @ lags[:, 0])
+    return SeriesValue(total, remainder)
 
 
 def regeneration_gap_coefficients(model: FiniteMarkovModel, count: int) -> np.ndarray:
@@ -570,33 +566,24 @@ def regeneration_gap_coefficients(model: FiniteMarkovModel, count: int) -> np.nd
 
 
 def embedded_transition(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel,
-                        tol: float = 1e-10, max_terms: int = 200_000) -> KernelMatrix:
+                        tol: float = 1e-10) -> KernelMatrix:
     """Transition matrix of the W-chain observed at the X-chain's
     regeneration times:  P2 . Phi  with  Phi = sum_l {nu1 H1^l s1} P2^l.
 
     The mixing coefficients b_{l+1} = nu1 H1^l s1 are the gap law of the
-    X-chain and must have total mass 1 (recurrence); a deficit raises.  The
-    series is truncated once the remaining coefficient mass is below tol, so
-    the result is row-stochastic within that mass."""
+    X-chain and must have total mass 1 (recurrence); a deficit raises.
+    Phi = nu1 . K_n with K_n[i] = sum_{l<n} (H1^l s1)_i P2^l, doubled
+    (:func:`_doubling_sum`) to the first power of two n at which the remaining
+    coefficient mass nu1 H1^n 1 is below tol, so the result is row-stochastic
+    within that mass."""
     total_mass = float(x_model.nu @ (x_model.G @ x_model.s))
     if total_mass < 1.0 - max(tol, 1e-9):
         raise CoefficientMassDeficit(total_mass, tol)
 
-    d2 = w_model.d
-    u = x_model.nu.astype(float)
-    Ppow = np.eye(d2)
-    Phi = np.zeros((d2, d2))
-    remaining = 1.0
-    for _l in range(max_terms):
-        b = float(u @ x_model.s)
-        Phi += b * Ppow
-        u = u @ x_model.H
-        remaining = float(u.sum())
-        if remaining < tol:
-            break
-        Ppow = Ppow @ w_model.P
-    else:
-        raise TruncationInsufficient(remaining, tol)
+    K0 = x_model.s[:, None, None] * np.eye(w_model.d)
+    K, remaining = _doubling_sum(x_model.H, K0, w_model.P,
+                                    lambda _n, H1n: float(x_model.nu @ H1n.sum(axis=1)), tol)
+    Phi = np.tensordot(x_model.nu, K, axes=1)
 
     P_tilde = w_model.P @ Phi
     row_err = float(np.abs(P_tilde.sum(axis=1) - 1.0).max())
@@ -609,22 +596,19 @@ def embedded_transition(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel,
     return KernelMatrix(P_tilde, EMBEDDED, tail_bound=remaining)
 
 
-def _outer_power_sum(A: np.ndarray, B: np.ndarray, x: np.ndarray, y: np.ndarray,
-                     L: int) -> np.ndarray:
-    """sum_{j=1..L} outer(A^j x, B^j y), as products of _STACK stacked powers
-    at a time, so memory does not grow with L."""
-    total = np.zeros((len(x), len(y)))
-    for j0 in range(0, L, _STACK):
-        n = min(_STACK, L - j0)
-        X = np.empty((n, len(x)))
-        Y = np.empty((n, len(y)))
-        for k in range(n):
-            x = A @ x
-            y = B @ y
-            X[k] = x
-            Y[k] = y
-        total += X.T @ Y
-    return total
+def _doubling_sum(A: np.ndarray, Q: np.ndarray, B: np.ndarray, tail, tol: float):
+    """(S_n, tail(n, A^n)) for S_n = sum_{j<n} A^j . Q . B^j, A^j acting on the
+    first axis of Q and B^j on the last, by Smith's doubling
+    S_2n = S_n + A^n . S_n . B^n over n = 1, 2, 4, ... until tail(n, A^n) < tol.
+    Raises TruncationInsufficient when that takes more than _MAX_DOUBLINGS
+    doublings, as it always does for tol <= 0 or NaN."""
+    S, An, Bn, n = Q, A, B, 1
+    while not ((bound := tail(n, An)) < tol):
+        if n == 2 ** _MAX_DOUBLINGS:
+            raise TruncationInsufficient(bound, tol)
+        S = S + (An @ S.reshape(len(S), -1)).reshape(S.shape) @ Bn
+        An, Bn, n = An @ An, Bn @ Bn, 2 * n
+    return S, bound
 
 
 def compound_block_moment(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel,
@@ -638,9 +622,12 @@ def compound_block_moment(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel
 
     For m = 1 this factorizes exactly as {pi1 gX} {pi2 gW} (no series).  For
     m = 2, 3 every j runs to L, and the sums over j are contracted as d1 x d2
-    matrices sum_j outer(H1^j x, P2^j y).  P2 is stochastic, so the omitted
-    steps j > L are bounded through the X side, by max_i (H1^(L+1) G 1)_i;
-    L doubles from 8 until the bound is at most tol."""
+    matrices C_b = sum_{j=1..L} H1^j outer(gX^b, gW^b) (P2^j)^T, doubled
+    (:func:`_doubling_sum`); the r = 3 term is the same sum with
+    outer(gX, gW) * C_1 in place of the outer product.  P2 is stochastic, so the
+    omitted steps j > L are bounded through the X side, by
+    max_i (H1^(L+1) G 1)_i; L is the first power of two from 8 on at which
+    the bound is below tol."""
     if m > 3:
         raise OrderTooLarge(m, 3)
     if m < 1:
@@ -668,18 +655,11 @@ def compound_block_moment(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel
                  * float(pi2 @ np.abs(gW) ** a) * Wmax ** (m - a))
             scale += c if r == 2 else 2.0 * c * sup_1
 
-    L = 8
-    v = G1
-    for _ in range(L + 1):
-        v = H1 @ v
-    while (bound := scale * float(v.max())) > tol:
-        if 2 * L > _MAX_TERMS:
-            raise TruncationInsufficient(bound, tol)
-        for _ in range(L):
-            v = H1 @ v
-        L *= 2
-
-    C = {b: _outer_power_sum(H1, P2, gX ** b, gW ** b, L) for b in range(1, m)}
+    def tail(n, H1n):
+        return scale * float((H1 @ (H1n @ G1)).max()) if n >= 8 else math.inf
+    # sum_{j=1..L} H1^j Q (P2^j)^T = sum_{j<L} H1^j (H1 Q P2^T) (P2^j)^T
+    stack = np.stack([np.outer(H1 @ gX ** b, P2 @ gW ** b) for b in range(1, m)], axis=1)
+    C, bound = _doubling_sum(H1, stack, P2.T, tail, tol)
     total = 0.0
     for r in range(1, m + 1):
         for alpha in _compositions(m, r):
@@ -687,10 +667,10 @@ def compound_block_moment(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel
             if r == 1:
                 term = float(pi1 @ gX ** a) * float(pi2 @ gW ** a)
             elif r == 2:
-                term = float((pi1 * gX ** a) @ C[alpha[1]] @ (pi2 * gW ** a))
+                term = float((pi1 * gX ** a) @ C[:, alpha[1] - 1] @ (pi2 * gW ** a))
             else:
-                A = _outer_power_sum(H1.T, P2.T, pi1 * gX ** a, pi2 * gW ** a, L)
-                term = float((A * np.outer(gX ** alpha[1], gW ** alpha[1]) * C[alpha[2]]).sum())
+                D, _ = _doubling_sum(H1, H1 @ (np.outer(gX, gW) * C[:, 0]) @ P2.T, P2.T, tail, tol)
+                term = float((pi1 * gX) @ D @ (pi2 * gW))
             total += _multinomial(m, alpha) * term
     return SeriesValue(total, bound)
 

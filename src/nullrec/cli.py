@@ -113,11 +113,18 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _parse_vector(text: str, d: int) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")])
+        vec = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise err.ConfigParse(f"cannot parse vector {text!r}: {exc}") from exc
+    _require(len(vec) == d, f"vector {text!r} has {len(vec)} values for a chain with {d} states")
+    return vec
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise err.InvalidSpec(message)
 
 
 def _threads(args) -> int:
@@ -205,7 +212,11 @@ def _cmd_clt(args) -> int:
 
 def _cmd_moments_check(args) -> int:
     model = _load(load_model, args.chain)
-    g = _parse_vector(args.g)
+    g = _parse_vector(args.g, model.d)
+    _require(args.start == "nu" or args.start in map(str, range(model.d)),
+             f"--start must be 'nu' or a state index in 0..{model.d - 1}, got {args.start!r}")
+    _require(args.m >= 1 and args.depth >= 0,
+             f"--m must be >= 1 and --depth >= 0, got {args.m} and {args.depth}")
     start = "nu" if args.start == "nu" else int(args.start)
     orders = tuple(range(1, args.m + 1))
     enums = enumerated_block_moments(model, g, orders, start=start, depth=args.depth)
@@ -231,8 +242,10 @@ def _cmd_moments_check(args) -> int:
 
 def _cmd_autocov(args) -> int:
     model = _load(load_model, args.chain)
-    g = _parse_vector(args.g)
-    f = _parse_vector(args.f) if args.f else None
+    g = _parse_vector(args.g, model.d)
+    f = _parse_vector(args.f, model.d) if args.f else None
+    _require(args.ell_max >= 0, f"--ell-max must be >= 0, got {args.ell_max}")
+    _require(args.tol > 0.0, f"--tol must be > 0, got {args.tol!r}")
     rows = [(ell, generalized_autocov(model, g, f, ell))
             for ell in range(-args.ell_max, args.ell_max + 1)]
     series = sigma2_from_series(model, g, tol=args.tol)
@@ -253,6 +266,8 @@ def _cmd_autocov(args) -> int:
 def _cmd_embedded(args) -> int:
     x_model = _load(load_model, args.chain)
     w_model = _load(load_model, args.wchain)
+    _require(args.coeffs >= 0, f"--coeffs must be >= 0, got {args.coeffs}")
+    _require(args.tol > 0.0, f"--tol must be > 0, got {args.tol!r}")
     result = embedded_transition(x_model, w_model, tol=args.tol)
     coeffs = regeneration_gap_coefficients(x_model, args.coeffs)
     print(f"coefficient_mass={_fmt(float(coeffs.sum()))} tail_bound={_fmt(result.tail_bound)}")

@@ -91,6 +91,10 @@ class CltProtocol:
             raise InvalidSpec("reps must be >= 1")
         if self.fixed_h is None and self.c0 is None:
             raise InvalidSpec("need either a fixed bandwidth or a local-rule constant")
+        if not all(v is None or (math.isfinite(v) and v > 0.0) for v in (self.fixed_h, self.c0)):
+            raise InvalidSpec(f"bandwidth h={self.fixed_h!r}, c0={self.c0!r} must be finite and > 0")
+        if self.max_path_length < 1:
+            raise InvalidSpec(f"max_path_length must be >= 1, got {self.max_path_length}")
         if self.mode == "modal":
             if self.n is None or self.n < 1:
                 raise InvalidSpec("modal mode requires a path length n")

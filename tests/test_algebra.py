@@ -470,6 +470,55 @@ def reference_compound(x_model, w_model, gX, gW, m, tol=1e-10, L=None):
     return total, tail_bound(L), L
 
 
+def reference_power_sum(A, Q, B, n):
+    """sum_{j<n} A^j . Q . B^j, A^j acting on the first axis of Q and B^j on
+    the last, one term per step."""
+    total = np.zeros_like(Q)
+    term = Q
+    for _ in range(n):
+        total = total + term
+        term = np.tensordot(A, term, axes=1) @ B
+    return total
+
+
+def reference_sigma2_series(model, g, tol=1e-8, max_lag=100_000):
+    """sigma2_from_series as one generalized autocovariance per lag, until
+    the exact remainder phi_g P^L G g0 is at most tol/2."""
+    g = np.asarray(g, dtype=float)
+    pi = model.pi
+    mu_g = float(pi @ g)
+    g0 = g - model.s * mu_g
+    psi = model.G @ g0
+    phi = (pi * g) @ model.P - mu_g * model.nu
+    total = alg.generalized_autocov(model, g, None, 0)
+    row = phi.copy()
+    remainder = math.inf
+    for _ell in range(1, max_lag + 1):
+        total += 2.0 * float(row @ g0)
+        row = row @ model.P
+        remainder = abs(2.0 * float(row @ psi))
+        if remainder <= tol / 2.0:
+            return alg.SeriesValue(total, remainder)
+    raise TruncationInsufficient(remainder, tol)
+
+
+def reference_embedded(x_model, w_model, tol=1e-10, max_terms=200_000):
+    """embedded_transition one term nu1 H1^l s1 P2^l per step, until the
+    remaining coefficient mass is below tol."""
+    d2 = w_model.d
+    u = x_model.nu.astype(float)
+    Ppow = np.eye(d2)
+    Phi = np.zeros((d2, d2))
+    for _l in range(max_terms):
+        Phi += float(u @ x_model.s) * Ppow
+        u = u @ x_model.H
+        remaining = float(u.sum())
+        if remaining < tol:
+            return alg.KernelMatrix(w_model.P @ Phi, alg.EMBEDDED, tail_bound=remaining)
+        Ppow = Ppow @ w_model.P
+    raise TruncationInsufficient(remaining, tol)
+
+
 def tail_test_chains():
     """Seeded chains with d = 2..8 and one with d = 50."""
     rng = np.random.default_rng(2024)
@@ -480,6 +529,19 @@ def near_singular_two_state(s=1e-3):
     """Regenerates with probability s per step: H has spectral radius 1 - s."""
     return alg.FiniteMarkovModel(states=(0, 1), P=[[0.5, 0.5], [0.5, 0.5]],
                                  s=[s, s], nu=[0.5, 0.5])
+
+
+def sticky_two_state(s):
+    """Switches state and regenerates with probability s per step."""
+    return alg.FiniteMarkovModel(states=(0, 1), P=[[1 - s, s], [s, 1 - s]],
+                                 s=[s, s], nu=[0.5, 0.5])
+
+
+def assert_within_tails(new_value, new_tail, old_value, old_tail):
+    """Two truncations of one series differ by at most their two tails."""
+    old_value = np.asarray(old_value)
+    gap = float(np.abs(np.asarray(new_value) - old_value).max())
+    assert gap <= old_tail + new_tail + 1e-12 * float(np.abs(old_value).max())
 
 
 class TestTailsThroughG:
@@ -513,19 +575,30 @@ class TestTailsThroughG:
                 far, _, _ = reference_compound(x_model, w_model, gX, gW, m, L=4 * L)
                 assert abs(got.value - far) <= got.tail_bound + 1e-13 * abs(far)
 
-    def test_outer_power_sum_across_stacks(self):
+    def test_doubling_sum_matches_a_plain_loop(self):
         rng = np.random.default_rng(9)
         A = random_model(rng, d=3).H
         B = random_model(rng, d=2).P
-        x, y = rng.normal(size=3), rng.normal(size=2)
-        L = 2 * alg._STACK + 5
-        expected = np.zeros((3, 2))
-        u, v = x, y
-        for _ in range(L):
-            u, v = A @ u, B @ v
-            expected += np.outer(u, v)
-        np.testing.assert_allclose(alg._outer_power_sum(A, B, x, y, L), expected,
-                                   rtol=1e-12, atol=1e-300)
+        for Q in (rng.normal(size=(3, 2)), rng.normal(size=(3, 4, 2))):
+            for n in (1, 2, 8, 1024, 4096 + 5):
+                seen = []
+
+                def tail(k, Ak):
+                    seen.append(k)
+                    np.testing.assert_allclose(Ak, np.linalg.matrix_power(A, k),
+                                               rtol=1e-12, atol=1e-300)
+                    return 0.0 if k >= n else 1.0
+
+                got, bound = alg._doubling_sum(A, Q, B, tail, 0.5)
+                stop = 2 ** math.ceil(math.log2(n))
+                assert bound == 0.0 and seen == [2 ** k for k in range(len(seen))]
+                assert seen[-1] == stop
+                np.testing.assert_allclose(got, reference_power_sum(A, Q, B, stop),
+                                           rtol=1e-12, atol=1e-300)
+        seen = []
+        with pytest.raises(TruncationInsufficient):
+            alg._doubling_sum(A, Q, B, lambda k, _Ak: seen.append(k) or 1.0, 0.5)
+        assert seen == [2 ** k for k in range(54)]
 
     def test_spectral_radius_near_one(self):
         x_model = near_singular_two_state()
@@ -552,6 +625,67 @@ class TestTailsThroughG:
             tracemalloc.stop()
         assert math.isfinite(res.value) and res.tail_bound <= 1e-10
         assert peak < 16 * 2 ** 20
+
+
+class TestDoubledSeries:
+    def test_series_match_the_stepped_references(self):
+        w_model = alg.load_model("configs/threestate.json")
+        rng = np.random.default_rng(10)
+        for model in tail_test_chains():
+            g = rng.normal(size=model.d)
+            for tol in (1e-8, 1e-12):
+                new = alg.sigma2_from_series(model, g, tol=tol)
+                old = reference_sigma2_series(model, g, tol=tol)
+                assert new.tail_bound <= tol / 2.0
+                assert_within_tails(new.value, new.tail_bound, old.value, old.tail_bound)
+            for x_model, wm in ((model, w_model), (w_model, model)):
+                new = alg.embedded_transition(x_model, wm)
+                old = reference_embedded(x_model, wm)
+                assert new.tail_bound <= 1e-10
+                assert_within_tails(new.entries, new.tail_bound, old.entries, old.tail_bound)
+
+    @pytest.mark.parametrize("s", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_near_non_regeneration_sweep(self, s):
+        x_model = sticky_two_state(s)
+        w_model = alg.load_model("configs/threestate.json")
+        gX, gW = np.array([1.0, -0.5]), np.array([1.0, -0.5, 2.0])
+        for m in (2, 3):
+            res = alg.compound_block_moment(x_model, w_model, gX, gW, m)
+            assert math.isfinite(res.value) and res.tail_bound <= 1e-10
+            if m == 2 and s >= 1e-2:
+                value, _, _ = reference_compound(x_model, w_model, gX, gW, m)
+                assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
+        for xm, wm in ((x_model, w_model), (w_model, x_model)):
+            emb = alg.embedded_transition(xm, wm)
+            assert emb.tail_bound <= 1e-10
+            assert np.abs(emb.entries.sum(axis=1) - 1.0).max() <= emb.tail_bound + 1e-9
+            if s >= 1e-3:
+                old = reference_embedded(xm, wm)
+                assert_within_tails(emb.entries, emb.tail_bound, old.entries, old.tail_bound)
+        series = alg.sigma2_from_series(x_model, gX)
+        _, sigma2 = alg.block_mean_variance(x_model, gX)
+        assert series.tail_bound <= 1e-8 / 2.0
+        assert abs(series.value - sigma2) <= 1e-10 * sigma2
+        if s >= 1e-3:
+            old = reference_sigma2_series(x_model, gX)
+            assert_within_tails(series.value, series.tail_bound, old.value, old.tail_bound)
+
+    def test_series_that_never_meet_tol_stop_after_53_doublings(self):
+        import time
+
+        three = alg.load_model("configs/threestate.json")
+        # The centred kernel of a periodic chain has eigenvalue -1: Q^n never decays.
+        periodic = alg.FiniteMarkovModel(states=(0, 1), P=[[0.0, 1.0], [1.0, 0.0]],
+                                         s=[0.0, 1.0], nu=[1.0, 0.0])
+        g = [1.0, -1.0, 2.0]
+        for call in (lambda: alg.sigma2_from_series(periodic, [1.0, 0.0]),
+                     lambda: alg.sigma2_from_series(three, g, tol=0.0),
+                     lambda: alg.embedded_transition(three, three, tol=0.0),
+                     lambda: alg.compound_block_moment(three, three, g, g, 3, tol=0.0)):
+            start = time.perf_counter()
+            with pytest.raises(TruncationInsufficient):
+                call()
+            assert time.perf_counter() - start < 0.25
 
 
 class TestChainFiles:

@@ -200,6 +200,15 @@ class TestClt:
         monkeypatch.setenv("NULLREC_THREADS", "lots")
         assert main(["clt", "--protocol", str(proto), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("bandwidth", [{"h": 0}, {"c0": -1}])
+    def test_bad_bandwidth_exit_4(self, bandwidth, tmp_path, capsys):
+        proto = self._protocol_file(tmp_path)
+        proto.write_text(json.dumps(dict(json.loads(proto.read_text()), bandwidth=bandwidth)))
+        out = tmp_path / "never"
+        assert main(["clt", "--protocol", str(proto), "--out", str(out)]) == 4
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidSpec"
+
 
 class TestAlgebraCommands:
     def test_moments_check_output(self, chain_path, capsys):
@@ -246,6 +255,37 @@ class TestAlgebraCommands:
         lines = (out / "embedded.csv").read_text().strip().splitlines()
         assert lines[0] == "from_state,lo,hi"
         assert (out / "gap_coefficients.csv").exists()
+
+
+class TestAlgebraArgumentValidation:
+    @pytest.mark.parametrize("argv", [
+        ["moments-check", "--g", "1,0,0", "--m", "2"],
+        ["moments-check", "--g", "1,0", "--m", "2", "--start", "7"],
+        ["moments-check", "--g", "1,0", "--m", "2", "--start", "first"],
+        ["moments-check", "--g", "1,0", "--m", "0"],
+        ["moments-check", "--g", "1,0", "--m", "2", "--depth", "-1"],
+        ["autocov", "--g", "1"],
+        ["autocov", "--g", "1,0", "--f", "1,0,0"],
+        ["autocov", "--g", "1,0", "--ell-max", "-1"],
+        ["autocov", "--g", "1,0", "--tol", "nan"],
+        ["autocov", "--g", "1,0", "--tol", "-1"],
+        ["autocov", "--g", "1,0", "--tol", "0"],
+        ["embedded", "--coeffs", "-1"],
+        ["embedded", "--tol", "nan"],
+        ["embedded", "--tol", "0"],
+    ])
+    def test_out_of_range_argument_exit_4(self, argv, chain_path, tmp_path, capsys):
+        out = tmp_path / "never"
+        chains = ["--chain", str(chain_path)]
+        if argv[0] == "embedded":
+            chains += ["--wchain", str(chain_path)]
+        assert main(argv[:1] + chains + argv[1:] + ["--out", str(out)]) == 4
+        assert not out.exists()
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert captured.out == "" and len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "InvalidSpec" and err["exit_code"] == 4
 
 
 class TestShippedConfigs:

@@ -70,6 +70,14 @@ class TestProtocolValidation:
             mc.CltProtocol(process=spec, mode="fixed_point", reps=5, x_eval=7.5,
                            window=(5.0, 10.0), local_count=0)
 
+    @pytest.mark.parametrize("kw", [dict(fixed_h=0.0, c0=None), dict(fixed_h=-0.5, c0=None),
+                                    dict(fixed_h=math.nan, c0=None), dict(fixed_h=math.inf),
+                                    dict(c0=-1.0), dict(c0=0.0), dict(c0=math.nan),
+                                    dict(max_path_length=-5), dict(max_path_length=0)])
+    def test_bandwidth_and_guard(self, kw):
+        with pytest.raises(InvalidSpec):
+            modal_protocol(**kw)
+
 
 class TestRunClt:
     def test_reproducible_bit_for_bit(self):
