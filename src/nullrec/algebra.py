@@ -596,19 +596,29 @@ def embedded_transition(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel,
     return KernelMatrix(P_tilde, EMBEDDED, tail_bound=remaining)
 
 
-def _doubling_sum(A: np.ndarray, Q: np.ndarray, B: np.ndarray, tail, tol: float):
+def _doubling_sum(A: np.ndarray, Q: np.ndarray, B: np.ndarray, tail, tol: float,
+                  powers: list | None = None):
     """(S_n, tail(n, A^n)) for S_n = sum_{j<n} A^j . Q . B^j, A^j acting on the
     first axis of Q and B^j on the last, by Smith's doubling
     S_2n = S_n + A^n . S_n . B^n over n = 1, 2, 4, ... until tail(n, A^n) < tol.
     Raises TruncationInsufficient when that takes more than _MAX_DOUBLINGS
-    doublings, as it always does for tol <= 0 or NaN."""
+    doublings, as it always does for tol <= 0 or NaN.  When `powers` is a
+    list, the pairs (A^n, B^n) applied are appended to it, so that _double
+    can sum another Q to the same n with them."""
     S, An, Bn, n = Q, A, B, 1
     while not ((bound := tail(n, An)) < tol):
         if n == 2 ** _MAX_DOUBLINGS:
             raise TruncationInsufficient(bound, tol)
-        S = S + (An @ S.reshape(len(S), -1)).reshape(S.shape) @ Bn
+        if powers is not None:
+            powers.append((An, Bn))
+        S = _double(S, An, Bn)
         An, Bn, n = An @ An, Bn @ Bn, 2 * n
     return S, bound
+
+
+def _double(S: np.ndarray, An: np.ndarray, Bn: np.ndarray) -> np.ndarray:
+    """S + A^n . S . B^n, A^n acting on the first axis of S and B^n on the last."""
+    return S + (An @ S.reshape(len(S), -1)).reshape(S.shape) @ Bn
 
 
 def compound_block_moment(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel,
@@ -624,7 +634,8 @@ def compound_block_moment(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel
     m = 2, 3 every j runs to L, and the sums over j are contracted as d1 x d2
     matrices C_b = sum_{j=1..L} H1^j outer(gX^b, gW^b) (P2^j)^T, doubled
     (:func:`_doubling_sum`); the r = 3 term is the same sum with
-    outer(gX, gW) * C_1 in place of the outer product.  P2 is stochastic, so the
+    outer(gX, gW) * C_1 in place of the outer product, doubled with the
+    powers of H1 and P2 the first sum formed.  P2 is stochastic, so the
     omitted steps j > L are bounded through the X side, by
     max_i (H1^(L+1) G 1)_i; L is the first power of two from 8 on at which
     the bound is below tol."""
@@ -659,7 +670,8 @@ def compound_block_moment(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel
         return scale * float((H1 @ (H1n @ G1)).max()) if n >= 8 else math.inf
     # sum_{j=1..L} H1^j Q (P2^j)^T = sum_{j<L} H1^j (H1 Q P2^T) (P2^j)^T
     stack = np.stack([np.outer(H1 @ gX ** b, P2 @ gW ** b) for b in range(1, m)], axis=1)
-    C, bound = _doubling_sum(H1, stack, P2.T, tail, tol)
+    powers = [] if m == 3 else None  # the r = 3 sum has the same tail, so the same n
+    C, bound = _doubling_sum(H1, stack, P2.T, tail, tol, powers)
     total = 0.0
     for r in range(1, m + 1):
         for alpha in _compositions(m, r):
@@ -669,7 +681,9 @@ def compound_block_moment(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel
             elif r == 2:
                 term = float((pi1 * gX ** a) @ C[:, alpha[1] - 1] @ (pi2 * gW ** a))
             else:
-                D, _ = _doubling_sum(H1, H1 @ (np.outer(gX, gW) * C[:, 0]) @ P2.T, P2.T, tail, tol)
+                D = H1 @ (np.outer(gX, gW) * C[:, 0]) @ P2.T
+                for H1n, P2n in powers:
+                    D = _double(D, H1n, P2n)
                 term = float((pi1 * gX) @ D @ (pi2 * gW))
             total += _multinomial(m, alpha) * term
     return SeriesValue(total, bound)

@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from . import errors as err
 from .algebra import (
+    MOMENT_ORDER_CAP,
     BlockMomentRequest,
     block_mean_variance,
     block_moment,
@@ -217,6 +218,8 @@ def _cmd_moments_check(args) -> int:
              f"--start must be 'nu' or a state index in 0..{model.d - 1}, got {args.start!r}")
     _require(args.m >= 1 and args.depth >= 0,
              f"--m must be >= 1 and --depth >= 0, got {args.m} and {args.depth}")
+    if args.m > MOMENT_ORDER_CAP:
+        raise err.OrderTooLarge(args.m, MOMENT_ORDER_CAP)
     start = "nu" if args.start == "nu" else int(args.start)
     orders = tuple(range(1, args.m + 1))
     enums = enumerated_block_moments(model, g, orders, start=start, depth=args.depth)

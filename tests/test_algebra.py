@@ -519,6 +519,43 @@ def reference_embedded(x_model, w_model, tol=1e-10, max_terms=200_000):
     raise TruncationInsufficient(remaining, tol)
 
 
+def reference_compound_two_sums(x_model, w_model, gX, gW, m, tol=1e-10):
+    """compound_block_moment as it was with the r = 3 term summed by a second
+    _doubling_sum call, which forms every power of H1 and P2^T again."""
+    gX = np.asarray(gX, dtype=float)
+    gW = np.asarray(gW, dtype=float)
+    pi1, pi2, H1, P2 = x_model.pi, w_model.pi, x_model.H, w_model.P
+    G1 = x_model.G.sum(axis=1)
+    Xmax, Wmax = float(np.abs(gX).max()), float(np.abs(gW).max())
+    sup_1 = float((H1 @ G1).max())
+    scale = 0.0
+    for r in range(2, m + 1):
+        for alpha in alg._compositions(m, r):
+            a = alpha[0]
+            c = (alg._multinomial(m, alpha) * float(pi1 @ np.abs(gX) ** a) * Xmax ** (m - a)
+                 * float(pi2 @ np.abs(gW) ** a) * Wmax ** (m - a))
+            scale += c if r == 2 else 2.0 * c * sup_1
+
+    def tail(n, H1n):
+        return scale * float((H1 @ (H1n @ G1)).max()) if n >= 8 else math.inf
+    stack = np.stack([np.outer(H1 @ gX ** b, P2 @ gW ** b) for b in range(1, m)], axis=1)
+    C, bound = alg._doubling_sum(H1, stack, P2.T, tail, tol)
+    total = 0.0
+    for r in range(1, m + 1):
+        for alpha in alg._compositions(m, r):
+            a = alpha[0]
+            if r == 1:
+                term = float(pi1 @ gX ** a) * float(pi2 @ gW ** a)
+            elif r == 2:
+                term = float((pi1 * gX ** a) @ C[:, alpha[1] - 1] @ (pi2 * gW ** a))
+            else:
+                D, _ = alg._doubling_sum(H1, H1 @ (np.outer(gX, gW) * C[:, 0]) @ P2.T, P2.T,
+                                         tail, tol)
+                term = float((pi1 * gX) @ D @ (pi2 * gW))
+            total += alg._multinomial(m, alpha) * term
+    return alg.SeriesValue(total, bound)
+
+
 def tail_test_chains():
     """Seeded chains with d = 2..8 and one with d = 50."""
     rng = np.random.default_rng(2024)
@@ -669,6 +706,17 @@ class TestDoubledSeries:
         if s >= 1e-3:
             old = reference_sigma2_series(x_model, gX)
             assert_within_tails(series.value, series.tail_bound, old.value, old.tail_bound)
+
+    def test_compound_m3_reuses_the_powers_bit_for_bit(self):
+        w_model = alg.load_model("configs/threestate.json")
+        rng = np.random.default_rng(11)
+        chains = tail_test_chains() + [sticky_two_state(s) for s in (1e-2, 1e-4, 1e-6)]
+        for x_model in chains + [random_model(rng, d=120)]:
+            gX = rng.normal(size=x_model.d)
+            for wm, gW in ((w_model, np.array([1.0, -0.5, 2.0])), (x_model, gX)):
+                for m in (2, 3):
+                    got = alg.compound_block_moment(x_model, wm, gX, gW, m)
+                    assert got == reference_compound_two_sums(x_model, wm, gX, gW, m)
 
     def test_series_that_never_meet_tol_stop_after_53_doublings(self):
         import time

@@ -227,6 +227,20 @@ class TestAlgebraCommands:
         assert lines[0] == "m,algebraic,enumeration,abs_diff,enum_tail_bound"
         assert len(lines) == 3
 
+    def test_moments_check_rejects_order_above_cap_before_enumerating(
+            self, chain_path, tmp_path, monkeypatch, capsys):
+        import nullrec.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("enumerated_block_moments was called")
+
+        monkeypatch.setattr(cli, "enumerated_block_moments", never)
+        out = tmp_path / "never"
+        assert main(["moments-check", "--chain", str(chain_path), "--g", "1,0",
+                     "--m", "7", "--out", str(out)]) == 5
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "OrderTooLarge"
+
     def test_bad_vector(self, chain_path):
         assert main(["moments-check", "--chain", str(chain_path), "--g", "a,b",
                      "--m", "2"]) == 2

@@ -260,6 +260,97 @@ class TestModalValue:
             assert np.flatnonzero(x + 1e6 == moved)[0] == np.flatnonzero(x == base)[0]
 
 
+def reference_modal_value(x, kernel=est.EPANECHNIKOV, pilot_h=None):
+    """The slow reference: the pick from _kernel_sums at every sample point
+    and the leftmost-within-1e-12 tie rule, as before the screen."""
+    x = np.asarray(x, dtype=float)
+    if x.size == 1:
+        return float(x[0])
+    if pilot_h is None:
+        sd = float(x.std())
+        pilot_h = 1.06 * sd * x.size ** (-0.2) if sd > 0 else 1.0
+    xs = np.sort(x)
+    dens = est._kernel_sums(xs, pilot_h, kernel)
+    dmax = float(dens.max())
+    return float(xs[dens >= dmax - abs(dmax) * 1e-12][0])
+
+
+KERNELS = [est.EPANECHNIKOV, est.gaussian_truncated(2.5)]
+
+
+class TestModalScreen:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.parametrize("n", [2, 3, 50, 500, 3000])
+    def test_matches_reference_on_walks(self, kernel, shift, n):
+        from nullrec.processes import ProcessSpec, generate, linear
+
+        spec = ProcessSpec(family="INDEP", f=linear())
+        for seed in range(5):
+            x = generate(spec, n - 1, seed=seed).x + shift
+            assert est.modal_value(x, kernel) == reference_modal_value(x, kernel)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_all_equal_sample(self, kernel):
+        x = np.full(500, -3.25)
+        assert est.modal_value(x, kernel) == reference_modal_value(x, kernel) == -3.25
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_many_duplicates(self, kernel):
+        rng = np.random.default_rng(13)
+        for x in (np.round(rng.normal(size=2000), 1), np.repeat(rng.normal(size=40), 25),
+                  np.cumsum(rng.choice([-1.0, 1.0], size=3000))):
+            assert est.modal_value(x, kernel) == reference_modal_value(x, kernel)
+
+    def test_tiny_pilot_bandwidth_prunes_nothing(self):
+        rng = np.random.default_rng(14)
+        x = np.cumsum(rng.normal(size=500))
+        xs, h = np.sort(x), 1e-9
+        lo, hi = est._window(xs, h)
+        assert est._screen(xs, h, xs, lo, hi).all()
+        assert est.modal_value(x, pilot_h=h) == reference_modal_value(x, pilot_h=h)
+
+    def test_screen_keeps_every_tie(self):
+        # A sample symmetric about 0 has mirrored modes whose direct sums tie
+        # within rounding; the screen must keep both.
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            y = np.abs(rng.normal(3.0, 1.0, size=int(rng.integers(20, 400))))
+            xs = np.sort(np.concatenate([-y, y]))
+            h = float(rng.uniform(0.2, 2.0))
+            lo, hi = est._window(xs, h)
+            dens = est._direct_sums(xs, h, est.EPANECHNIKOV, lo, hi, slice(None))
+            ties = dens >= est._tie_floor(float(dens.max()))
+            assert ties.sum() >= 2
+            assert est._screen(xs, h, xs, lo, hi)[ties].all()
+
+    def test_screen_prunes_to_a_few_and_keeps_the_pick(self):
+        from nullrec.processes import ProcessSpec, generate, linear
+
+        x = generate(ProcessSpec(family="INDEP", f=linear()), 3000, seed=2).x
+        xs = np.sort(x)
+        h = 1.06 * float(x.std()) * x.size ** (-0.2)
+        lo, hi = est._window(xs, h)
+        keep = est._screen(xs, h, xs, lo, hi)
+        assert 1 <= keep.sum() < 10
+        assert est.modal_value(x) in xs[keep]
+
+    @pytest.mark.parametrize("name", ["clt_modal_indep.json", "clt_modal_shared.json"])
+    def test_shipped_modal_protocols(self, name):
+        import json
+        from pathlib import Path
+
+        from nullrec.montecarlo import derive_seed, protocols_from_dict
+        from nullrec.processes import generate
+
+        path = Path(__file__).resolve().parents[1] / "configs" / name
+        for proto in protocols_from_dict(json.loads(path.read_text())):
+            for rep in range(200):
+                x = generate(proto.process, proto.n, derive_seed(proto.base_seed, rep)).x
+                got = est.modal_value(x, proto.kernel)
+                assert got == reference_modal_value(x, proto.kernel), (proto.protocol_id, rep)
+
+
 def direct_kernel_sums(xs, h, kernel, v=None):
     """The slow reference: the one-point sum at every sample point."""
     h = np.broadcast_to(h, xs.shape)
@@ -310,3 +401,19 @@ class TestCvMemory:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+class TestModalMemory:
+    def test_half_the_two_grid_peak_at_1e6(self):
+        import tracemalloc
+
+        from nullrec.processes import ProcessSpec, generate, linear
+
+        x = generate(ProcessSpec(family="INDEP", f=linear()), 1_000_000, seed=3).x
+        tracemalloc.start()
+        try:
+            est.modal_value(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 99 * 2**20
