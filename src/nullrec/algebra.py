@@ -373,60 +373,47 @@ def block_moment(model: FiniteMarkovModel, request: BlockMomentRequest) -> float
     return total
 
 
+def _forward_moments(model: FiniteMarkovModel, g, a, start: int | str, top: int) -> np.ndarray:
+    """X[t, k, y] = E[S_t^k; X_t = y, no regeneration before t] for t < len(a)
+    and k <= top, where S_t = sum_{j<=t} a_j g(X_j) is the time-weighted
+    block sum so far.  start='nu' starts from the atom's law nu, an integer
+    from that state.
+
+    Each step moves the previous moments through the taboo kernel,
+    B = X[t-1] H, and expands (S + a_t g)^k binomially over B: `top` passes
+    of Pascal's rule give sum_j C(k, j) (a_t g)^(k-j) B[j] in place.  That is
+    O(len(a) (top + 1) (top + d) d) time and O(len(a) (top + 1) d) memory; no G,
+    composition or Neumann series is involved, so the blocks' moments built
+    from X are independent of :func:`block_moment`."""
+    g = np.asarray(g, dtype=float)
+    steps = np.multiply.outer(np.asarray(a, dtype=float), g)  # a_t g(y)
+    init = model.nu if start == "nu" else np.eye(model.d)[start]
+    X = np.empty((len(steps), top + 1, model.d))
+    X[:1] = init * steps[:1, None] ** np.arange(top + 1)[:, None]
+    for prev, cur, p in zip(X[:-1], X[1:], steps[1:]):
+        np.dot(prev, model.H, out=cur)
+        for i in range(1, top + 1):
+            cur[i:] += p * cur[i - 1:top]
+    return X
+
+
 def enumerated_block_moments(model: FiniteMarkovModel, g, orders,
                              start: int | str = "nu",
-                             depth: int = 60) -> dict[int, SeriesValue]:
-    """Independent oracle for :func:`block_moment` by exhaustive enumeration,
-    for several moment orders in one sweep.
+                             depth: int = 200) -> dict[int, SeriesValue]:
+    """Independent oracle for :func:`block_moment`, for several moment orders
+    in one sweep: E[U0^m; the block ends by step `depth`], the sum over
+    t <= depth of (X[t, m] . s) from :func:`_forward_moments` with unit
+    weights, with an upper bound on the omitted tail.
 
-    Walks the distribution of (current state, occupation-count vector) under
-    taboo transitions H step by step, closing blocks with probability s(x) at
-    each step; no Neumann series or composition algebra is involved.  Returns
-    per order the expectation restricted to blocks ending by `depth`, with an
-    upper bound on the omitted tail."""
+    The tail bound sums, over the steps past `depth`, the survival mass
+    start H^t 1 times the largest possible |block sum|^m, (t+1)^m max|g|^m."""
     g = np.asarray(g, dtype=float)
     orders = tuple(orders)
-    d = model.d
+    X = _forward_moments(model, g, np.ones(depth + 1), start, max(orders, default=0))
+    totals = X.sum(axis=0) @ model.s
     H = model.H
-    s = model.s
-    if start == "nu":
-        init = model.nu
-    else:
-        init = np.zeros(d)
-        init[start] = 1.0
-
-    dist: dict[tuple, float] = {}
-    for y in range(d):
-        if init[y] > 0.0:
-            counts = [0] * d
-            counts[y] = 1
-            dist[(y, tuple(counts))] = float(init[y])
-
-    totals = dict.fromkeys(orders, 0.0)
-    for _t in range(depth + 1):
-        nxt: dict[tuple, float] = {}
-        for (y, counts), prob in dist.items():
-            if s[y] > 0.0:
-                block_sum = sum(c * gv for c, gv in zip(counts, g))
-                w = prob * s[y]
-                for m in orders:
-                    totals[m] += w * block_sum ** m
-            row = H[y]
-            for y2 in range(d):
-                p = prob * row[y2]
-                if p > 0.0:
-                    c2 = counts[:y2] + (counts[y2] + 1,) + counts[y2 + 1:]
-                    key = (y2, c2)
-                    nxt[key] = nxt.get(key, 0.0) + p
-        dist = nxt
-        if not dist:
-            return {m: SeriesValue(totals[m], 0.0) for m in orders}
-
-    # Tail: survival mass decays under H; |block sum| <= (t+1) * max|g|.
-    alive = np.zeros(d)
-    for (y, _counts), prob in dist.items():
-        alive[y] += prob
-    gmax = float(np.abs(g).max()) if d else 0.0
+    alive = X[depth, 0] @ H
+    gmax = float(np.abs(g).max()) if model.d else 0.0
     tails = dict.fromkeys(orders, 0.0)
     t = depth + 1
     for _ in range(100_000):
@@ -437,21 +424,25 @@ def enumerated_block_moments(model: FiniteMarkovModel, g, orders,
             tails[m] += term
             done = done and term < 1e-300
         if done or mass < 1e-300:
-            return {m: SeriesValue(totals[m], tails[m]) for m in orders}
+            return {m: SeriesValue(float(totals[m]), tails[m]) for m in orders}
         alive = alive @ H
         t += 1
-    return {m: SeriesValue(totals[m], math.inf) for m in orders}
+    return {m: SeriesValue(float(totals[m]), math.inf) for m in orders}
 
 
 def weighted_block_moment(model: FiniteMarkovModel, a, g, m: int,
-                          tol: float = 1e-10, start: int | str = "nu",
-                          a_sup: float | None = None) -> SeriesValue:
+                          tol: float = 1e-10, start: int | str = "nu") -> SeriesValue:
     """E U0^m of the time-weighted block sum sum_k a_k g(X_k), m in {1, 2}.
 
-    The coefficient sequence is supplied as a finite prefix a_0..a_L; the
-    omitted tail is bounded using sup|a| (by default the prefix maximum,
-    assumed to dominate the unseen coefficients) times the survival masses
-    mass_j = start H^j 1, summed exactly through G: with u = start H^(L+1),
+    The coefficient sequence is supplied as a finite prefix a_0..a_L, and the
+    value is exact for the block sum stopped at step L, S_min(tau, L).  That
+    sum's m-th power is the sum of the increments
+    S_t^m - S_{t-1}^m = -sum_{j<m} C(m, j) (-a_t g(X_t))^(m-j) S_t^j over the
+    steps t <= L at which the block is alive, so the value is a reduction of
+    the moments of orders below m from :func:`_forward_moments`.  The omitted
+    tail is bounded using the prefix maximum sup|a| (assumed to dominate the
+    unseen coefficients) times the survival masses mass_j = start H^j 1,
+    summed exactly through G: with u = start H^(L+1),
     sum_{j>L} mass_j = u G 1 and sum_{j>L} j mass_j = u ((L+1) G 1 + H G G 1).
     Raises when that bound exceeds tol."""
     if m not in (1, 2):
@@ -461,39 +452,22 @@ def weighted_block_moment(model: FiniteMarkovModel, a, g, m: int,
     L = len(a) - 1
     if L < 0:
         raise ValueError("coefficient prefix must be nonempty")
-    if a_sup is None:
-        a_sup = float(np.abs(a).max())
+    a_sup = float(np.abs(a).max())
     gmax = float(np.abs(g).max())
     H = model.H
-    u = model.nu if start == "nu" else np.eye(model.d)[start]
+    X = _forward_moments(model, g, a, start, m - 1)
+    value = -sum(math.comb(m, j) * float((-a) ** (m - j) @ (X[:, j] @ g ** (m - j)))
+                 for j in range(m))
 
-    rows = np.empty((L + 1, model.d))
-    for j in range(L + 1):
-        rows[j] = u
-        u = u @ H
+    u = X[-1, 0] @ H
     G1 = model.G.sum(axis=1)
     mass_tail = float(u @ G1)  # sum_{j > L} mass_j
-
     if m == 1:
-        value = float(a @ (rows @ g))
         tail = a_sup * gmax * mass_tail
     else:
-        cols = np.empty((L + 1, model.d))
-        v = g.copy()
-        for l in range(L + 1):
-            cols[l] = v
-            v = H @ v
-        # d_{j,l} = u_j . (g * H^l g); diagonal uses l = 0 (g^2), off uses l >= 1
-        M = rows @ (cols * g).T  # M[j, l]
-        diag = float((a * a) @ M[:, 0])
-        cross = 0.0
-        for j in range(L + 1):
-            lmax = L - j
-            if lmax >= 1:
-                cross += float((a[j] * a[j + 1:j + 1 + lmax]) @ M[j, 1:lmax + 1])
-        value = diag + 2.0 * cross
-        # omitted: diagonal j > L plus cross pairs (j, l>=1) with j + l > L;
-        # |d_{j,l}| <= gmax^2 mass_{j+l} and #{(j, l): j + l = k} = k
+        # omitted: the squares at j > L and the cross terms at (j, j + l),
+        # l >= 1, with j + l > L; each is at most gmax^2 mass_{j+l} in size,
+        # and k pairs (j, l) have j + l = k
         k_weighted = float(u @ ((L + 1) * G1 + H @ (model.G @ G1)))  # sum_{j > L} j mass_j
         tail = (a_sup ** 2) * (gmax ** 2) * (mass_tail + 2.0 * k_weighted)
     if not (tail <= tol):
@@ -556,13 +530,10 @@ def sigma2_from_series(model: FiniteMarkovModel, g, tol: float = 1e-8) -> Series
 
 def regeneration_gap_coefficients(model: FiniteMarkovModel, count: int) -> np.ndarray:
     """b[l] = nu H^{l-1} s for l = 1..count: the law of the gap between
-    successive regenerations (equivalently of the first block length)."""
-    u = model.nu
-    out = np.empty(count)
-    for l in range(count):
-        out[l] = float(u @ model.s)
-        u = u @ model.H
-    return out
+    successive regenerations (equivalently of the first block length), as
+    the survival masses of :func:`_forward_moments` closed by s."""
+    X = _forward_moments(model, np.zeros(model.d), np.ones(count), "nu", 0)
+    return X[:, 0] @ model.s
 
 
 def embedded_transition(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel,

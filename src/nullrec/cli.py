@@ -329,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True, help="comma-separated per-state values")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--start", default="nu")
-    p.add_argument("--depth", type=int, default=60)
+    p.add_argument("--depth", type=int, default=200)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_moments_check)
 

@@ -34,6 +34,9 @@ from .errors import InvalidHalfwidth, InvalidSpec, UnknownProcessFamily
 from .processes import ProcessSpec, draw_start, generate, step_chain
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_MAX_BLOCK_ROUNDS = 1_000_000  # lockstep steps before a block sampler gives up
+_EMBEDDED_REPLICAS = 20_000
+_MAX_EMBEDDED_ROUNDS = 10_000_000
 
 
 def _norm_pdf(x):
@@ -166,13 +169,17 @@ def regeneration_stats(traj: SplitTrajectory) -> RegenStats:
 
 def occupation_count(traj: SplitTrajectory, C) -> int:
     """Visits to C up to time n: an interval (lo, hi) for continuous paths, a
-    collection of labels or indices for finite ones."""
+    collection of states for finite ones.  A member of C that is one of the
+    state labels means that state; any other member is a state index.  So
+    with states (5, 0, 1), C = [0] counts the state labelled 0 (index 1),
+    and C = [2] the state at index 2."""
     x = traj.x
     if traj.states is None:
         lo, hi = C
         return int(((x >= lo) & (x <= hi)).sum())
-    members = set(C)
-    idxs = [i for i, lab in enumerate(traj.states) if lab in members or i in members]
+    index_of = {lab: i for i, lab in enumerate(traj.states)}
+    members = {index_of.get(c, c) for c in C}
+    idxs = [i for i in range(len(traj.states)) if i in members]
     if not idxs:
         return 0
     return int(np.isin(x, idxs).sum())
@@ -234,8 +241,8 @@ def _draw_step(model: FiniteMarkovModel, states: np.ndarray, u: np.ndarray) -> n
     return nxt
 
 
-def sample_blocks(model: FiniteMarkovModel, g, n_blocks: int, seed: int,
-                  max_rounds: int = 1_000_000) -> tuple[np.ndarray, np.ndarray]:
+def sample_blocks(model: FiniteMarkovModel, g, n_blocks: int,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
     """n_blocks i.i.d. regeneration blocks of the split chain started from nu,
     returning (block sums of g, block lengths).  All replicas step in
     lockstep; each stops at its first regeneration."""
@@ -246,7 +253,7 @@ def sample_blocks(model: FiniteMarkovModel, g, n_blocks: int, seed: int,
     U = g[x].astype(float)
     L = np.ones(n_blocks, dtype=np.int64)
     alive = np.arange(n_blocks)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_BLOCK_ROUNDS):
         if alive.size == 0:
             return U, L
         xa = x[alive]
@@ -262,8 +269,8 @@ def sample_blocks(model: FiniteMarkovModel, g, n_blocks: int, seed: int,
 
 
 def sample_compound_block_sums(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel,
-                               gX, gW, orders, n_blocks: int, seed: int,
-                               max_rounds: int = 1_000_000) -> dict[int, np.ndarray]:
+                               gX, gW, orders, n_blocks: int,
+                               seed: int) -> dict[int, np.ndarray]:
     """For n_blocks i.i.d. compound regeneration blocks of the independent
     product chain, the per-block sums over X-subblocks of V^m, where V is the
     subblock sum of gX(X) gW(W).  Returns one array per requested order m."""
@@ -277,7 +284,7 @@ def sample_compound_block_sums(x_model: FiniteMarkovModel, w_model: FiniteMarkov
     V = gX[x] * gW[w]
     S = {m: np.zeros(n_blocks) for m in orders}
     alive = np.arange(n_blocks)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_BLOCK_ROUNDS):
         if alive.size == 0:
             return S
         xa, wa = x[alive], w[alive]
@@ -302,22 +309,21 @@ def sample_compound_block_sums(x_model: FiniteMarkovModel, w_model: FiniteMarkov
 
 
 def sample_embedded_counts(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel,
-                           n_pairs: int, seed: int, replicas: int = 20_000,
-                           max_rounds: int = 10_000_000) -> np.ndarray:
+                           n_pairs: int, seed: int) -> np.ndarray:
     """Transition counts of the W-chain observed at X-regeneration times,
-    pooled over independently evolving replicas, until at least n_pairs
-    embedded steps have been recorded."""
+    pooled over _EMBEDDED_REPLICAS independently evolving replicas, until at
+    least n_pairs embedded steps have been recorded."""
     rng = np.random.default_rng(seed)
 
-    x = draw_start(x_model, rng.random(replicas))
-    w = draw_start(w_model, rng.random(replicas))
-    last_w = np.full(replicas, -1, dtype=np.int64)
+    x = draw_start(x_model, rng.random(_EMBEDDED_REPLICAS))
+    w = draw_start(w_model, rng.random(_EMBEDDED_REPLICAS))
+    last_w = np.full(_EMBEDDED_REPLICAS, -1, dtype=np.int64)
     counts = np.zeros((w_model.d, w_model.d), dtype=np.int64)
     total = 0
-    for _ in range(max_rounds):
-        nx = _draw_step(x_model, x, rng.random(replicas))
-        y1 = rng.random(replicas) < x_model.R[x, nx]
-        nw = _draw_step(w_model, w, rng.random(replicas))
+    for _ in range(_MAX_EMBEDDED_ROUNDS):
+        nx = _draw_step(x_model, x, rng.random(_EMBEDDED_REPLICAS))
+        y1 = rng.random(_EMBEDDED_REPLICAS) < x_model.R[x, nx]
+        nw = _draw_step(w_model, w, rng.random(_EMBEDDED_REPLICAS))
         hit = np.flatnonzero(y1)
         if hit.size:
             prev = last_w[hit]

@@ -556,6 +556,111 @@ def reference_compound_two_sums(x_model, w_model, gX, gW, m, tol=1e-10):
     return alg.SeriesValue(total, bound)
 
 
+def reference_enumerated_block_moments(model, g, orders, start="nu", depth=60):
+    """enumerated_block_moments by exhaustive enumeration: walks the
+    distribution of (current state, occupation-count vector) under H,
+    closing blocks with probability s(x) at each step.  Its cost grows
+    exponentially with depth."""
+    g = np.asarray(g, dtype=float)
+    orders = tuple(orders)
+    d = model.d
+    H = model.H
+    s = model.s
+    init = model.nu if start == "nu" else np.eye(d)[start]
+
+    dist = {}
+    for y in range(d):
+        if init[y] > 0.0:
+            counts = [0] * d
+            counts[y] = 1
+            dist[(y, tuple(counts))] = float(init[y])
+
+    totals = dict.fromkeys(orders, 0.0)
+    for _t in range(depth + 1):
+        nxt = {}
+        for (y, counts), prob in dist.items():
+            if s[y] > 0.0:
+                block_sum = sum(c * gv for c, gv in zip(counts, g))
+                w = prob * s[y]
+                for m in orders:
+                    totals[m] += w * block_sum ** m
+            row = H[y]
+            for y2 in range(d):
+                p = prob * row[y2]
+                if p > 0.0:
+                    c2 = counts[:y2] + (counts[y2] + 1,) + counts[y2 + 1:]
+                    key = (y2, c2)
+                    nxt[key] = nxt.get(key, 0.0) + p
+        dist = nxt
+        if not dist:
+            return {m: alg.SeriesValue(totals[m], 0.0) for m in orders}
+
+    alive = np.zeros(d)
+    for (y, _counts), prob in dist.items():
+        alive[y] += prob
+    gmax = float(np.abs(g).max())
+    tails = dict.fromkeys(orders, 0.0)
+    t = depth + 1
+    for _ in range(100_000):
+        mass = float(alive.sum())
+        done = True
+        for m in orders:
+            term = mass * ((t + 1) * gmax) ** m
+            tails[m] += term
+            done = done and term < 1e-300
+        if done or mass < 1e-300:
+            return {m: alg.SeriesValue(totals[m], tails[m]) for m in orders}
+        alive = alive @ H
+        t += 1
+    return {m: alg.SeriesValue(totals[m], math.inf) for m in orders}
+
+
+def reference_weighted_block_moment(model, a, g, m, start="nu"):
+    """weighted_block_moment (value, tail bound) through the (L+1) x (L+1)
+    matrix M[j, l] = E[g(X_j) g(X_{j+l}); alive at j + l] and a loop over the
+    cross pairs; the tail bound is not checked against a tolerance."""
+    a = np.asarray(a, dtype=float)
+    g = np.asarray(g, dtype=float)
+    L = len(a) - 1
+    a_sup = float(np.abs(a).max())
+    gmax = float(np.abs(g).max())
+    H = model.H
+    u = model.nu if start == "nu" else np.eye(model.d)[start]
+    rows = np.empty((L + 1, model.d))
+    for j in range(L + 1):
+        rows[j] = u
+        u = u @ H
+    G1 = model.G.sum(axis=1)
+    mass_tail = float(u @ G1)
+    if m == 1:
+        return alg.SeriesValue(float(a @ (rows @ g)), a_sup * gmax * mass_tail)
+    cols = np.empty((L + 1, model.d))
+    v = g.copy()
+    for l in range(L + 1):
+        cols[l] = v
+        v = H @ v
+    M = rows @ (cols * g).T
+    diag = float((a * a) @ M[:, 0])
+    cross = 0.0
+    for j in range(L + 1):
+        lmax = L - j
+        if lmax >= 1:
+            cross += float((a[j] * a[j + 1:j + 1 + lmax]) @ M[j, 1:lmax + 1])
+    k_weighted = float(u @ ((L + 1) * G1 + H @ (model.G @ G1)))
+    return alg.SeriesValue(diag + 2.0 * cross,
+                           a_sup ** 2 * gmax ** 2 * (mass_tail + 2.0 * k_weighted))
+
+
+def reference_gap_coefficients(model, count):
+    """regeneration_gap_coefficients one nu H^(l-1) s per step."""
+    u = model.nu
+    out = np.empty(count)
+    for l in range(count):
+        out[l] = float(u @ model.s)
+        u = u @ model.H
+    return out
+
+
 def tail_test_chains():
     """Seeded chains with d = 2..8 and one with d = 50."""
     rng = np.random.default_rng(2024)
@@ -662,6 +767,81 @@ class TestTailsThroughG:
             tracemalloc.stop()
         assert math.isfinite(res.value) and res.tail_bound <= 1e-10
         assert peak < 16 * 2 ** 20
+
+
+class TestForwardMoments:
+    """The one forward recursion behind the enumeration oracle, the weighted
+    moment and the gap law, against the exhaustive enumeration, the closed
+    forms and the code it replaced."""
+
+    def test_matches_exhaustive_enumeration(self):
+        rng = np.random.default_rng(19)
+        for d in (2, 3, 4, 4):
+            model = random_model(rng, d=d)
+            g = rng.uniform(-1.0, 1.0, size=d)
+            depth = 20 if d <= 3 else 14
+            for start in ("nu", d - 1):
+                got = alg.enumerated_block_moments(model, g, range(1, 7), start, depth)
+                ref = reference_enumerated_block_moments(model, g, range(1, 7), start, depth)
+                scale = reference_enumerated_block_moments(model, np.abs(g), range(1, 7),
+                                                           start, depth)
+                for m in range(1, 7):
+                    assert abs(got[m].value - ref[m].value) <= 1e-12 * scale[m].value
+                    assert got[m].tail_bound == pytest.approx(ref[m].tail_bound, rel=1e-12)
+
+    def test_matches_block_moment_once_the_tails_vanish(self):
+        rng = np.random.default_rng(12)
+        for model in tail_test_chains():
+            g = rng.uniform(-1.0, 1.0, size=model.d)
+            depth = 250
+            while True:
+                got = alg.enumerated_block_moments(model, g, range(1, 7), depth=depth)
+                if max(v.tail_bound for v in got.values()) < 1e-12:
+                    break
+                depth *= 2
+            for m in range(1, 7):
+                exact = alg.block_moment(model, alg.BlockMomentRequest(g=g, m=m))
+                scale = alg.block_moment(model, alg.BlockMomentRequest(g=np.abs(g), m=m))
+                assert abs(got[m].value - exact) <= 1e-12 * scale + got[m].tail_bound
+
+    def test_weighted_matches_the_square_contraction(self):
+        rng = np.random.default_rng(13)
+        for model in tail_test_chains():
+            g = rng.normal(size=model.d)
+            for length in (1, 6, 25, 300):
+                a = rng.uniform(0.2, 1.0, size=length)
+                a[rng.random(length) < 0.3] = 0.0
+                for m in (1, 2):
+                    for start in ("nu", model.d - 1):
+                        got = alg.weighted_block_moment(model, a, g, m, tol=math.inf,
+                                                        start=start)
+                        ref = reference_weighted_block_moment(model, a, g, m, start)
+                        scale = reference_weighted_block_moment(model, np.abs(a), np.abs(g),
+                                                                m, start)
+                        assert abs(got.value - ref.value) <= 1e-12 * scale.value
+                        assert got.tail_bound == pytest.approx(ref.tail_bound, rel=1e-12)
+
+    def test_weighted_memory_does_not_grow_with_the_square_of_L(self):
+        import tracemalloc
+
+        # At L = 5000 an (L+1) x (L+1) matrix alone takes 200 MB.
+        model = near_singular_two_state(1e-2)
+        model.G  # build the cached quantities outside the trace
+        a = 1.0 / np.sqrt(1.0 + np.arange(5001))
+        tracemalloc.start()
+        try:
+            res = alg.weighted_block_moment(model, a, [1.0, -0.5], 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(res.value) and res.tail_bound <= 1e-10
+        assert peak < 8 * 2 ** 20
+
+    def test_gap_coefficients_match_the_stepped_loop(self):
+        for model in tail_test_chains() + [near_singular_two_state()]:
+            got = alg.regeneration_gap_coefficients(model, 300)
+            assert np.abs(got - reference_gap_coefficients(model, 300)).max() <= 1e-15
+        assert alg.regeneration_gap_coefficients(near_singular_two_state(), 0).shape == (0,)
 
 
 class TestDoubledSeries:

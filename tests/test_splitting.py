@@ -262,6 +262,20 @@ class TestOccupation:
         assert sp.occupation_count(traj, [0, 1]) == 1000
         assert sp.occupation_count(traj, []) == 0
 
+    def test_members_are_labels_first_then_indices(self):
+        # 0 and 1 are both labels and indices here; as labels they mean the
+        # states at indices 1 and 2.  2 is no label, so it is an index.
+        model = alg.FiniteMarkovModel(states=(5, 0, 1),
+                                      P=[[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]],
+                                      s=[0.4, 0.4, 0.4], nu=[0.3, 0.3, 0.4])
+        traj = sp.simulate_split(model, 2999, seed=5)
+        visits = np.bincount(traj.x, minlength=3)
+        assert sp.occupation_count(traj, [0]) == visits[1]
+        assert sp.occupation_count(traj, [5]) == visits[0]
+        assert sp.occupation_count(traj, [0, 1]) == visits[1] + visits[2]
+        assert sp.occupation_count(traj, [2]) == visits[2]
+        assert sp.occupation_count(traj, [5, 0, 1]) == 3000
+
     def test_continuous_interval(self):
         spec = ProcessSpec(family="INDEP", f=linear())
         traj = sp.simulate_split(spec, 10_000, seed=2)
