@@ -14,7 +14,6 @@ from .algebra import (
     compound_block_moment,
     embedded_transition,
     fundamental_kernel,
-    fundamental_kernel_series,
     generalized_autocov,
     invariant_measure,
     sigma2_from_series,
@@ -31,7 +30,6 @@ from .estimator import (
     local_bandwidth,
     modal_value,
     nw_estimate,
-    studentized,
 )
 from .montecarlo import (
     CltExperimentResult,

@@ -19,6 +19,13 @@ expand over compositions alpha of m into r positive parts,
     E_x U0^m = sum_r sum_alpha  m!/(alpha_1! ... alpha_r!)
                [G I_{g^a1} H] [G I_{g^a2} H] ... G I_{g^ar} 1 (x).
 
+Splitting off the first part sums that expansion exactly, without
+enumerating compositions: with K = H G,
+
+    u_k = g^k + sum_{j<k} C(k, j) g^(k-j) (K u_j),   E_x U0^m = (G u_m)(x),
+
+and the compound block moments run the same recursion on a product grid.
+
 These exact values are the ground-truth oracle against which the split-chain
 simulation in :mod:`nullrec.splitting` is checked, and vice versa.
 
@@ -31,12 +38,11 @@ worst builds the same value twice, and no published array is ever written.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -292,25 +298,6 @@ def fundamental_kernel(H) -> KernelMatrix:
     return KernelMatrix(G, FUNDAMENTAL)
 
 
-def fundamental_kernel_series(H, tol: float = 1e-10, max_terms: int = 1_000_000) -> KernelMatrix:
-    """G by truncated power series, stopped when the sup-norm increment < tol.
-
-    Kept as an independent cross-check of :func:`fundamental_kernel`."""
-    Hm = _as_matrix(H)
-    d = Hm.shape[0]
-    term = np.eye(d)
-    G = np.eye(d)
-    for _ in range(max_terms):
-        term = term @ Hm
-        G += term
-        sup = np.abs(term).max()
-        if sup < tol:
-            return KernelMatrix(G, FUNDAMENTAL, tail_bound=sup)
-        if not np.isfinite(sup) or sup > 1e12:
-            break
-    raise SeriesDiverges("power series for G did not converge")
-
-
 def invariant_measure(model: FiniteMarkovModel) -> InvariantMeasure:
     """pi = nu G; satisfies pi P = pi and pi . s = 1."""
     return InvariantMeasure(model.pi)
@@ -332,45 +319,35 @@ def block_mean_variance(model: FiniteMarkovModel, g) -> tuple[float, float]:
     return mu, max(sigma2, 0.0)
 
 
-def _compositions(m: int, r: int):
-    """All tuples of r strictly positive integers summing to m."""
-    for cuts in itertools.combinations(range(1, m), r - 1):
-        bounds = (0,) + cuts + (m,)
-        yield tuple(bounds[k + 1] - bounds[k] for k in range(r))
-
-
-def _multinomial(m: int, alpha: Sequence[int]) -> int:
-    c = math.factorial(m)
-    for a in alpha:
-        c //= math.factorial(a)
-    return c
+def _binomial_moments(g, K, m: int):
+    """u_m of the first-part recursion u_k = g^k + sum_{j=1}^{k-1} C(k, j)
+    g^(k-j) (K u_j), with powers and products elementwise and K a linear map
+    applied once to each of u_1..u_(m-1).  Its terms are those of the
+    composition sum sum_alpha m!/alpha! g^a1 K g^a2 ... K g^ar, grouped by
+    the first part a1 = k - j."""
+    Ku = [None]
+    for k in range(1, m + 1):
+        u = g ** k
+        for j in range(1, k):
+            u = u + math.comb(k, j) * g ** (k - j) * Ku[j]
+        if k < m:
+            Ku.append(K(u))
+    return u
 
 
 def block_moment(model: FiniteMarkovModel, request: BlockMomentRequest) -> float:
-    """E U0^m of the block sum of g, exactly, as the finite sum over
-    compositions of m with inner geometric sums closed by G (no truncation).
-
-    start='nu' gives the common law of the i.i.d. blocks; an integer start
-    conditions on X_0 = that state."""
+    """E U0^m of the block sum of g, exactly (no truncation):
+    :func:`_binomial_moments` with K u = H (G u), closed by pi for start='nu'
+    (the common law of the i.i.d. blocks) and by G for an integer start
+    (conditioned on X_0 = that state)."""
     g = request.g
     if g.shape != (model.d,):
         raise ValueError(f"g must have length {model.d}, got shape {g.shape}")
-    G = model.G
-    HG = model.H @ G
-    total = 0.0
-    for r in range(1, request.m + 1):
-        for alpha in _compositions(request.m, r):
-            v = g ** alpha[-1]
-            for i in range(r - 2, -1, -1):
-                v = HG @ v
-                v = (g ** alpha[i]) * v
-            psi = G @ v
-            coef = _multinomial(request.m, alpha)
-            if request.start == "nu":
-                total += coef * float(model.nu @ psi)
-            else:
-                total += coef * float(psi[request.start])
-    return total
+    G, H = model.G, model.H
+    u = _binomial_moments(g, lambda v: H @ (G @ v), request.m)
+    if request.start == "nu":
+        return float(model.pi @ u)
+    return float(G[request.start] @ u)
 
 
 def _forward_moments(model: FiniteMarkovModel, g, a, start: int | str, top: int) -> np.ndarray:
@@ -601,63 +578,54 @@ def compound_block_moment(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel
             {pi1 I_{gX^a1} H1^{j2} ... H1^{jr} gX^ar}
           x {pi2 I_{gW^a1} P2^{j2} ... P2^{jr} gW^ar}
 
-    For m = 1 this factorizes exactly as {pi1 gX} {pi2 gW} (no series).  For
-    m = 2, 3 every j runs to L, and the sums over j are contracted as d1 x d2
-    matrices C_b = sum_{j=1..L} H1^j outer(gX^b, gW^b) (P2^j)^T, doubled
-    (:func:`_doubling_sum`); the r = 3 term is the same sum with
-    outer(gX, gW) * C_1 in place of the outer product, doubled with the
-    powers of H1 and P2 the first sum formed.  P2 is stochastic, so the
-    omitted steps j > L are bounded through the X side, by
-    max_i (H1^(L+1) G 1)_i; L is the first power of two from 8 on at which
-    the bound is below tol."""
+    That is pi1 u_m pi2 for the recursion of :func:`_binomial_moments` on
+    d1 x d2 matrices, with g = outer(gX, gW) and
+    K U = sum_{j>=1} H1^j U (P2^j)^T.  For m = 1 it is {pi1 gX} {pi2 gW}
+    (no series).  For m = 2, 3 every K runs j to L, doubled
+    (:func:`_doubling_sum`); the first K forms the powers of H1 and P2, and
+    the second replays them.  P2 is stochastic, so the omitted steps j > L
+    are bounded through the X side, by scale * max_i (H1^(L+1) G 1)_i;
+    L is the first power of two from 8 on at which the bound is below tol."""
     if m > 3:
         raise OrderTooLarge(m, 3)
     if m < 1:
         raise ValueError("m must be >= 1")
     gX = np.asarray(gX, dtype=float)
     gW = np.asarray(gW, dtype=float)
-    pi1 = x_model.pi
-    pi2 = w_model.pi
-    if m == 1:
-        return SeriesValue(float(pi1 @ gX) * float(pi2 @ gW), 0.0)
-
     H1 = x_model.H
     P2 = w_model.P
     G1 = x_model.G.sum(axis=1)
-    Xmax = float(np.abs(gX).max())
-    Wmax = float(np.abs(gW).max())
-    sup_1 = float((H1 @ G1).max())
-    # bound(L) = scale * sup_{L+1}: r = 2 terms omit j > L; r = 3 terms omit
-    # the pairs with j2 > L or j3 > L, the other index summing to <= sup_1.
-    scale = 0.0
-    for r in range(2, m + 1):
-        for alpha in _compositions(m, r):
-            a = alpha[0]
-            c = (_multinomial(m, alpha) * float(pi1 @ np.abs(gX) ** a) * Xmax ** (m - a)
-                 * float(pi2 @ np.abs(gW) ** a) * Wmax ** (m - a))
-            scale += c if r == 2 else 2.0 * c * sup_1
+    sup_1 = float((H1 @ G1).max())  # bounds the X side of K over all j >= 1
+    # With M = max |g|, B_k bounds |u_k| and E_k sup_(L+1) the error of the
+    # truncated u_k, so the omitted mass of pi1 u_m pi2 is scale sup_(L+1).
+    M = float(np.abs(gX).max()) * float(np.abs(gW).max())
+    B, E = [None, M], [None, 0.0]
+    for k in range(2, m):
+        B.append(M ** k + sup_1 * sum(math.comb(k, j) * M ** (k - j) * B[j] for j in range(1, k)))
+        E.append(sum(math.comb(k, j) * M ** (k - j) * (B[j] + sup_1 * E[j]) for j in range(1, k)))
+    scale = sum(math.comb(m, j) * float(x_model.pi @ np.abs(gX) ** (m - j))
+                * float(w_model.pi @ np.abs(gW) ** (m - j)) * (B[j] + sup_1 * E[j])
+                for j in range(1, m))
 
     def tail(n, H1n):
         return scale * float((H1 @ (H1n @ G1)).max()) if n >= 8 else math.inf
-    # sum_{j=1..L} H1^j Q (P2^j)^T = sum_{j<L} H1^j (H1 Q P2^T) (P2^j)^T
-    stack = np.stack([np.outer(H1 @ gX ** b, P2 @ gW ** b) for b in range(1, m)], axis=1)
-    powers = [] if m == 3 else None  # the r = 3 sum has the same tail, so the same n
-    C, bound = _doubling_sum(H1, stack, P2.T, tail, tol, powers)
-    total = 0.0
-    for r in range(1, m + 1):
-        for alpha in _compositions(m, r):
-            a = alpha[0]
-            if r == 1:
-                term = float(pi1 @ gX ** a) * float(pi2 @ gW ** a)
-            elif r == 2:
-                term = float((pi1 * gX ** a) @ C[:, alpha[1] - 1] @ (pi2 * gW ** a))
-            else:
-                D = H1 @ (np.outer(gX, gW) * C[:, 0]) @ P2.T
-                for H1n, P2n in powers:
-                    D = _double(D, H1n, P2n)
-                term = float((pi1 * gX) @ D @ (pi2 * gW))
-            total += _multinomial(m, alpha) * term
-    return SeriesValue(total, bound)
+
+    powers = []
+    bound = 0.0
+
+    def K(U):
+        # sum_{j=1..L} H1^j U (P2^j)^T = sum_{j<L} H1^j (H1 U P2^T) (P2^j)^T
+        nonlocal bound
+        S = H1 @ U @ P2.T
+        if powers:  # L >= 8: the first K recorded at least three doublings
+            for H1n, P2n in powers:
+                S = _double(S, H1n, P2n)
+            return S
+        S, bound = _doubling_sum(H1, S, P2.T, tail, tol, powers)
+        return S
+
+    u = _binomial_moments(np.outer(gX, gW), K, m)
+    return SeriesValue(float(x_model.pi @ u @ w_model.pi), bound)
 
 
 # --- chain file interface ----------------------------------------------------

@@ -47,29 +47,6 @@ from .montecarlo import (
 from .processes import generate, load_spec
 from .splitting import simulate_split, write_trajectory_csv
 
-_EXIT_CODES = {
-    err.ConfigParse: 2,
-    err.IoFailure: 3,
-    err.NotStochastic: 4,
-    err.MinorizationViolated: 4,
-    err.NotIrreducible: 4,
-    err.InvalidSpec: 4,
-    err.InvalidHalfwidth: 4,
-    err.UnknownProcessFamily: 4,
-    err.WrongFamily: 4,
-    err.SeriesDiverges: 5,
-    err.TruncationInsufficient: 5,
-    err.CoefficientMassDeficit: 5,
-    err.OrderTooLarge: 5,
-    err.NegativeVariance: 5,
-    err.EmptyNeighborhood: 6,
-    err.EmptyOccupation: 6,
-    err.AllNeighborhoodsEmpty: 6,
-    err.TooFewValues: 6,
-    err.AllRejected: 7,
-    err.IncomparableProtocols: 7,
-}
-
 
 def _load_json(path) -> dict:
     try:
@@ -358,7 +335,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except err.NullrecError as exc:
-        code = _EXIT_CODES.get(type(exc), 1)
+        code = exc.exit_code
         line = json.dumps({"error": type(exc).__name__, "message": str(exc),
                            "exit_code": code})
         print(line, file=sys.stderr)

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the toolkit.
 
-Every condition that a caller can act on gets its own class; the CLI maps
-them onto distinct exit codes.
+Every condition that a caller can act on gets its own class.  Each class
+carries the CLI's exit code for it, set once per category base.
 """
 
 from __future__ import annotations
@@ -10,17 +10,43 @@ from __future__ import annotations
 class NullrecError(Exception):
     """Base class for all toolkit errors."""
 
+    exit_code = 1
+
+
+class ValidationError(NullrecError):
+    """A model, spec or argument is invalid."""
+
+    exit_code = 4
+
+
+class NumericError(NullrecError):
+    """A series diverges, is truncated too early, or gives an impossible value."""
+
+    exit_code = 5
+
+
+class EmptyDataError(NullrecError):
+    """There is no data to estimate or summarize from."""
+
+    exit_code = 6
+
+
+class ExperimentError(NullrecError):
+    """An experiment as a whole is rejected."""
+
+    exit_code = 7
+
 
 # --- finite-chain model validation -----------------------------------------
 
-class NotStochastic(NullrecError):
+class NotStochastic(ValidationError):
     def __init__(self, row: int, row_sum: float):
         self.row = row
         self.row_sum = row_sum
         super().__init__(f"row {row} of P is not a probability vector (sum={row_sum!r})")
 
 
-class MinorizationViolated(NullrecError):
+class MinorizationViolated(ValidationError):
     def __init__(self, i: int, j: int, deficit: float):
         self.i = i
         self.j = j
@@ -30,7 +56,7 @@ class MinorizationViolated(NullrecError):
         )
 
 
-class NotIrreducible(NullrecError):
+class NotIrreducible(ValidationError):
     def __init__(self, components: list[list[int]]):
         self.components = components
         super().__init__(f"transition graph splits into {len(components)} strongly "
@@ -39,25 +65,25 @@ class NotIrreducible(NullrecError):
 
 # --- regeneration algebra ----------------------------------------------------
 
-class SeriesDiverges(NullrecError):
+class SeriesDiverges(NumericError):
     """The taboo-kernel Neumann series does not converge (no regeneration mass)."""
 
 
-class OrderTooLarge(NullrecError):
+class OrderTooLarge(NumericError):
     def __init__(self, m: int, cap: int):
         self.m = m
         self.cap = cap
         super().__init__(f"moment order {m} exceeds the supported cap {cap}")
 
 
-class TruncationInsufficient(NullrecError):
+class TruncationInsufficient(NumericError):
     def __init__(self, tail_bound: float, tol: float):
         self.tail_bound = tail_bound
         self.tol = tol
         super().__init__(f"series tail bound {tail_bound:.3e} exceeds tolerance {tol:.3e}")
 
 
-class CoefficientMassDeficit(NullrecError):
+class CoefficientMassDeficit(NumericError):
     def __init__(self, mass: float, tol: float):
         self.mass = mass
         self.tol = tol
@@ -67,7 +93,7 @@ class CoefficientMassDeficit(NullrecError):
         )
 
 
-class NegativeVariance(NullrecError):
+class NegativeVariance(NumericError):
     def __init__(self, value: float):
         self.value = value
         super().__init__(f"computed block variance {value!r} is negative beyond "
@@ -76,55 +102,55 @@ class NegativeVariance(NullrecError):
 
 # --- simulation and process specs -------------------------------------------
 
-class InvalidHalfwidth(NullrecError):
+class InvalidHalfwidth(ValidationError):
     pass
 
 
-class UnknownProcessFamily(NullrecError):
+class UnknownProcessFamily(ValidationError):
     pass
 
 
-class InvalidSpec(NullrecError):
+class InvalidSpec(ValidationError):
     pass
 
 
-class WrongFamily(NullrecError):
+class WrongFamily(ValidationError):
     pass
 
 
 # --- estimation ---------------------------------------------------------------
 
-class EmptyNeighborhood(NullrecError):
+class EmptyNeighborhood(EmptyDataError):
     """No observation carries positive kernel weight at the evaluation point."""
 
 
-class EmptyOccupation(NullrecError):
+class EmptyOccupation(EmptyDataError):
     """The occupation count of the reference set is zero."""
 
 
-class AllNeighborhoodsEmpty(NullrecError):
+class AllNeighborhoodsEmpty(EmptyDataError):
     pass
 
 
 # --- experiments ----------------------------------------------------------------
 
-class TooFewValues(NullrecError):
+class TooFewValues(EmptyDataError):
     pass
 
 
-class AllRejected(NullrecError):
+class AllRejected(ExperimentError):
     pass
 
 
-class IncomparableProtocols(NullrecError):
+class IncomparableProtocols(ExperimentError):
     pass
 
 
 # --- CLI -------------------------------------------------------------------------
 
 class ConfigParse(NullrecError):
-    pass
+    exit_code = 2
 
 
 class IoFailure(NullrecError):
-    pass
+    exit_code = 3

@@ -18,6 +18,7 @@ import nullrec.montecarlo as mc
 import nullrec.processes as pr
 import nullrec.splitting as sp
 from tests.conftest import random_model
+from tests.test_algebra import fundamental_kernel_series
 
 TWO_STATE = alg.FiniteMarkovModel(states=(0, 1), P=[[0.5, 0.5], [0.5, 0.5]],
                                   s=[0.5, 0.5], nu=[0.5, 0.5])
@@ -68,7 +69,7 @@ def test_criterion_2_dual_oracle_algebra():
         model = random_model(rng, d=int(rng.integers(2, 6)))
         H = alg.taboo_kernel(model)
         solve = alg.fundamental_kernel(H).entries
-        series = alg.fundamental_kernel_series(H, tol=1e-13).entries
+        series = fundamental_kernel_series(H, tol=1e-13).entries
         worst_kernel = max(worst_kernel, float(np.abs(solve - series).max()))
 
         g = rng.uniform(-1.0, 1.0, size=model.d)

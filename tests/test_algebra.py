@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 
@@ -28,6 +29,24 @@ def geometric_binomial_moment(m, k_max=300):
                      for u in range(length + 1))
         total += p_len * e_cond
     return total
+
+
+def fundamental_kernel_series(H, tol=1e-10, max_terms=1_000_000):
+    """The slow reference for alg.fundamental_kernel: G by the truncated power
+    series sum_l H^l, stopped when the sup-norm increment is below tol."""
+    Hm = alg._as_matrix(H)
+    d = Hm.shape[0]
+    term = np.eye(d)
+    G = np.eye(d)
+    for _ in range(max_terms):
+        term = term @ Hm
+        G += term
+        sup = np.abs(term).max()
+        if sup < tol:
+            return alg.KernelMatrix(G, alg.FUNDAMENTAL, tail_bound=sup)
+        if not np.isfinite(sup) or sup > 1e12:
+            break
+    raise SeriesDiverges("power series for G did not converge")
 
 
 class TestValidation:
@@ -91,7 +110,7 @@ class TestFundamentalKernel:
             model = random_model(rng, d=4)
             H = alg.taboo_kernel(model)
             solve = alg.fundamental_kernel(H).entries
-            series = alg.fundamental_kernel_series(H, tol=1e-13).entries
+            series = fundamental_kernel_series(H, tol=1e-13).entries
             assert np.abs(solve - series).max() < 1e-10
 
     def test_neumann_identity(self):
@@ -109,7 +128,7 @@ class TestFundamentalKernel:
         with pytest.raises(SeriesDiverges):
             alg.fundamental_kernel(alg.taboo_kernel(model))
         with pytest.raises(SeriesDiverges):
-            alg.fundamental_kernel_series(alg.taboo_kernel(model), max_terms=2000)
+            fundamental_kernel_series(alg.taboo_kernel(model), max_terms=2000)
 
     @pytest.mark.parametrize("eps, accepted", [(1e-4, True), (1e-8, True), (1e-12, False),
                                                (1e-15, False), (0.0, False)])
@@ -416,6 +435,20 @@ def reference_taboo_sup_decay(H, floor=1e-250, cap=500_000):
     raise TruncationInsufficient(base[-1], floor)
 
 
+def compositions(m, r):
+    """All tuples of r strictly positive integers summing to m."""
+    for cuts in itertools.combinations(range(1, m), r - 1):
+        bounds = (0,) + cuts + (m,)
+        yield tuple(bounds[k + 1] - bounds[k] for k in range(r))
+
+
+def multinomial(m, alpha):
+    c = math.factorial(m)
+    for a in alpha:
+        c //= math.factorial(a)
+    return c
+
+
 def reference_compound(x_model, w_model, gX, gW, m, tol=1e-10, L=None):
     """(value, tail bound, L) of compound_block_moment for m in {2, 3} with the
     tail bound sum_{k>=j} max_i (H1^k 1)_i and the inner sums contracted as
@@ -430,9 +463,9 @@ def reference_compound(x_model, w_model, gX, gW, m, tol=1e-10, L=None):
     def tail_bound(L):
         bound = 0.0
         for r in range(2, m + 1):
-            for alpha in alg._compositions(m, r):
+            for alpha in compositions(m, r):
                 a = alpha[0]
-                c = (alg._multinomial(m, alpha) * float(pi1 @ np.abs(gX) ** a)
+                c = (multinomial(m, alpha) * float(pi1 @ np.abs(gX) ** a)
                      * Xmax ** (m - a) * float(pi2 @ np.abs(gW) ** a) * Wmax ** (m - a))
                 out = float(tails[min(L + 1, len(tails) - 1)])
                 bound += c * (out if r == 2 else 2.0 * out * float(tails[1]))
@@ -444,8 +477,8 @@ def reference_compound(x_model, w_model, gX, gW, m, tol=1e-10, L=None):
             L *= 2
     total = 0.0
     for r in range(1, m + 1):
-        for alpha in alg._compositions(m, r):
-            coef = alg._multinomial(m, alpha)
+        for alpha in compositions(m, r):
+            coef = multinomial(m, alpha)
             if r == 1:
                 total += coef * float(pi1 @ gX ** alpha[0]) * float(pi2 @ gW ** alpha[0])
             elif r == 2:
@@ -530,9 +563,9 @@ def reference_compound_two_sums(x_model, w_model, gX, gW, m, tol=1e-10):
     sup_1 = float((H1 @ G1).max())
     scale = 0.0
     for r in range(2, m + 1):
-        for alpha in alg._compositions(m, r):
+        for alpha in compositions(m, r):
             a = alpha[0]
-            c = (alg._multinomial(m, alpha) * float(pi1 @ np.abs(gX) ** a) * Xmax ** (m - a)
+            c = (multinomial(m, alpha) * float(pi1 @ np.abs(gX) ** a) * Xmax ** (m - a)
                  * float(pi2 @ np.abs(gW) ** a) * Wmax ** (m - a))
             scale += c if r == 2 else 2.0 * c * sup_1
 
@@ -542,7 +575,7 @@ def reference_compound_two_sums(x_model, w_model, gX, gW, m, tol=1e-10):
     C, bound = alg._doubling_sum(H1, stack, P2.T, tail, tol)
     total = 0.0
     for r in range(1, m + 1):
-        for alpha in alg._compositions(m, r):
+        for alpha in compositions(m, r):
             a = alpha[0]
             if r == 1:
                 term = float(pi1 @ gX ** a) * float(pi2 @ gW ** a)
@@ -552,8 +585,39 @@ def reference_compound_two_sums(x_model, w_model, gX, gW, m, tol=1e-10):
                 D, _ = alg._doubling_sum(H1, H1 @ (np.outer(gX, gW) * C[:, 0]) @ P2.T, P2.T,
                                          tail, tol)
                 term = float((pi1 * gX) @ D @ (pi2 * gW))
-            total += alg._multinomial(m, alpha) * term
+            total += multinomial(m, alpha) * term
     return alg.SeriesValue(total, bound)
+
+
+def reference_compound_recursion(x_model, w_model, gX, gW, m, tol=1e-10):
+    """compound_block_moment with every K a fresh _doubling_sum call, which
+    forms again every power of H1 and P2^T that the first call formed."""
+    gX = np.asarray(gX, dtype=float)
+    gW = np.asarray(gW, dtype=float)
+    H1, P2 = x_model.H, w_model.P
+    G1 = x_model.G.sum(axis=1)
+    sup_1 = float((H1 @ G1).max())
+    M = float(np.abs(gX).max()) * float(np.abs(gW).max())
+    B, E = [None, M], [None, 0.0]
+    for k in range(2, m):
+        B.append(M ** k + sup_1 * sum(math.comb(k, j) * M ** (k - j) * B[j] for j in range(1, k)))
+        E.append(sum(math.comb(k, j) * M ** (k - j) * (B[j] + sup_1 * E[j]) for j in range(1, k)))
+    scale = sum(math.comb(m, j) * float(x_model.pi @ np.abs(gX) ** (m - j))
+                * float(w_model.pi @ np.abs(gW) ** (m - j)) * (B[j] + sup_1 * E[j])
+                for j in range(1, m))
+
+    def tail(n, H1n):
+        return scale * float((H1 @ (H1n @ G1)).max()) if n >= 8 else math.inf
+
+    bounds = [0.0]
+
+    def K(U):
+        S, bound = alg._doubling_sum(H1, H1 @ U @ P2.T, P2.T, tail, tol)
+        bounds.append(bound)
+        return S
+
+    u = alg._binomial_moments(np.outer(gX, gW), K, m)
+    return alg.SeriesValue(float(x_model.pi @ u @ w_model.pi), bounds[-1])
 
 
 def reference_enumerated_block_moments(model, g, orders, start="nu", depth=60):
@@ -793,16 +857,17 @@ class TestForwardMoments:
         rng = np.random.default_rng(12)
         for model in tail_test_chains():
             g = rng.uniform(-1.0, 1.0, size=model.d)
-            depth = 250
-            while True:
-                got = alg.enumerated_block_moments(model, g, range(1, 7), depth=depth)
-                if max(v.tail_bound for v in got.values()) < 1e-12:
-                    break
-                depth *= 2
-            for m in range(1, 7):
-                exact = alg.block_moment(model, alg.BlockMomentRequest(g=g, m=m))
-                scale = alg.block_moment(model, alg.BlockMomentRequest(g=np.abs(g), m=m))
-                assert abs(got[m].value - exact) <= 1e-12 * scale + got[m].tail_bound
+            for start in ("nu", *range(model.d)):
+                depth = 250
+                while True:
+                    got = alg.enumerated_block_moments(model, g, range(1, 7), start, depth)
+                    if max(v.tail_bound for v in got.values()) < 1e-12:
+                        break
+                    depth *= 2
+                for m in range(1, 7):
+                    exact = alg.block_moment(model, alg.BlockMomentRequest(g, m, start))
+                    scale = alg.block_moment(model, alg.BlockMomentRequest(np.abs(g), m, start))
+                    assert abs(got[m].value - exact) <= 1e-12 * scale + got[m].tail_bound
 
     def test_weighted_matches_the_square_contraction(self):
         rng = np.random.default_rng(13)
@@ -896,7 +961,10 @@ class TestDoubledSeries:
             for wm, gW in ((w_model, np.array([1.0, -0.5, 2.0])), (x_model, gX)):
                 for m in (2, 3):
                     got = alg.compound_block_moment(x_model, wm, gX, gW, m)
-                    assert got == reference_compound_two_sums(x_model, wm, gX, gW, m)
+                    assert got == reference_compound_recursion(x_model, wm, gX, gW, m)
+                    old = reference_compound_two_sums(x_model, wm, gX, gW, m)
+                    assert got.value == pytest.approx(old.value, rel=1e-12, abs=0.0)
+                    assert got.tail_bound == pytest.approx(old.tail_bound, rel=1e-12, abs=0.0)
 
     def test_series_that_never_meet_tol_stop_after_53_doublings(self):
         import time

@@ -86,6 +86,46 @@ class TestSimulate:
                      "--out", str(tmp_path / "x")]) == 4
 
 
+EXIT_CODES = {
+    "NullrecError": 1, "ConfigParse": 2, "IoFailure": 3,
+    "ValidationError": 4, "NotStochastic": 4, "MinorizationViolated": 4, "NotIrreducible": 4,
+    "InvalidSpec": 4, "InvalidHalfwidth": 4, "UnknownProcessFamily": 4, "WrongFamily": 4,
+    "NumericError": 5, "SeriesDiverges": 5, "TruncationInsufficient": 5,
+    "CoefficientMassDeficit": 5, "OrderTooLarge": 5, "NegativeVariance": 5,
+    "EmptyDataError": 6, "EmptyNeighborhood": 6, "EmptyOccupation": 6,
+    "AllNeighborhoodsEmpty": 6, "TooFewValues": 6,
+    "ExperimentError": 7, "AllRejected": 7, "IncomparableProtocols": 7,
+}
+
+
+def _error_classes(cls):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
+
+
+def test_every_error_class_has_a_pinned_exit_code():
+    from nullrec.errors import NullrecError
+    assert sorted(c.__name__ for c in _error_classes(NullrecError)) == sorted(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", EXIT_CODES)
+def test_error_exit_code(name, chain_path, monkeypatch, capsys):
+    import nullrec.cli as cli
+    import nullrec.errors as errors
+
+    cls = getattr(errors, name)
+    assert cls.exit_code == EXIT_CODES[name]
+
+    def fail(_args):
+        exc = cls.__new__(cls)
+        Exception.__init__(exc, "injected")
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_autocov", fail)
+    assert cli.main(["autocov", "--chain", str(chain_path), "--g", "1,-1"]) == EXIT_CODES[name]
+    report = json.loads(capsys.readouterr().err.strip())
+    assert report == {"error": name, "message": "injected", "exit_code": EXIT_CODES[name]}
+
+
 GOOD_CHAIN = {"states": [0, 1], "P": [[0.5, 0.5], [0.5, 0.5]], "s": [0.5, 0.5],
               "nu": [0.5, 0.5]}
 MALFORMED_CHAINS = {
