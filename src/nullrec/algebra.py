@@ -610,7 +610,7 @@ def compound_block_moment(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel
     def tail(n, H1n):
         return scale * float((H1 @ (H1n @ G1)).max()) if n >= 8 else math.inf
 
-    powers = []
+    powers = [] if m == 3 else None  # only a second K replays them
     bound = 0.0
 
     def K(U):

@@ -58,7 +58,6 @@ from .errors import (
 
 DEFAULT_WINDOW_HALFWIDTH = 2.5
 _BLOCK = 1 << 16  # points per block of _screen's estimates
-_SMALL_WINDOW = 8  # ndarray.sum adds fewer terms than this one by one, from 0.0
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -313,31 +312,12 @@ def _direct_sums(xs: np.ndarray, h, kernel: Kernel, lo: np.ndarray, hi: np.ndarr
                  points, v: Optional[np.ndarray] = None) -> np.ndarray:
     """sum_j K((xs_j - xs_i)/h_i) v_j over the window [lo_i, hi_i) of each
     point i in `points` (an index array or slice), one window at a time, for
-    one bandwidth h or one per point, and v_j = 1 when v is None.
-
-    Windows of fewer than _SMALL_WINDOW points (every window, when h is far
-    below the sample's spread) are summed in one pass when v is None: padded
-    with zeros and added column by column from 0.0, which is how ndarray.sum
-    adds fewer than 8 terms, so the sums are the loop's bit for bit."""
-    hs = np.broadcast_to(h, xs.shape)[points]
-    at = xs[points]
-    lo, hi = lo[points], hi[points]
+    one bandwidth h or one per point, and v_j = 1 when v is None."""
+    hs = np.broadcast_to(h, xs.shape)[points].tolist()
+    at = xs[points].tolist()
     sums = np.empty(len(at))
-    rest = np.arange(len(at))
-    small = hi - lo < _SMALL_WINDOW
-    if v is None and small.any():
-        cols = np.arange(_SMALL_WINDOW - 1)
-        idx = np.minimum(lo[small, None] + cols, xs.size - 1)
-        w = kernel.weights((xs[idx] - at[small, None]) / hs[small, None])
-        w[cols >= (hi - lo)[small, None]] = 0.0
-        total = np.zeros(len(w))
-        for col in w.T:
-            total += col
-        sums[small] = total
-        rest = np.flatnonzero(~small)
-        lo, hi, at, hs = lo[rest], hi[rest], at[rest], hs[rest]
-    for k, a, b, c, hk in zip(rest.tolist(), lo.tolist(), hi.tolist(), at.tolist(), hs.tolist()):
-        w = kernel.weights((xs[a:b] - c) / hk)
+    for k, (a, b) in enumerate(zip(lo[points].tolist(), hi[points].tolist())):
+        w = kernel.weights((xs[a:b] - at[k]) / hs[k])
         sums[k] = w.sum() if v is None else w @ v[a:b]
     return sums
 

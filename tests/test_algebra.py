@@ -857,7 +857,8 @@ class TestForwardMoments:
         rng = np.random.default_rng(12)
         for model in tail_test_chains():
             g = rng.uniform(-1.0, 1.0, size=model.d)
-            for start in ("nu", *range(model.d)):
+            # a state start closes u_m by G[start]: the first, the last and one drawn state
+            for start in ("nu", 0, model.d - 1, int(rng.integers(model.d))):
                 depth = 250
                 while True:
                     got = alg.enumerated_block_moments(model, g, range(1, 7), start, depth)

@@ -278,12 +278,6 @@ def reference_modal_value(x, kernel=est.EPANECHNIKOV, pilot_h=None):
 KERNELS = [est.EPANECHNIKOV, est.gaussian_truncated(2.5)]
 
 
-def loop_direct_sums(xs, h, kernel, lo, hi, points):
-    """_direct_sums one window at a time, each added by ndarray.sum."""
-    hs = np.broadcast_to(h, xs.shape)
-    return np.array([kernel.weights((xs[lo[i]:hi[i]] - xs[i]) / hs[i]).sum() for i in points])
-
-
 class TestModalScreen:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("shift", [0.0, 1e6])
@@ -340,29 +334,6 @@ class TestModalScreen:
         keep = est._screen(xs, h, xs, lo, hi)
         assert 1 <= keep.sum() < 10
         assert est.modal_value(x) in xs[keep]
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_small_windows_sum_bit_for_bit(self, kernel):
-        rng = np.random.default_rng(16)
-        h = 0.5
-        # clusters of 1..12 points, each within one bandwidth, spaced far
-        # beyond the kernel's reach: windows of every size from 1 to 12
-        sizes = rng.permutation(np.repeat(np.arange(1, 13), 6))
-        x = np.concatenate([10.0 * kernel.support_radius * k + rng.uniform(0.0, h, size=c)
-                            for k, c in enumerate(sizes)])
-        xs = np.sort(x)
-        lo, hi = est._window(xs, kernel.support_radius * h)
-        assert set(np.unique(hi - lo).tolist()) == set(range(1, 13))
-        for hh in (h, h * rng.uniform(0.5, 1.0, xs.size)):
-            lo, hi = est._window(xs, kernel.support_radius * hh)
-            for points in (np.arange(xs.size), rng.permutation(xs.size)[:50]):
-                got = est._direct_sums(xs, hh, kernel, lo, hi, points)
-                want = loop_direct_sums(xs, hh, kernel, lo, hi, points)
-                assert got.tobytes() == want.tobytes()
-        lo, hi = est._window(xs, kernel.support_radius * h)
-        dens = loop_direct_sums(xs, h, kernel, lo, hi, np.arange(xs.size))
-        pick = xs[dens >= est._tie_floor(float(dens.max()))][0]
-        assert est.modal_value(x, kernel, pilot_h=h) == pick
 
     @pytest.mark.parametrize("name", ["clt_modal_indep.json", "clt_modal_shared.json"])
     def test_shipped_modal_protocols(self, name):
