@@ -306,13 +306,13 @@ def invariant_measure(model: FiniteMarkovModel) -> InvariantMeasure:
 def block_mean_variance(model: FiniteMarkovModel, g) -> tuple[float, float]:
     """Mean and variance of the i.i.d. regeneration-block sums of g.
 
-    mu = pi . g and sigma^2 = pi g^2 + 2 pi I_g H G g - (pi . g)^2.
+    mu = pi . g and sigma^2 = E U0^2 - mu^2, with E U0^2 as in block_moment.
     Tiny negative variances (rounding) are clamped to zero; anything below
     -1e-10 signals a broken model and raises."""
     g = np.asarray(g, dtype=float)
-    pi = model.pi
+    G, H, pi = model.G, model.H, model.pi
     mu = float(pi @ g)
-    second = float(pi @ (g * g) + 2.0 * (pi * g) @ (model.H @ (model.G @ g)))
+    second = float(pi @ _binomial_moments(g, lambda v: H @ (G @ v), 2))
     sigma2 = second - mu * mu
     if sigma2 < -1e-10:
         raise NegativeVariance(sigma2)

@@ -24,21 +24,20 @@ the pilot density taken at a fixed reference bandwidth of one tenth of the
 window width; the constant c0 can be chosen by leave-one-out
 cross-validation.
 
-The estimate at one point is a direct O(n) sum.  The pilot and
-leave-one-out sums of cross-validation need a sum at every sample point and
-go through one primitive, _kernel_sums, in O(n) memory.  Its Epanechnikov
-sums are prefix-sum differences of offsets to the centre of a block holding
-the whole window (locally re-centred, as in Seifert, Brockmann, Engel &
-Gasser 1994 and Fan & Marron 1994): every term is of the size of the
-bandwidth, so the sums do not change when the sample is shifted.
+The estimate at one point is a direct O(n) sum.  Cross-validation needs
+sums at every sample point and gets them from _kernel_sums, in O(n) memory.
+Every Epanechnikov sum at many points comes from one routine, _centred_sums:
+prefix-sum differences of offsets to one middle point (locally re-centred,
+as in Seifert, Brockmann, Engel & Gasser 1994 and Fan & Marron 1994).
+_kernel_sums sums blocks of the sorted sample 5 max(h) wide, each about its
+own middle point, so the sums do not change when the sample is shifted.
 
 The modal point needs only the largest density, so it screens and then
-verifies: prefix sums about the sample median bound every point's
+verifies: the same routine, about the sample median, bounds every point's
 Epanechnikov sum with an explicit rounding bound, and only the points whose
 upper bound reaches the largest lower bound get the direct window sum.  The
-pick is the one direct sums at every point would give, in about a quarter
-of the memory of _kernel_sums.  Other kernels are summed directly at every
-point.
+pick is the one direct sums at every point would give.  Other kernels are
+summed directly at every point.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from .errors import (
 )
 
 DEFAULT_WINDOW_HALFWIDTH = 2.5
-_BLOCK = 1 << 16  # points per block of _screen's estimates
+_BLOCK = 1 << 16  # points per chunk of _centred_sums' estimates
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -132,7 +131,7 @@ def nw_estimate(x, z, x_eval: float, h: float, kernel: Kernel = EPANECHNIKOV,
     z = np.asarray(z, dtype=float)
     if x.shape != z.shape:
         raise ValueError("x and z must have equal length")
-    if h <= 0:
+    if not h > 0:
         raise ValueError("bandwidth must be positive")
     k = kernel.weights((x - x_eval) / h)
     raw = float(k.sum())
@@ -264,10 +263,8 @@ def _screen(xs: np.ndarray, h: float, at: np.ndarray, lo: np.ndarray,
     the sorted sample xs) may hold the largest direct Epanechnikov sum
     D_i = K((xs[lo_i:hi_i] - at_i)/h).sum(), up to the 1e-12 tie rule.
 
-    With offsets d = xs[a:b] - c to the middle point c of `at`, over the m
-    points a..b-1 of all the windows, and S1, S2 the window sums of d and d^2
-    from one pass of prefix sums, D_i / 0.75 is estimated as
-    cnt - (S2 - d_i (2 S1 - d_i cnt)) / h^2, cnt = hi_i - lo_i.  With
+    D_i / 0.75 is estimated by _centred_sums over the m points a..b-1 of all
+    the windows, with offsets d to the middle point c of `at`.  With
     r = max |d_i| and X = max |at_i|, the estimate is within
 
         2 eps ( ((m + 4) (sum d^2 + 2 r sqrt(m sum d^2)) + 4 r^2 m) / h^2
@@ -280,32 +277,52 @@ def _screen(xs: np.ndarray, h: float, at: np.ndarray, lo: np.ndarray,
     point is kept unless its upper bound is below the tie floor of the
     largest lower bound, which no direct-sum winner or tie is; a bound that
     is NaN or infinite keeps every point."""
-    a, b = int(lo[0]), int(hi[-1])
-    m, c = b - a, at[at.size // 2]
-    d = xs[a:b] - c
-    p1 = np.zeros(m + 1)
-    np.cumsum(d, out=p1[1:])
-    d *= d
-    p2 = np.zeros(m + 1)
-    np.cumsum(d, out=p2[1:])
-    del d
-    sq, hh = float(p2[-1]), h * h
+    est, sq = _centred_sums(xs, h, at, lo, hi)
+    m, c = int(hi[-1] - lo[0]), at[at.size // 2]
     r = float(max(c - at[0], at[-1] - c))
     eps = np.finfo(float).eps
     g = eps * (max(abs(at[0]), abs(at[-1])) + r + 2.0 * h) / h
-    bound = (2.0 * eps * (((m + 4) * (sq + 2.0 * r * math.sqrt(m * sq)) + 4.0 * r * r * m) / hh
+    bound = (2.0 * eps * (((m + 4) * (sq + 2.0 * r * math.sqrt(m * sq)) + 4.0 * r * r * m) / (h * h)
                           + m * (m + 4.0))
              + 8.0 * m * g * (1.0 + g) ** 2)
-    est = np.empty(at.size)
-    for k in range(0, at.size, _BLOCK):  # in blocks, so the temporaries stay small
-        i, j = lo[k:k + _BLOCK] - a, hi[k:k + _BLOCK] - a
-        s1, s2 = p1[j] - p1[i], p2[j] - p2[i]
-        cnt = j - i
-        di = at[k:k + _BLOCK] - c
-        est[k:k + _BLOCK] = cnt - (s2 - di * (2.0 * s1 - di * cnt)) / hh
     floor = _tie_floor(float(est.max()) - bound)
     est += bound
     return ~(est < floor)
+
+
+def _centred_sums(xs: np.ndarray, h, at: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  v: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
+    """E_i = sum_j (1 - ((xs_j - at_i)/h_i)^2) v_j over the window [lo_i, hi_i)
+    of each point at_i, for one bandwidth h (a scalar) or an array of one per
+    point of `at`, and v_j = 1 when v is None; also the total of d^2 v.
+
+    With offsets d = xs[a:b] - c to the middle point c of `at`, over the
+    points a..b-1 of all the windows, and S0, S1, S2 the window sums of v,
+    d v and d^2 v from one pass of prefix sums (S0 = hi_i - lo_i for v None),
+    E_i = S0 - (S2 - d_i (2 S1 - d_i S0)) / h_i^2.  No term grows with |x|,
+    so E_i does not change when the sample is shifted."""
+    one_h = np.isscalar(h)  # then the windows of the ascending `at` ascend too
+    a, b = (int(lo[0]), int(hi[-1])) if one_h else (int(lo.min()), int(hi.max()))
+    c = at[at.size // 2]
+    d = xs[a:b] - c
+    dv = d if v is None else d * v[a:b]
+    p1 = np.zeros(b - a + 1)
+    np.cumsum(dv, out=p1[1:])
+    d *= dv  # d^2 v, in place
+    p2 = np.zeros(b - a + 1)
+    np.cumsum(d, out=p2[1:])
+    del d, dv
+    p0 = None if v is None else np.concatenate([[0.0], np.cumsum(v[a:b])])
+    hh = h * h
+    est = np.empty(at.size)
+    for k in range(0, at.size, _BLOCK):  # in blocks, so the temporaries stay small
+        i, j = lo[k:k + _BLOCK] - a, hi[k:k + _BLOCK] - a
+        s0 = j - i if v is None else p0[j] - p0[i]
+        s1, s2 = p1[j] - p1[i], p2[j] - p2[i]
+        di = at[k:k + _BLOCK] - c
+        est[k:k + _BLOCK] = s0 - (s2 - di * (2.0 * s1 - di * s0)) / (
+            hh if one_h else hh[k:k + _BLOCK])
+    return est, float(p2[-1])
 
 
 def _direct_sums(xs: np.ndarray, h, kernel: Kernel, lo: np.ndarray, hi: np.ndarray,
@@ -337,38 +354,16 @@ def _window(xs: np.ndarray, r, open_: bool = False) -> tuple[np.ndarray, np.ndar
 def _kernel_sums(xs: np.ndarray, h, kernel: Kernel, v: Optional[np.ndarray] = None) -> np.ndarray:
     """sum_j K((xs_j - xs_i)/h_i) v_j at every point xs_i of the sorted sample
     xs, for one bandwidth h or one per point, and v_j = 1 when v is None.
-
-    Other kernels are summed window by window.  The Epanechnikov sum is
-    S0 - (S2 - 2 d_i S1 + d_i^2 S0) / h_i^2 with Sm = sum_window d_j^m v_j and
-    d the offset to the centre of a block holding the whole window: of two
-    grids of blocks 5 max(h) wide, staggered by half a block, each point takes
-    the one where it is nearer the centre, so its window ends max(h)/4 or more
-    inside.  A block's offsets all use one float centre, and the prefix sums
-    restart at every block (each block's total is taken off again at the
-    next one's first point), so no term grows with |x| or n."""
+    Other kernels are summed window by window; Epanechnikov sums come from
+    _centred_sums on blocks of the sample 5 max(h) wide, each about its own
+    middle point."""
     h = np.asarray(h, dtype=float)
     lo, hi = _window(xs, kernel.support_radius * h)
     if kernel.kind != "epanechnikov":
         return _direct_sums(xs, h, kernel, lo, hi, slice(None), v)
-
-    n = xs.size
-    width = 5.0 * float(h.max())
-    shift = np.array([[0.0], [0.5 * width]])
-    block = np.floor((xs - xs[0] + shift) / width)  # one row per grid
-    d = xs - (xs[0] + (block + 0.5) * width - shift)
-    offset = n * (np.abs(d[1]) < np.abs(d[0]))  # where each point's grid starts below
-    block[1] += block[0, -1] + 1.0
-    d = d.ravel()
-    first = np.flatnonzero(np.diff(block.ravel())) + 1  # where a block starts
-    vv = None if v is None else np.tile(v, 2)
-    y = np.stack([d, d * d] if v is None else [vv, d * vv, d * d * vv])
-    carry = np.add.reduceat(y, np.concatenate([[0], first]), axis=1)[:, :-1]
-    y[:, first] -= carry
-    ends = np.zeros((len(y), 2 * n + 1))
-    np.cumsum(y, axis=1, out=ends[:, 1:])
-    starts = ends.copy()
-    starts[:, first] -= carry
-    moments = np.take(ends, hi + offset, axis=1) - np.take(starts, lo + offset, axis=1)
-    s0, s1, s2 = (hi - lo, *moments) if v is None else moments
-    di = d[np.arange(n) + offset]
-    return 0.75 * (s0 - (s2 - 2.0 * di * s1 + di * di * s0) / (h * h))  # K(u) = 0.75 (1 - u^2)
+    block = np.floor((xs - xs[0]) / (5.0 * float(h.max())))
+    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), xs.size]
+    hs = np.broadcast_to(h, xs.shape)
+    return 0.75 * np.concatenate([  # K(u) = 0.75 (1 - u^2)
+        _centred_sums(xs, hs[a:b], xs[a:b], lo[a:b], hi[a:b], v)[0]
+        for a, b in zip(cuts[:-1], cuts[1:])])

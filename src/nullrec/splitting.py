@@ -124,6 +124,8 @@ def simulate_split(process, n: int, seed: int) -> SplitTrajectory:
     `process` is a FiniteMarkovModel, a FINITE_PRODUCT spec (compound flag
     y = y_x y_w), or a random-walk ProcessSpec (flags from the walk's atom;
     the disturbance rides along).  Identical inputs give identical output."""
+    if n < 0:
+        raise InvalidSpec("n must be >= 0")
     if isinstance(process, FiniteMarkovModel):
         x, y = _split_chain(process, n, np.random.default_rng(seed))
         return SplitTrajectory(x=x, y=y, tau=np.flatnonzero(y), seed=seed,

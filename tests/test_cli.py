@@ -311,6 +311,18 @@ class TestAlgebraCommands:
         assert (out / "gap_coefficients.csv").exists()
 
 
+def assert_invalid_spec_exit(argv, tmp_path, capsys):
+    """argv exits 4 with one InvalidSpec JSON line on stderr and no output."""
+    out = tmp_path / "never"
+    assert main(argv + ["--out", str(out)]) == 4
+    assert not out.exists()
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert captured.out == "" and len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "InvalidSpec" and err["exit_code"] == 4
+
+
 class TestAlgebraArgumentValidation:
     @pytest.mark.parametrize("argv", [
         ["moments-check", "--g", "1,0,0", "--m", "2"],
@@ -329,17 +341,24 @@ class TestAlgebraArgumentValidation:
         ["embedded", "--tol", "0"],
     ])
     def test_out_of_range_argument_exit_4(self, argv, chain_path, tmp_path, capsys):
-        out = tmp_path / "never"
         chains = ["--chain", str(chain_path)]
         if argv[0] == "embedded":
             chains += ["--wchain", str(chain_path)]
-        assert main(argv[:1] + chains + argv[1:] + ["--out", str(out)]) == 4
-        assert not out.exists()
-        captured = capsys.readouterr()
-        lines = captured.err.strip().splitlines()
-        assert captured.out == "" and len(lines) == 1
-        err = json.loads(lines[0])
-        assert err["error"] == "InvalidSpec" and err["exit_code"] == 4
+        assert_invalid_spec_exit(argv[:1] + chains + argv[1:], tmp_path, capsys)
+
+
+class TestSimulateEstimateArgumentValidation:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--chain", str(CONFIGS / "twostate.json"), "--n", "-5"],
+        ["simulate", "--chain", str(CONFIGS / "twostate.json"), "--n", "-1"],
+        ["simulate", "--spec", str(CONFIGS / "rw_indep.json"), "--n", "-1"],
+        *(["estimate", "--spec", str(CONFIGS / "rw_indep.json"), "--n", "500", "--x-eval", "0",
+           flag, value]
+          for flag, value in [("--h", "-1"), ("--h", "0"), ("--h", "nan"), ("--h", "inf"),
+                              ("--c0", "-1"), ("--c0", "0"), ("--c0", "nan")]),
+    ])
+    def test_out_of_range_argument_exit_4(self, argv, tmp_path, capsys):
+        assert_invalid_spec_exit(argv, tmp_path, capsys)
 
 
 class TestShippedConfigs:

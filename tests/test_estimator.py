@@ -61,6 +61,11 @@ class TestNwEstimate:
         with pytest.raises(EmptyNeighborhood):
             est.nw_estimate([10.0, 11.0], [1.0, 2.0], x_eval=0.0, h=0.5)
 
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan])
+    def test_rejects_bad_bandwidth(self, h):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            est.nw_estimate([0.0, 1.0], [1.0, 2.0], x_eval=0.0, h=h)
+
     def test_within_weighted_range(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -371,7 +376,13 @@ class TestKernelSums:
             order = np.argsort(path.x, kind="stable")
             xs, zs = path.x[order] + shift, path.z[order]
             h0 = 1.06 * float(xs.std()) * xs.size ** (-0.2)
-            for h in (h0, h0 * rng.uniform(0.5, 1.5, xs.size)):
+            # cv_constant's per-point bandwidths c0 (T_C p_hat)^(-1/5), from
+            # the pilot at the reference bandwidth, and a spread above 4.
+            h_ref = 2.0 * est.DEFAULT_WINDOW_HALFWIDTH / 10.0
+            h_cv = 2.0 * (direct_kernel_sums(xs, h_ref, kernel) / h_ref) ** (-0.2)
+            h_wide = h0 * rng.uniform(0.25, 1.5, xs.size)
+            assert h_wide.max() > 4.0 * h_wide.min()
+            for h in (h0, h0 * rng.uniform(0.5, 1.5, xs.size), h_cv, h_wide):
                 for v in (None, zs):
                     want = direct_kernel_sums(xs, h, kernel, v)
                     got = est._kernel_sums(xs, h, kernel, v)
@@ -400,7 +411,7 @@ class TestCvMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 24 * 2**20
 
 
 class TestModalMemory:
