@@ -135,6 +135,7 @@ def _cmd_estimate(args) -> int:
     spec = _load(load_spec, args.spec)
     _require(all(v is None or (np.isfinite(v) and v > 0.0) for v in (args.h, args.c0)),
              f"--h {args.h!r} and --c0 {args.c0!r} must be finite and > 0")
+    _require(all(np.isfinite(v) for v in args.x_eval), f"--x-eval {args.x_eval!r} must be finite")
     kernel = Kernel(args.kernel, c=args.kernel_c) if args.kernel != "epanechnikov" else EPANECHNIKOV
     path = generate(spec, args.n, args.seed)
     rows = []

@@ -25,19 +25,27 @@ window width; the constant c0 can be chosen by leave-one-out
 cross-validation.
 
 The estimate at one point is a direct O(n) sum.  Cross-validation needs
-sums at every sample point and gets them from _kernel_sums, in O(n) memory.
-Every Epanechnikov sum at many points comes from one routine, _centred_sums:
-prefix-sum differences of offsets to one middle point (locally re-centred,
-as in Seifert, Brockmann, Engel & Gasser 1994 and Fan & Marron 1994).
-_kernel_sums sums blocks of the sorted sample 5 max(h) wide, each about its
-own middle point, so the sums do not change when the sample is shifted.
+sums at every sample point, unweighted and weighted by the response, and
+gets both from one pass of _kernel_sums, in O(n) memory.  Sums at many
+points come from one routine, _centred_sums: prefix-sum differences of
+offsets to one middle point (locally re-centred, as in Seifert, Brockmann,
+Engel & Gasser 1994 and Fan & Marron 1994).  For the Epanechnikov kernel
+these are the window sums of 1, d and d^2; _kernel_sums sums blocks of the
+sorted sample 5 max(h) wide, each about its own middle point, so the sums do
+not change when the sample is shifted.  For the truncated Gaussian they are
+the window sums of exp(-d^2/2h^2) d^k, the terms of the Taylor series of
+exp(d_i d_j / h^2) (Greengard & Strain 1991), taken about the middle of
+blocks one h wide so that the series is short, with an explicit remainder.
+Truncated-Gaussian cross-validation stays on the direct window-by-window
+sums: its bandwidths differ from point to point, and exp(-d_j^2/2h_i^2) does
+not separate into a factor of j alone.
 
 The modal point needs only the largest density, so it screens and then
-verifies: the same routine, about the sample median, bounds every point's
-Epanechnikov sum with an explicit rounding bound, and only the points whose
-upper bound reaches the largest lower bound get the direct window sum.  The
-pick is the one direct sums at every point would give.  Other kernels are
-summed directly at every point.
+verifies: _centred_sums bounds every point's sum, with an explicit bound on
+the rounding, the Taylor remainder and, for the truncated Gaussian, the
+window edge, where the kernel jumps by exp(-c^2/2).  Only the points whose
+upper bound reaches the largest lower bound get the direct window sum, so
+the pick is the one direct sums at every point would give.
 """
 
 from __future__ import annotations
@@ -57,6 +65,8 @@ from .errors import (
 
 DEFAULT_WINDOW_HALFWIDTH = 2.5
 _BLOCK = 1 << 16  # points per chunk of _centred_sums' estimates
+_EPS = float(np.finfo(float).eps)
+_MAX_TERMS = 64  # Taylor terms of the Gaussian form; binding only for c above about 15
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -73,8 +83,9 @@ class Kernel:
     def __post_init__(self):
         if self.kind not in ("epanechnikov", "gaussian_truncated"):
             raise InvalidSpec(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "gaussian_truncated" and self.c <= 0:
-            raise InvalidSpec("gaussian_truncated needs a truncation radius c > 0")
+        if self.kind == "gaussian_truncated" and not (math.isfinite(self.c) and self.c > 0):
+            raise InvalidSpec(f"gaussian_truncated needs a finite truncation radius c > 0, "
+                              f"got {self.c!r}")
 
     @property
     def support_radius(self) -> float:
@@ -184,7 +195,7 @@ def cv_constant(x, z, grid, kernel: Kernel = EPANECHNIKOV) -> float:
     order = np.argsort(x, kind="stable")
     xs, zs = x[order], z[order]
     h_ref = 2.0 * DEFAULT_WINDOW_HALFWIDTH / 10.0
-    pilot = _kernel_sums(xs, h_ref, kernel) / h_ref  # T_C p_hat at each point
+    pilot = _kernel_sums(xs, h_ref, kernel)[0] / h_ref  # T_C p_hat at each point
     k0 = float(kernel.weights(0.0))
 
     best_c0, best_err = None, math.inf
@@ -198,8 +209,9 @@ def cv_constant(x, z, grid, kernel: Kernel = EPANECHNIKOV) -> float:
         usable = hi - lo > 1
         if not usable.any():
             continue
-        wsum = _kernel_sums(xs, h, kernel) - k0
-        wz = _kernel_sums(xs, h, kernel, zs) - k0 * zs
+        wsum, wz = _kernel_sums(xs, h, kernel, zs)
+        wsum -= k0
+        wz -= k0 * zs
         pred = wz[usable] / wsum[usable]
         err = float(((zs[usable] - pred) ** 2).sum())
         if err < best_err:
@@ -219,13 +231,12 @@ def modal_value(x, kernel: Kernel = EPANECHNIKOV, pilot_h: Optional[float] = Non
     must be finite and positive, with a square that does not underflow.
 
     The density at a point is its direct window sum K((xs_j - x_i)/h).sum().
-    For the Epanechnikov kernel only the points that can still win are summed:
-    _screen bounds every point's sum from prefix sums, once about the sample
-    median and once more about the survivors, and drops the points whose
-    upper bound is below the tie floor of the largest lower bound.  The
-    bounds hold in floating point, so the pick is the one direct sums at
-    every point would give.  Equal observations have equal sums, so only the
-    first of each run is summed."""
+    Only the points that can still win are summed: _screen bounds every
+    point's sum from prefix sums, once over the sample and once more about
+    the survivors, and drops the points whose upper bound is below the tie
+    floor of the largest lower bound.  The bounds hold in floating point, so
+    the pick is the one direct sums at every point would give.  Equal
+    observations have equal sums, so only the first of each run is summed."""
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("modal_value needs a nonempty sample")
@@ -241,14 +252,11 @@ def modal_value(x, kernel: Kernel = EPANECHNIKOV, pilot_h: Optional[float] = Non
 
     xs = np.sort(x)
     lo, hi = _window(xs, kernel.support_radius * pilot_h)
-    if kernel.kind == "epanechnikov":
-        points = np.flatnonzero(_screen(xs, pilot_h, xs, lo, hi))
-        if points.size > 1:
-            points = points[_screen(xs, pilot_h, xs[points], lo[points], hi[points])]
-    else:
-        points = np.arange(xs.size)
+    points = np.flatnonzero(_screen(xs, pilot_h, kernel, xs, lo, hi))
+    if points.size > 1:
+        points = points[_screen(xs, pilot_h, kernel, xs[points], lo[points], hi[points])]
     points = points[(points == 0) | (xs[points] != xs[points - 1])]
-    dens = _direct_sums(xs, pilot_h, kernel, lo, hi, points)
+    dens = _direct_sums(xs, pilot_h, kernel, lo, hi, points)[0]
     return float(xs[points[dens >= _tie_floor(float(dens.max()))][0]])
 
 
@@ -257,86 +265,172 @@ def _tie_floor(v: float) -> float:
     return v - abs(v) * 1e-12
 
 
-def _screen(xs: np.ndarray, h: float, at: np.ndarray, lo: np.ndarray,
+def _screen(xs: np.ndarray, h: float, kernel: Kernel, at: np.ndarray, lo: np.ndarray,
             hi: np.ndarray) -> np.ndarray:
     """Which of the sample points `at` (ascending, with windows [lo, hi) into
-    the sorted sample xs) may hold the largest direct Epanechnikov sum
+    the sorted sample xs) may hold the largest direct sum
     D_i = K((xs[lo_i:hi_i] - at_i)/h).sum(), up to the 1e-12 tie rule.
 
-    D_i / 0.75 is estimated by _centred_sums over the m points a..b-1 of all
-    the windows, with offsets d to the middle point c of `at`.  With
-    r = max |d_i| and X = max |at_i|, the estimate is within
-
-        2 eps ( ((m + 4) (sum d^2 + 2 r sqrt(m sum d^2)) + 4 r^2 m) / h^2
-                + m (m + 4) )  +  8 m g (1 + g)^2,   g = eps (X + r + 2h) / h
-
-    of D_i / 0.75 at every point: twice the rounding of the prefix sums and
-    of the expansion (recursive summation in any order, |S1| <= sum |d| <=
-    sqrt(m sum d^2)), of the direct sum itself, of the offsets, and of the
-    window members up to a rounding past h, whose terms D_i clips at 0.  A
-    point is kept unless its upper bound is below the tie floor of the
-    largest lower bound, which no direct-sum winner or tie is; a bound that
-    is NaN or infinite keeps every point."""
-    est, sq = _centred_sums(xs, h, at, lo, hi)
-    m, c = int(hi[-1] - lo[0]), at[at.size // 2]
-    r = float(max(c - at[0], at[-1] - c))
-    eps = np.finfo(float).eps
-    g = eps * (max(abs(at[0]), abs(at[-1])) + r + 2.0 * h) / h
-    bound = (2.0 * eps * (((m + 4) * (sq + 2.0 * r * math.sqrt(m * sq)) + 4.0 * r * r * m) / (h * h)
-                          + m * (m + 4.0))
-             + 8.0 * m * g * (1.0 + g) ** 2)
-    floor = _tie_floor(float(est.max()) - bound)
+    _centred_sums estimates every D_i, up to the kernel's constant factor,
+    with a bound on the distance from it: about the middle point of `at` for
+    the Epanechnikov kernel, and about the middle point of each block of
+    `at` one h wide for the truncated Gaussian (every point is kept when the
+    blocks hold fewer than ten points on average).  A point is kept unless
+    its upper bound is below the tie floor of the largest lower bound, which
+    no direct-sum winner or tie is; a bound that is NaN or infinite keeps
+    every point."""
+    if kernel.kind == "epanechnikov":
+        est, _, bound = _centred_sums(xs, h, kernel, at, lo, hi)
+        top = float(est.max()) - bound
+    else:
+        blocks = _blocks(at, h)
+        if 10 * len(blocks) > at.size:  # a block costs about ten direct sums
+            return np.ones(at.size, dtype=bool)
+        parts = [_centred_sums(xs, h, kernel, at[a:b], lo[a:b], hi[a:b]) for a, b in blocks]
+        est = np.concatenate([e for e, _, _ in parts])
+        bound = np.concatenate([b for _, _, b in parts])
+        top = float((est - bound).max())
+    floor = _tie_floor(top)
     est += bound
     return ~(est < floor)
 
 
-def _centred_sums(xs: np.ndarray, h, at: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                  v: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
-    """E_i = sum_j (1 - ((xs_j - at_i)/h_i)^2) v_j over the window [lo_i, hi_i)
-    of each point at_i, for one bandwidth h (a scalar) or an array of one per
-    point of `at`, and v_j = 1 when v is None; also the total of d^2 v.
+def _centred_sums(xs: np.ndarray, h, kernel: Kernel, at: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray, v: Optional[np.ndarray] = None
+                  ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Window sums of the kernel's shape about the middle point c of `at`:
+    from one pass of prefix sums over the points a..b-1 of all the windows
+    [lo_i, hi_i) of the points at_i, with offsets d = xs[a:b] - c.  No term
+    grows with |x|, so the sums do not change when the sample is shifted.
+    Returns the sums, the sums weighted by v (None when v is None) and, for
+    one bandwidth, a bound on the distance of the sums from the direct
+    window sums of the shape (None for one bandwidth per point).
 
-    With offsets d = xs[a:b] - c to the middle point c of `at`, over the
-    points a..b-1 of all the windows, and S0, S1, S2 the window sums of v,
-    d v and d^2 v from one pass of prefix sums (S0 = hi_i - lo_i for v None),
-    E_i = S0 - (S2 - d_i (2 S1 - d_i S0)) / h_i^2.  No term grows with |x|,
-    so E_i does not change when the sample is shifted."""
+    Epanechnikov, for one bandwidth h (a scalar) or an array of one per point
+    of `at`: E_i = sum_j (1 - ((xs_j - at_i)/h_i)^2), the direct sum / 0.75.
+    With S0, S1, S2 the window sums of v, d v and d^2 v (v_j = 1 for E_i, so
+    S0 = hi_i - lo_i), E_i = S0 - (S2 - d_i (2 S1 - d_i S0)) / h_i^2.  With
+    m = b - a, r = max |d_i| and X = max |at_i|, E_i is within
+
+        2 eps ( ((m + 4) (sum d^2 + 2 r sqrt(m sum d^2)) + 4 r^2 m) / h^2
+                + m (m + 4) )  +  8 m g (1 + g)^2,   g = eps (X + r + 2h) / h
+
+    of the direct sum / 0.75: twice the rounding of the prefix sums and of
+    the expansion (recursive summation in any order, |S1| <= sum |d| <=
+    sqrt(m sum d^2)), of the direct sum itself, of the offsets, and of the
+    window members up to a rounding past h, whose terms the kernel clips at 0.
+
+    Truncated Gaussian, for one bandwidth h and no weights: G_i, the window
+    sum of exp(-u^2/2), the direct sum times sqrt(2 pi) erf(c/sqrt 2).  With
+    t = d/h, exp(-(t_j - t_i)^2/2) = exp(-t_i^2/2) exp(-t_j^2/2) exp(t_i t_j)
+    and the last factor is a Taylor series, so G_i is
+    exp(-t_i^2/2) sum_{k<p} t_i^k / k! S_k with S_k the window sums of
+    exp(-t_j^2/2) t_j^k, one prefix pass per term, plus a remainder.  Since
+    exp(-t_i^2/2 - t_j^2/2 + |t_i t_j|) <= 1, the absolute terms of G_i add
+    up to at most m, and with R = max |t_i| max |t_j| the remainder is at
+    most m R^p / p!.  p is the fewest terms that keep it within the rounding
+    of the prefix sums and the expansion, eps m (m + 3p + 8 + 2 max t_j^2 +
+    2 max t_i^2).  The bound is twice the sum of those two, of the rounding
+    of the direct sum and of the offsets, eps m (m + c^2 + c + 6 + r + rho)
+    with r = max |t_i| and rho = max |t_j|, and of the window edge.  The
+    kernel jumps by exp(-c^2/2) at |u| = c, so a point within a few roundings
+    of c h from at_i, which the window may hold and the kernel's rounded
+    |u| <= c drop, or the reverse, moves the direct sum by a full term: each
+    such point adds its largest term."""
     one_h = np.isscalar(h)  # then the windows of the ascending `at` ascend too
     a, b = (int(lo[0]), int(hi[-1])) if one_h else (int(lo.min()), int(hi.max()))
-    c = at[at.size // 2]
+    m, c = b - a, at[at.size // 2]
     d = xs[a:b] - c
-    dv = d if v is None else d * v[a:b]
-    p1 = np.zeros(b - a + 1)
-    np.cumsum(dv, out=p1[1:])
-    d *= dv  # d^2 v, in place
-    p2 = np.zeros(b - a + 1)
+    eps = _EPS
+    if kernel.kind != "epanechnikov":
+        t, ti = d / h, (at - c) / h
+        rho, r = float(max(-t[0], t[-1])), float(max(-ti[0], ti[-1]))
+
+        def rounding(p):
+            return eps * m * (m + 3.0 * p + 8.0 + 2.0 * (rho * rho + r * r))
+
+        p, rem = 0, float(m)  # rem = m R^p / p!
+        while rem > rounding(p) and p < _MAX_TERMS:
+            p += 1
+            rem *= r * rho / p
+        w, pk = np.exp(-0.5 * t * t), np.zeros(m + 1)
+        i, j = lo - a, hi - a
+        est, coef = np.zeros(at.size), np.ones(at.size)  # coef = t_i^k / k!
+        for k in range(p):
+            np.cumsum(w, out=pk[1:])
+            est += coef * (pk[j] - pk[i])
+            w *= t
+            coef *= ti / (k + 1)
+        est *= np.exp(-0.5 * ti * ti)
+        # The edge: the points within `slack` of c h from at_i.  The nearer
+        # ones are in the window and pass the kernel's rounded |u| <= c, the
+        # further ones neither.
+        kc = kernel.c
+        ch = kc * h
+        slack = 4.0 * eps * (np.abs(at) + ch)
+        near = (np.searchsorted(xs, at - (ch - slack)) - np.searchsorted(xs, at - (ch + slack))
+                + np.searchsorted(xs, at + (ch + slack), side="right")
+                - np.searchsorted(xs, at + (ch - slack), side="right"))
+        u_edge = np.maximum(kc - 2.0 * slack / h, 0.0)
+        edge = near * np.exp(-0.5 * u_edge * u_edge)
+        direct = eps * m * (m + kc * kc + kc + 6.0 + r + rho)
+        return est, None, 2.0 * (rounding(p) + rem + direct + edge)
+
+    p1 = np.zeros(m + 1)
+    np.cumsum(d, out=p1[1:])
+    if v is not None:
+        dv = d * v[a:b]
+        q0 = np.concatenate([[0.0], np.cumsum(v[a:b])])
+        q1 = np.zeros(m + 1)
+        np.cumsum(dv, out=q1[1:])
+        dv *= d  # d^2 v, in place
+        q2 = np.zeros(m + 1)
+        np.cumsum(dv, out=q2[1:])
+        del dv
+    d *= d  # d^2, in place
+    p2 = np.zeros(m + 1)
     np.cumsum(d, out=p2[1:])
-    del d, dv
-    p0 = None if v is None else np.concatenate([[0.0], np.cumsum(v[a:b])])
+    del d
     hh = h * h
     est = np.empty(at.size)
+    est_v = None if v is None else np.empty(at.size)
     for k in range(0, at.size, _BLOCK):  # in blocks, so the temporaries stay small
         i, j = lo[k:k + _BLOCK] - a, hi[k:k + _BLOCK] - a
-        s0 = j - i if v is None else p0[j] - p0[i]
-        s1, s2 = p1[j] - p1[i], p2[j] - p2[i]
         di = at[k:k + _BLOCK] - c
-        est[k:k + _BLOCK] = s0 - (s2 - di * (2.0 * s1 - di * s0)) / (
-            hh if one_h else hh[k:k + _BLOCK])
-    return est, float(p2[-1])
+        hk = hh if one_h else hh[k:k + _BLOCK]
+        s0 = j - i
+        est[k:k + _BLOCK] = s0 - (p2[j] - p2[i] - di * (2.0 * (p1[j] - p1[i]) - di * s0)) / hk
+        if v is not None:
+            s0 = q0[j] - q0[i]
+            est_v[k:k + _BLOCK] = s0 - (q2[j] - q2[i] - di * (2.0 * (q1[j] - q1[i]) - di * s0)) / hk
+    if not one_h:
+        return est, est_v, None
+    sq = float(p2[-1])
+    r = float(max(c - at[0], at[-1] - c))
+    g = eps * (max(abs(at[0]), abs(at[-1])) + r + 2.0 * h) / h
+    bound = (2.0 * eps * (((m + 4) * (sq + 2.0 * r * math.sqrt(m * sq)) + 4.0 * r * r * m) / hh
+                          + m * (m + 4.0))
+             + 8.0 * m * g * (1.0 + g) ** 2)
+    return est, est_v, bound
 
 
 def _direct_sums(xs: np.ndarray, h, kernel: Kernel, lo: np.ndarray, hi: np.ndarray,
-                 points, v: Optional[np.ndarray] = None) -> np.ndarray:
-    """sum_j K((xs_j - xs_i)/h_i) v_j over the window [lo_i, hi_i) of each
-    point i in `points` (an index array or slice), one window at a time, for
-    one bandwidth h or one per point, and v_j = 1 when v is None."""
+                 points, v: Optional[np.ndarray] = None
+                 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """sum_j K((xs_j - xs_i)/h_i) over the window [lo_i, hi_i) of each point
+    i in `points` (an index array or slice), one window at a time, for one
+    bandwidth h or one per point; and the same sums weighted by v_j (None
+    when v is None)."""
     hs = np.broadcast_to(h, xs.shape)[points].tolist()
     at = xs[points].tolist()
     sums = np.empty(len(at))
+    sums_v = None if v is None else np.empty(len(at))
     for k, (a, b) in enumerate(zip(lo[points].tolist(), hi[points].tolist())):
         w = kernel.weights((xs[a:b] - at[k]) / hs[k])
-        sums[k] = w.sum() if v is None else w @ v[a:b]
-    return sums
+        sums[k] = w.sum()
+        if v is not None:
+            sums_v[k] = w @ v[a:b]
+    return sums, sums_v
 
 
 def _window(xs: np.ndarray, r, open_: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -351,19 +445,26 @@ def _window(xs: np.ndarray, r, open_: bool = False) -> tuple[np.ndarray, np.ndar
     return lo, np.searchsorted(xs, xs + r, side="left" if open_ else "right")
 
 
-def _kernel_sums(xs: np.ndarray, h, kernel: Kernel, v: Optional[np.ndarray] = None) -> np.ndarray:
-    """sum_j K((xs_j - xs_i)/h_i) v_j at every point xs_i of the sorted sample
-    xs, for one bandwidth h or one per point, and v_j = 1 when v is None.
-    Other kernels are summed window by window; Epanechnikov sums come from
-    _centred_sums on blocks of the sample 5 max(h) wide, each about its own
-    middle point."""
+def _blocks(x: np.ndarray, width: float) -> list[tuple[int, int]]:
+    """Index ranges [a, b) cutting the sorted x into blocks `width` wide."""
+    block = np.floor((x - x[0]) / width)
+    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), x.size]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _kernel_sums(xs: np.ndarray, h, kernel: Kernel, v: Optional[np.ndarray] = None
+                 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """sum_j K((xs_j - xs_i)/h_i) at every point xs_i of the sorted sample xs,
+    for one bandwidth h or one per point, and the same sums weighted by v_j
+    (None when v is None).  Truncated-Gaussian sums are summed window by
+    window; Epanechnikov sums come from _centred_sums on blocks of the sample
+    5 max(h) wide, each about its own middle point."""
     h = np.asarray(h, dtype=float)
     lo, hi = _window(xs, kernel.support_radius * h)
     if kernel.kind != "epanechnikov":
         return _direct_sums(xs, h, kernel, lo, hi, slice(None), v)
-    block = np.floor((xs - xs[0]) / (5.0 * float(h.max())))
-    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), xs.size]
     hs = np.broadcast_to(h, xs.shape)
-    return 0.75 * np.concatenate([  # K(u) = 0.75 (1 - u^2)
-        _centred_sums(xs, hs[a:b], xs[a:b], lo[a:b], hi[a:b], v)[0]
-        for a, b in zip(cuts[:-1], cuts[1:])])
+    parts = [_centred_sums(xs, hs[a:b], kernel, xs[a:b], lo[a:b], hi[a:b], v)
+             for a, b in _blocks(xs, 5.0 * float(h.max()))]
+    est_v = None if v is None else 0.75 * np.concatenate([e for _, e, _ in parts])
+    return 0.75 * np.concatenate([e for e, _, _ in parts]), est_v  # K(u) = 0.75 (1 - u^2)

@@ -356,6 +356,9 @@ class TestSimulateEstimateArgumentValidation:
            flag, value]
           for flag, value in [("--h", "-1"), ("--h", "0"), ("--h", "nan"), ("--h", "inf"),
                               ("--c0", "-1"), ("--c0", "0"), ("--c0", "nan")]),
+        *(["estimate", "--spec", str(CONFIGS / "rw_indep.json"), "--n", "500", *rest]
+          for rest in [["--x-eval", "0", "--kernel", "gaussian_truncated", "--kernel-c", c]
+                       for c in ("nan", "inf", "0")] + [["--x-eval", "nan"], ["--x-eval", "0", "inf"]]),
     ])
     def test_out_of_range_argument_exit_4(self, argv, tmp_path, capsys):
         assert_invalid_spec_exit(argv, tmp_path, capsys)

@@ -40,8 +40,9 @@ class TestKernels:
     def test_invalid(self):
         with pytest.raises(InvalidSpec):
             est.Kernel("box")
-        with pytest.raises(InvalidSpec):
-            est.gaussian_truncated(0.0)
+        for c in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidSpec):
+                est.gaussian_truncated(c)
 
 
 class TestNwEstimate:
@@ -275,7 +276,7 @@ def reference_modal_value(x, kernel=est.EPANECHNIKOV, pilot_h=None):
         sd = float(x.std())
         pilot_h = 1.06 * sd * x.size ** (-0.2) if sd > 0 else 1.0
     xs = np.sort(x)
-    dens = est._kernel_sums(xs, pilot_h, kernel)
+    dens = est._kernel_sums(xs, pilot_h, kernel)[0]
     dmax = float(dens.max())
     return float(xs[dens >= dmax - abs(dmax) * 1e-12][0])
 
@@ -312,7 +313,7 @@ class TestModalScreen:
         x = np.cumsum(rng.normal(size=500))
         xs, h = np.sort(x), 1e-9
         lo, hi = est._window(xs, h)
-        assert est._screen(xs, h, xs, lo, hi).all()
+        assert est._screen(xs, h, est.EPANECHNIKOV, xs, lo, hi).all()
         assert est.modal_value(x, pilot_h=h) == reference_modal_value(x, pilot_h=h)
 
     def test_screen_keeps_every_tie(self):
@@ -324,10 +325,10 @@ class TestModalScreen:
             xs = np.sort(np.concatenate([-y, y]))
             h = float(rng.uniform(0.2, 2.0))
             lo, hi = est._window(xs, h)
-            dens = est._direct_sums(xs, h, est.EPANECHNIKOV, lo, hi, slice(None))
+            dens = est._direct_sums(xs, h, est.EPANECHNIKOV, lo, hi, slice(None))[0]
             ties = dens >= est._tie_floor(float(dens.max()))
             assert ties.sum() >= 2
-            assert est._screen(xs, h, xs, lo, hi)[ties].all()
+            assert est._screen(xs, h, est.EPANECHNIKOV, xs, lo, hi)[ties].all()
 
     def test_screen_prunes_to_a_few_and_keeps_the_pick(self):
         from nullrec.processes import ProcessSpec, generate, linear
@@ -336,7 +337,7 @@ class TestModalScreen:
         xs = np.sort(x)
         h = 1.06 * float(x.std()) * x.size ** (-0.2)
         lo, hi = est._window(xs, h)
-        keep = est._screen(xs, h, xs, lo, hi)
+        keep = est._screen(xs, h, est.EPANECHNIKOV, xs, lo, hi)
         assert 1 <= keep.sum() < 10
         assert est.modal_value(x) in xs[keep]
 
@@ -354,6 +355,102 @@ class TestModalScreen:
                 x = generate(proto.process, proto.n, derive_seed(proto.base_seed, rep)).x
                 got = est.modal_value(x, proto.kernel)
                 assert got == reference_modal_value(x, proto.kernel), (proto.protocol_id, rep)
+
+
+GAUSS = est.gaussian_truncated(2.5)
+
+
+def gaussian_screen_sums(xs, h, kernel=GAUSS):
+    """_screen's estimates and bounds at every point of the sorted sample xs."""
+    lo, hi = est._window(xs, kernel.c * h)
+    parts = [est._centred_sums(xs, h, kernel, xs[a:b], lo[a:b], hi[a:b])
+             for a, b in est._blocks(xs, h)]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[2] for p in parts])
+
+
+def slow_gaussian_sums(xs, h, kernel=GAUSS):
+    """The slow reference: K((xs - xs_i)/h).sum() over the whole sample at
+    every point, times the kernel's constant, from the points within 1.01 c h
+    (K is 0 further out)."""
+    scale = est._SQRT_2PI * math.erf(kernel.c / math.sqrt(2.0))
+    lo = np.searchsorted(xs, xs - 1.01 * kernel.c * h)
+    hi = np.searchsorted(xs, xs + 1.01 * kernel.c * h, side="right")
+    return scale * np.array([kernel.weights((xs[a:b] - v) / h).sum()
+                             for v, a, b in zip(xs, lo, hi)])
+
+
+def assert_bound_covers_direct_sums(x, h=None):
+    xs = np.sort(x)
+    h = 1.06 * float(xs.std()) * xs.size ** (-0.2) if h is None else h
+    got, bound = gaussian_screen_sums(xs, h)
+    assert np.all(np.abs(got - slow_gaussian_sums(xs, h)) <= bound)
+
+
+class TestGaussianScreen:
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.parametrize("n, walks", [(500, 5), (3000, 3), (20000, 1)])
+    def test_bound_covers_direct_sums_on_walks(self, n, walks, shift):
+        from nullrec.processes import ProcessSpec, generate, linear
+
+        spec = ProcessSpec(family="INDEP", f=linear())
+        for seed in range(walks):
+            x = generate(spec, n - 1, seed=seed).x + shift
+            assert_bound_covers_direct_sums(x)
+            if n > 3000:  # TestModalScreen compares the smaller walks' picks
+                assert est.modal_value(x, GAUSS) == reference_modal_value(x, GAUSS)
+
+    def test_bound_covers_direct_sums_with_many_duplicates(self):
+        rng = np.random.default_rng(13)
+        for x in (np.round(rng.normal(size=2000), 1), np.repeat(rng.normal(size=40), 25),
+                  np.cumsum(rng.choice([-1.0, 1.0], size=3000))):
+            assert_bound_covers_direct_sums(x)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_bound_covers_the_window_edge(self, shift):
+        # Points exactly c h apart: rounding puts some of them just inside
+        # the window but outside the kernel's |u| <= c, where the kernel
+        # jumps by exp(-c^2/2).
+        scale = est._SQRT_2PI * math.erf(GAUSS.c / math.sqrt(2.0))
+        dropped = 0  # windows that hold a point the kernel drops
+        for h in np.linspace(0.3, 0.7, 9):
+            step = GAUSS.c * h
+            x = shift + step * np.concatenate([np.arange(-20, 21), np.arange(-20, 21) + 0.5,
+                                               np.arange(-3, 4)])
+            xs = np.sort(x)
+            assert_bound_covers_direct_sums(x, h)
+            lo, hi = est._window(xs, step)
+            dens = est._direct_sums(xs, h, GAUSS, lo, hi, slice(None))[0]
+            shape = np.array([np.exp(-0.5 * ((xs[a:b] - v) / h) ** 2).sum()
+                              for v, a, b in zip(xs, lo, hi)])
+            dropped += int((shape - scale * dens > 1e-3).sum())
+            assert est.modal_value(x, GAUSS, h) == reference_modal_value(x, GAUSS, h)
+        assert dropped > 0
+
+    def test_screen_keeps_every_tie(self):
+        # A sample symmetric about 0 has mirrored modes whose direct sums tie
+        # within rounding; the screen must keep both.
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            y = np.abs(rng.normal(3.0, 1.0, size=int(rng.integers(200, 400))))
+            xs = np.sort(np.concatenate([-y, y]))
+            h = float(rng.uniform(0.4, 2.0))
+            lo, hi = est._window(xs, GAUSS.c * h)
+            dens = est._direct_sums(xs, h, GAUSS, lo, hi, slice(None))[0]
+            ties = dens >= est._tie_floor(float(dens.max()))
+            assert ties.sum() >= 2
+            keep = est._screen(xs, h, GAUSS, xs, lo, hi)
+            assert keep[ties].all() and keep.sum() < xs.size / 10
+
+    def test_screen_prunes_to_a_few_and_keeps_the_pick(self):
+        from nullrec.processes import ProcessSpec, generate, linear
+
+        x = generate(ProcessSpec(family="INDEP", f=linear()), 3000, seed=2).x
+        xs = np.sort(x)
+        h = 1.06 * float(x.std()) * x.size ** (-0.2)
+        lo, hi = est._window(xs, GAUSS.c * h)
+        keep = est._screen(xs, h, GAUSS, xs, lo, hi)
+        assert 1 <= keep.sum() < 10
+        assert est.modal_value(x, GAUSS) in xs[keep]
 
 
 def direct_kernel_sums(xs, h, kernel, v=None):
@@ -383,9 +480,12 @@ class TestKernelSums:
             h_wide = h0 * rng.uniform(0.25, 1.5, xs.size)
             assert h_wide.max() > 4.0 * h_wide.min()
             for h in (h0, h0 * rng.uniform(0.5, 1.5, xs.size), h_cv, h_wide):
-                for v in (None, zs):
+                got, none = est._kernel_sums(xs, h, kernel)
+                got_z = est._kernel_sums(xs, h, kernel, zs)
+                # One pass gives the weighted sums and the same unweighted ones.
+                assert none is None and np.array_equal(got_z[0], got)
+                for v, got in ((None, got), (zs, got_z[1])):
                     want = direct_kernel_sums(xs, h, kernel, v)
-                    got = est._kernel_sums(xs, h, kernel, v)
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_window_edges(self):
