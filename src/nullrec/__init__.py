@@ -7,18 +7,12 @@ __version__ = "0.1.0"
 from .algebra import (
     BlockMomentRequest,
     FiniteMarkovModel,
-    InvariantMeasure,
-    KernelMatrix,
     block_mean_variance,
     block_moment,
     compound_block_moment,
     embedded_transition,
-    fundamental_kernel,
     generalized_autocov,
-    invariant_measure,
     sigma2_from_series,
-    taboo_kernel,
-    validate_atom,
     weighted_block_moment,
 )
 from .estimator import (

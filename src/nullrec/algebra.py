@@ -63,10 +63,6 @@ _G_RESIDUAL_TOL = 1e-6
 MOMENT_ORDER_CAP = 6
 _MAX_DOUBLINGS = 53  # past 2^53 terms a double no longer counts the index exactly
 
-TABOO = "taboo"
-FUNDAMENTAL = "fundamental"
-EMBEDDED = "embedded"
-
 
 class SeriesValue(NamedTuple):
     """A truncated-series value together with its analytic tail bound."""
@@ -172,29 +168,20 @@ def _cumulative(p: np.ndarray) -> np.ndarray:
     return _read_only(cum)
 
 
-@dataclass(frozen=True)
-class KernelMatrix:
-    """A d x d kernel derived from a model: taboo H, fundamental G, or an
-    embedded transition matrix."""
+class KernelMatrix(NamedTuple):
+    """A read-only d x d kernel (fundamental G or an embedded transition
+    matrix) with the tail bound of the series that built it."""
 
     entries: np.ndarray
-    kind: str
     tail_bound: float = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _read_only(np.array(self.entries, dtype=float)))
 
-
-@dataclass(frozen=True)
-class InvariantMeasure:
+class InvariantMeasure(NamedTuple):
     """The atom-normalized invariant measure pi = nu G (pi . s = 1).
 
     Not a probability: its total mass is the expected block length."""
 
     pi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pi", _read_only(np.array(self.pi, dtype=float)))
 
     @property
     def total_mass(self) -> float:
@@ -220,24 +207,17 @@ class BlockMomentRequest:
             raise ValueError(f"start must be 'nu' or a state index, got {self.start!r}")
 
 
-def _strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
-    """SCCs of a boolean adjacency matrix via reachability closure."""
-    d = adj.shape[0]
-    reach = adj | np.eye(d, dtype=bool)
-    for _ in range(int(math.ceil(math.log2(max(d, 2)))) + 1):
-        new = reach @ reach
-        if (new == reach).all():
-            break
-        reach = new
-    mutual = reach & reach.T
-    seen = np.zeros(d, dtype=bool)
-    comps = []
-    for i in range(d):
-        if not seen[i]:
-            members = np.flatnonzero(mutual[i])
-            seen[members] = True
-            comps.append(members.tolist())
-    return comps
+def _unreached(adj: np.ndarray) -> np.ndarray:
+    """Which states the boolean adjacency matrix adj does not reach from
+    state 0, one breadth-first frontier at a time; each row is read once, so
+    O(d^2)."""
+    unseen = np.ones(adj.shape[0], dtype=bool)
+    unseen[0] = False
+    frontier = [0]
+    while len(frontier):
+        frontier = np.flatnonzero(adj[frontier].any(axis=0) & unseen)
+        unseen[frontier] = False
+    return unseen
 
 
 def validate_atom(model: FiniteMarkovModel) -> None:
@@ -248,9 +228,10 @@ def validate_atom(model: FiniteMarkovModel) -> None:
         raise InvalidSpec(f"inconsistent shapes: P{P.shape}, s{s.shape}, nu{nu.shape}, d={d}")
     if not all(np.isfinite(arr).all() for arr in (P, s, nu)):
         raise InvalidSpec("P, s and nu must be finite")
-    for i in range(d):
-        if P[i].min() < -STOCHASTIC_TOL or abs(P[i].sum() - 1.0) > STOCHASTIC_TOL:
-            raise NotStochastic(i, float(P[i].sum()))
+    sums = P.sum(axis=1)
+    bad = np.flatnonzero((P.min(axis=1) < -STOCHASTIC_TOL) | (np.abs(sums - 1.0) > STOCHASTIC_TOL))
+    if bad.size:
+        raise NotStochastic(int(bad[0]), float(sums[bad[0]]))
     if nu.min() < -STOCHASTIC_TOL or abs(nu.sum() - 1.0) > STOCHASTIC_TOL:
         raise NotStochastic(-1, float(nu.sum()))
     if s.min() < -STOCHASTIC_TOL or s.max() > 1.0 + STOCHASTIC_TOL:
@@ -262,21 +243,19 @@ def validate_atom(model: FiniteMarkovModel) -> None:
     if deficit.max() > STOCHASTIC_TOL:
         i, j = np.unravel_index(np.argmax(deficit), deficit.shape)
         raise MinorizationViolated(int(i), int(j), float(deficit[i, j]))
-    comps = _strongly_connected_components(P > 0)
-    if len(comps) > 1:
-        raise NotIrreducible(comps)
+    adj = P > 0
+    outside = np.flatnonzero(_unreached(adj) | _unreached(adj.T))
+    if outside.size:
+        raise NotIrreducible(outside.tolist())
 
 
-def taboo_kernel(model: FiniteMarkovModel) -> KernelMatrix:
-    """The model's taboo kernel H = P - s (x) nu, as a :class:`KernelMatrix`."""
-    return KernelMatrix(model.H, TABOO)
+def taboo_kernel(model: FiniteMarkovModel) -> np.ndarray:
+    """The model's taboo kernel H = P - s (x) nu, i.e. model.H; kept because
+    the benchmark calls and traces it."""
+    return model.H
 
 
-def _as_matrix(H) -> np.ndarray:
-    return H.entries if isinstance(H, KernelMatrix) else np.asarray(H, dtype=float)
-
-
-def fundamental_kernel(H) -> KernelMatrix:
+def fundamental_kernel(H: np.ndarray) -> KernelMatrix:
     """G = sum_l H^l computed by solving (I - H) G = I directly.
 
     For H >= 0 the series converges iff I - H is a nonsingular M-matrix, i.e.
@@ -284,22 +263,22 @@ def fundamental_kernel(H) -> KernelMatrix:
     s = (I - H) 1 (the atom's s when H = P - s (x) nu), so its residual
     measures how close I - H is to singular, i.e. to a chain that never
     regenerates."""
-    Hm = _as_matrix(H)
-    d = Hm.shape[0]
+    d = H.shape[0]
     try:
-        G = np.linalg.solve(np.eye(d) - Hm, np.eye(d))
+        G = np.linalg.solve(np.eye(d) - H, np.eye(d))
     except np.linalg.LinAlgError as exc:
         raise SeriesDiverges(str(exc)) from exc
     if not np.isfinite(G).all() or G.min() < 0.0:
         raise SeriesDiverges("(I - H)^-1 is not entrywise nonnegative: H has spectral radius >= 1")
-    residual = float(np.abs(G @ (1.0 - Hm.sum(axis=1)) - 1.0).max())
+    residual = float(np.abs(G @ (1.0 - H.sum(axis=1)) - 1.0).max())
     if residual > _G_RESIDUAL_TOL:
         raise SeriesDiverges(f"max |G s - 1| = {residual!r}: I - H is too close to singular")
-    return KernelMatrix(G, FUNDAMENTAL)
+    return KernelMatrix(_read_only(G))
 
 
 def invariant_measure(model: FiniteMarkovModel) -> InvariantMeasure:
-    """pi = nu G; satisfies pi P = pi and pi . s = 1."""
+    """pi = nu G, i.e. model.pi; satisfies pi P = pi and pi . s = 1.  Kept
+    because the benchmark calls and traces it."""
     return InvariantMeasure(model.pi)
 
 
@@ -541,7 +520,7 @@ def embedded_transition(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel,
     if minor.max() > tol + 1e-9:
         i, j = np.unravel_index(np.argmax(minor), minor.shape)
         raise MinorizationViolated(int(i), int(j), float(minor[i, j]))
-    return KernelMatrix(P_tilde, EMBEDDED, tail_bound=remaining)
+    return KernelMatrix(_read_only(P_tilde), tail_bound=remaining)
 
 
 def _doubling_sum(A: np.ndarray, Q: np.ndarray, B: np.ndarray, tail, tol: float,

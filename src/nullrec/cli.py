@@ -36,29 +36,15 @@ from .algebra import (
     sigma2_from_series,
 )
 from .estimator import EPANECHNIKOV, Kernel, local_bandwidth, nw_estimate
-from .montecarlo import (
-    _fmt,
-    protocols_from_dict,
-    run_clt,
-    trend_report,
-    write_replication_csv,
-    write_summary_csv,
-)
+from .montecarlo import CltExperimentResult, protocols_from_dict, run_clt, trend_report
 from .processes import generate, load_spec
-from .splitting import simulate_split, write_trajectory_csv
-
-
-def _load_json(path) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise err.ConfigParse(f"{path}: {exc}") from exc
+from .splitting import SplitTrajectory, simulate_split
 
 
 def _load(loader, path):
-    """A chain or process spec read by `loader`, with file and format errors
-    (also an unparseable number or a ragged matrix) raised as ConfigParse."""
+    """A chain, process spec or protocol list read by `loader`, with file and
+    format errors (also an unparseable number or a ragged matrix) raised as
+    ConfigParse."""
     try:
         return loader(path)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -89,6 +75,41 @@ def _write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _fmt(v) -> str:
+    """A float to 17 significant digits (exact round trip), None as empty."""
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
+
+
+def write_trajectory_csv(traj: SplitTrajectory, path) -> None:
+    """Columns t, x, w (empty if absent), y: state labels (as their str) on
+    finite chains, values to 17 significant digits on walks."""
+    def column(v, states):
+        return ([states[i] for i in v.tolist()] if states is not None
+                else [format(val, ".17g") for val in v.tolist()])
+
+    w = [""] * len(traj.x) if traj.w is None else column(traj.w, traj.w_states)
+    _write_csv(path, ["t", "x", "w", "y"],
+               zip(range(len(traj.x)), column(traj.x, traj.states), w, traj.y.tolist()))
+
+
+def write_replication_csv(result: CltExperimentResult, path) -> None:
+    _write_csv(path, ["rep", "seed", "n_or_local_count", "x_eval", "h",
+                      "sum_k", "f_hat", "studentized", "status", "path_length"],
+               ([r.rep, r.seed, _fmt(r.size), _fmt(r.x_eval), _fmt(r.h), _fmt(r.sum_k),
+                 _fmt(r.f_hat), _fmt(r.studentized), r.status, r.path_length]
+                for r in result.records))
+
+
+def write_summary_csv(results, path) -> None:
+    _write_csv(path, ["protocol_id", "size", "reps", "admitted", "ks_distance", "mean", "sd"],
+               ([res.protocol.protocol_id, res.protocol.size, res.protocol.reps, res.admitted,
+                 _fmt(res.ks_distance), _fmt(res.mean), _fmt(res.sd)] for res in results))
 
 
 def _parse_vector(text: str, d: int) -> np.ndarray:
@@ -158,11 +179,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_clt(args) -> int:
-    obj = _load_json(args.protocol)
-    try:
-        protocols = protocols_from_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise err.ConfigParse(f"{args.protocol}: {exc}") from exc
+    protocols = _load(lambda path: protocols_from_dict(json.loads(Path(path).read_text())),
+                      args.protocol)
     if args.seed is not None:
         from dataclasses import replace
         protocols = [replace(p, base_seed=args.seed) for p in protocols]

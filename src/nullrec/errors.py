@@ -57,10 +57,10 @@ class MinorizationViolated(ValidationError):
 
 
 class NotIrreducible(ValidationError):
-    def __init__(self, components: list[list[int]]):
-        self.components = components
-        super().__init__(f"transition graph splits into {len(components)} strongly "
-                         f"connected components: {components}")
+    def __init__(self, outside: list[int]):
+        self.outside = outside
+        super().__init__(f"states {outside} do not communicate with state 0; "
+                         "P is not irreducible")
 
 
 # --- regeneration algebra ----------------------------------------------------
@@ -101,6 +101,10 @@ class NegativeVariance(NumericError):
 
 
 # --- simulation and process specs -------------------------------------------
+
+class SamplingStalled(NumericError):
+    """A lockstep block sampler hit its round cap: the model barely regenerates."""
+
 
 class InvalidHalfwidth(ValidationError):
     pass

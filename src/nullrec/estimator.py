@@ -330,8 +330,10 @@ def _centred_sums(xs: np.ndarray, h, kernel: Kernel, at: np.ndarray, lo: np.ndar
     up to at most m, and with R = max |t_i| max |t_j| the remainder is at
     most m R^p / p!.  p is the fewest terms that keep it within the rounding
     of the prefix sums and the expansion, eps m (m + 3p + 8 + 2 max t_j^2 +
-    2 max t_i^2).  The bound is twice the sum of those two, of the rounding
-    of the direct sum and of the offsets, eps m (m + c^2 + c + 6 + r + rho)
+    2 max t_i^2), up to _MAX_TERMS terms; when the remainder is then still at
+    least m, which 0 <= G_i <= m already gives, the estimate is skipped and
+    the bound is infinite.  Otherwise the bound is twice the sum of those
+    two, of the rounding of the direct sum and of the offsets, eps m (m + c^2 + c + 6 + r + rho)
     with r = max |t_i| and rho = max |t_j|, and of the window edge.  The
     kernel jumps by exp(-c^2/2) at |u| = c, so a point within a few roundings
     of c h from at_i, which the window may hold and the kernel's rounded
@@ -353,6 +355,8 @@ def _centred_sums(xs: np.ndarray, h, kernel: Kernel, at: np.ndarray, lo: np.ndar
         while rem > rounding(p) and p < _MAX_TERMS:
             p += 1
             rem *= r * rho / p
+        if rem >= m:  # no better than 0 <= G_i <= m: skip the prefix passes
+            return np.zeros(at.size), None, np.full(at.size, math.inf)
         w, pk = np.exp(-0.5 * t * t), np.zeros(m + 1)
         i, j = lo - a, hi - a
         est, coef = np.zeros(at.size), np.ones(at.size)  # coef = t_i^k / k!

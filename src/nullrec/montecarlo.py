@@ -27,7 +27,6 @@ is order-independent.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -276,37 +275,7 @@ def trend_report(results) -> TrendReport:
     return TrendReport(rows=rows, violation=violation)
 
 
-# --- CSV / JSON interfaces -----------------------------------------------------
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
-def write_replication_csv(result: CltExperimentResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rep", "seed", "n_or_local_count", "x_eval", "h",
-                         "sum_k", "f_hat", "studentized", "status", "path_length"])
-        for r in result.records:
-            writer.writerow([r.rep, r.seed, _fmt(r.size), _fmt(r.x_eval), _fmt(r.h),
-                             _fmt(r.sum_k), _fmt(r.f_hat), _fmt(r.studentized), r.status,
-                             r.path_length])
-
-
-def write_summary_csv(results, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["protocol_id", "size", "reps", "admitted",
-                         "ks_distance", "mean", "sd"])
-        for res in results:
-            p = res.protocol
-            writer.writerow([p.protocol_id, p.size, p.reps, res.admitted,
-                             _fmt(res.ks_distance), _fmt(res.mean), _fmt(res.sd)])
-
+# --- protocol files ---------------------------------------------------------
 
 def kernel_from_dict(obj: dict) -> Kernel:
     kind = obj.get("kind", "epanechnikov")

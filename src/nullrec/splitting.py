@@ -21,7 +21,6 @@ never touch G or pi, only the model's cum_nu, cum_P and R (from P, s, nu).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from inspect import Parameter, signature
@@ -30,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .algebra import FiniteMarkovModel
-from .errors import InvalidHalfwidth, InvalidSpec, UnknownProcessFamily
+from .errors import InvalidHalfwidth, InvalidSpec, SamplingStalled, UnknownProcessFamily
 from .processes import ProcessSpec, draw_start, generate, step_chain
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -267,7 +266,7 @@ def sample_blocks(model: FiniteMarkovModel, g, n_blocks: int,
         U[keep] += g[nxs]
         L[keep] += 1
         alive = keep
-    raise RuntimeError("block sampling did not terminate; model may not regenerate")
+    raise SamplingStalled("block sampling did not terminate; model may not regenerate")
 
 
 def sample_compound_block_sums(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel,
@@ -307,7 +306,7 @@ def sample_compound_block_sums(x_model: FiniteMarkovModel, w_model: FiniteMarkov
         fresh = y1[keep_mask]
         V[keep] = np.where(fresh, step_val, V[keep] + step_val)
         alive = keep
-    raise RuntimeError("compound block sampling did not terminate")
+    raise SamplingStalled("compound block sampling did not terminate")
 
 
 def sample_embedded_counts(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel,
@@ -338,18 +337,4 @@ def sample_embedded_counts(x_model: FiniteMarkovModel, w_model: FiniteMarkovMode
         w = nw
         if total >= n_pairs:
             return counts
-    raise RuntimeError("embedded sampling did not reach the requested pair count")
-
-
-def write_trajectory_csv(traj: SplitTrajectory, path) -> None:
-    """Columns t, x, w (empty if absent), y."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "w", "y"])
-        for t in range(len(traj.x)):
-            xv = traj.states[traj.x[t]] if traj.states is not None else format(traj.x[t], ".17g")
-            wv = ""
-            if traj.w is not None:
-                wv = (traj.w_states[traj.w[t]] if traj.w_states is not None
-                      else format(traj.w[t], ".17g"))
-            writer.writerow([t, xv, wv, int(traj.y[t])])
+    raise SamplingStalled("embedded sampling did not reach the requested pair count")

@@ -34,7 +34,7 @@ def geometric_binomial_moment(m, k_max=300):
 def fundamental_kernel_series(H, tol=1e-10, max_terms=1_000_000):
     """The slow reference for alg.fundamental_kernel: G by the truncated power
     series sum_l H^l, stopped when the sup-norm increment is below tol."""
-    Hm = alg._as_matrix(H)
+    Hm = np.asarray(H, dtype=float)
     d = Hm.shape[0]
     term = np.eye(d)
     G = np.eye(d)
@@ -43,7 +43,7 @@ def fundamental_kernel_series(H, tol=1e-10, max_terms=1_000_000):
         G += term
         sup = np.abs(term).max()
         if sup < tol:
-            return alg.KernelMatrix(G, alg.FUNDAMENTAL, tail_bound=sup)
+            return alg.KernelMatrix(G, tail_bound=sup)
         if not np.isfinite(sup) or sup > 1e12:
             break
     raise SeriesDiverges("power series for G did not converge")
@@ -67,7 +67,38 @@ class TestValidation:
         with pytest.raises(NotIrreducible) as exc:
             alg.FiniteMarkovModel(states=(0, 1), P=[[1.0, 0.0], [0.0, 1.0]],
                                   s=[0.0, 0.0], nu=[0.5, 0.5])
-        assert len(exc.value.components) == 2
+        assert exc.value.outside == [1]
+
+    @staticmethod
+    def ring_model(d, exits=()):
+        """The deterministic cycle 0 -> 1 -> ... -> d-1 -> 0, with each
+        (i, j, p) in `exits` moving mass p of row i from its successor to j;
+        the atom is s = 1_0, nu = 1_1."""
+        P = np.roll(np.eye(d), 1, axis=1)
+        for i, j, p in exits:
+            P[i] *= 1.0 - p
+            P[i, j] += p
+        return alg.FiniteMarkovModel(states=tuple(range(d)), P=P, s=np.eye(d)[0],
+                                     nu=np.eye(d)[1])
+
+    def test_large_ring_validates_quickly(self):
+        import time
+
+        start = time.perf_counter()
+        model = self.ring_model(1000)
+        assert time.perf_counter() - start < 0.5
+        assert model.d == 1000
+
+    @pytest.mark.parametrize("exits", [
+        [(2, 0, 1.0), (5, 3, 1.0)],  # two closed rings 0-1-2 and 3-4-5
+        [(2, 0, 0.5), (5, 3, 1.0)],  # 0-1-2 leads into 3-4-5, which never returns
+        [(2, 0, 1.0), (5, 3, 0.5)],  # 3-4-5 leads into 0-1-2, which never leaves
+    ])
+    def test_not_irreducible_reports_the_states_outside_state_zeros_class(self, exits):
+        with pytest.raises(NotIrreducible) as exc:
+            self.ring_model(6, exits)
+        assert exc.value.outside == [3, 4, 5]
+        self.ring_model(6, [(2, 0, 0.5)])  # the rings joined both ways
 
     def test_not_stochastic(self):
         with pytest.raises(NotStochastic):
@@ -81,18 +112,17 @@ class TestValidation:
 class TestTabooKernel:
     def test_symmetric_two_state(self, two_state):
         H = alg.taboo_kernel(two_state)
-        assert H.kind == alg.TABOO
-        np.testing.assert_allclose(H.entries, [[0.25, 0.25], [0.25, 0.25]], atol=1e-15)
+        np.testing.assert_allclose(H, [[0.25, 0.25], [0.25, 0.25]], atol=1e-15)
 
     def test_zero_s_gives_P(self, two_state):
         model = alg.FiniteMarkovModel(states=(0, 1), P=two_state.P,
                                       s=[0.0, 0.0], nu=[0.5, 0.5])
-        np.testing.assert_array_equal(alg.taboo_kernel(model).entries, model.P)
+        np.testing.assert_array_equal(alg.taboo_kernel(model), model.P)
 
     def test_full_regeneration_gives_zero(self):
         model = alg.FiniteMarkovModel(states=(0, 1), P=[[0.3, 0.7], [0.3, 0.7]],
                                       s=[1.0, 1.0], nu=[0.3, 0.7])
-        np.testing.assert_array_equal(alg.taboo_kernel(model).entries, np.zeros((2, 2)))
+        np.testing.assert_array_equal(alg.taboo_kernel(model), np.zeros((2, 2)))
 
 
 class TestFundamentalKernel:
@@ -117,7 +147,7 @@ class TestFundamentalKernel:
         rng = np.random.default_rng(11)
         for _ in range(10):
             model = random_model(rng)
-            H = alg.taboo_kernel(model).entries
+            H = alg.taboo_kernel(model)
             G = alg.fundamental_kernel(H).entries
             resid = (np.eye(model.d) - H) @ G - np.eye(model.d)
             assert np.abs(resid).max() < 1e-10
@@ -547,7 +577,7 @@ def reference_embedded(x_model, w_model, tol=1e-10, max_terms=200_000):
         u = u @ x_model.H
         remaining = float(u.sum())
         if remaining < tol:
-            return alg.KernelMatrix(w_model.P @ Phi, alg.EMBEDDED, tail_bound=remaining)
+            return alg.KernelMatrix(w_model.P @ Phi, tail_bound=remaining)
         Ppow = Ppow @ w_model.P
     raise TruncationInsufficient(remaining, tol)
 
@@ -1043,8 +1073,17 @@ class TestModelCache:
             assert getattr(two_state, name) is arr, name
 
     def test_taboo_kernel_matches_cached_attribute(self, two_state):
-        np.testing.assert_array_equal(alg.taboo_kernel(two_state).entries, two_state.H)
+        np.testing.assert_array_equal(alg.taboo_kernel(two_state), two_state.H)
         np.testing.assert_array_equal(alg.invariant_measure(two_state).pi, two_state.pi)
+
+    def test_results_are_read_only(self, two_state):
+        wm = random_model(np.random.default_rng(3), d=3)
+        for arr in (alg.fundamental_kernel(np.array(two_state.H)).entries,
+                    alg.embedded_transition(two_state, wm).entries,
+                    alg.invariant_measure(two_state).pi):
+            assert arr.flags.writeable is False
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     @given(st.integers(0, 10_000))
     def test_exact_identities_on_random_chains(self, seed):

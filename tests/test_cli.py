@@ -91,7 +91,7 @@ EXIT_CODES = {
     "ValidationError": 4, "NotStochastic": 4, "MinorizationViolated": 4, "NotIrreducible": 4,
     "InvalidSpec": 4, "InvalidHalfwidth": 4, "UnknownProcessFamily": 4, "WrongFamily": 4,
     "NumericError": 5, "SeriesDiverges": 5, "TruncationInsufficient": 5,
-    "CoefficientMassDeficit": 5, "OrderTooLarge": 5, "NegativeVariance": 5,
+    "CoefficientMassDeficit": 5, "OrderTooLarge": 5, "NegativeVariance": 5, "SamplingStalled": 5,
     "EmptyDataError": 6, "EmptyNeighborhood": 6, "EmptyOccupation": 6,
     "AllNeighborhoodsEmpty": 6, "TooFewValues": 6,
     "ExperimentError": 7, "AllRejected": 7, "IncomparableProtocols": 7,

@@ -452,6 +452,24 @@ class TestGaussianScreen:
         assert 1 <= keep.sum() < 10
         assert est.modal_value(x, GAUSS) in xs[keep]
 
+    @pytest.mark.parametrize("c, vacuous", [(2.5, False), (30.0, False), (1e4, True)])
+    def test_vacuous_taylor_bound_is_infinite(self, c, vacuous):
+        # At c = 1e4 the radius spans the whole walk, and _MAX_TERMS Taylor
+        # terms leave a remainder above the trivial bound m on every block
+        # of more than a few points; such a block makes no prefix pass.
+        from nullrec.processes import ProcessSpec, generate, linear
+
+        x = generate(ProcessSpec(family="INDEP", f=linear()), 1499, seed=0).x
+        xs, h, kernel = np.sort(x), 0.5, est.gaussian_truncated(c)
+        lo, hi = est._window(xs, kernel.support_radius * h)
+        for a, b in est._blocks(xs, h):
+            bound = est._centred_sums(xs, h, kernel, xs[a:b], lo[a:b], hi[a:b])[2]
+            if vacuous and b - a > 10:
+                assert np.isinf(bound).all()
+            elif not vacuous:
+                assert np.isfinite(bound).all()
+        assert est.modal_value(x, kernel, h) == reference_modal_value(x, kernel, h)
+
 
 def direct_kernel_sums(xs, h, kernel, v=None):
     """The slow reference: the one-point sum at every sample point."""

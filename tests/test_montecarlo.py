@@ -15,6 +15,7 @@ from nullrec.errors import (
     InvalidSpec,
     TooFewValues,
 )
+from nullrec.cli import write_replication_csv, write_summary_csv
 from nullrec.estimator import local_bandwidth, nw_estimate
 from nullrec.processes import ProcessSpec, generate, linear, stream
 
@@ -252,8 +253,8 @@ class TestCsvAndJson:
         res = mc.run_clt(proto)
         rep_path = tmp_path / "reps.csv"
         sum_path = tmp_path / "summary.csv"
-        mc.write_replication_csv(res, rep_path)
-        mc.write_summary_csv([res], sum_path)
+        write_replication_csv(res, rep_path)
+        write_summary_csv([res], sum_path)
         rep_lines = rep_path.read_text().strip().splitlines()
         assert rep_lines[0] == ("rep,seed,n_or_local_count,x_eval,h,sum_k,f_hat,studentized,"
                                 "status,path_length")

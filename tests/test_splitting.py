@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import nullrec.algebra as alg
 import nullrec.splitting as sp
-from nullrec.errors import InvalidHalfwidth, UnknownProcessFamily
+from nullrec.cli import write_trajectory_csv
+from nullrec.errors import InvalidHalfwidth, NumericError, SamplingStalled, UnknownProcessFamily
 from nullrec.processes import ProcessSpec, draw_start, generate, linear, step_chain
 from tests.conftest import random_model
 
@@ -394,12 +395,24 @@ class TestVectorizedSamplers:
         exact = alg.embedded_transition(two_state, wm).entries
         assert np.abs(emp - exact).max() < 0.012
 
+    @pytest.mark.parametrize("sampler, cap", [
+        (lambda m: sp.sample_blocks(m, [1.0, 0.0], 100, seed=1), "_MAX_BLOCK_ROUNDS"),
+        (lambda m: sp.sample_compound_block_sums(m, m, [1.0, 0.0], [1.0, 1.0], (1, 2), 100,
+                                                 seed=1), "_MAX_BLOCK_ROUNDS"),
+        (lambda m: sp.sample_embedded_counts(m, m, 10**9, seed=1), "_MAX_EMBEDDED_ROUNDS"),
+    ])
+    def test_round_cap_raises_sampling_stalled(self, two_state, monkeypatch, sampler, cap):
+        monkeypatch.setattr(sp, cap, 1)
+        with pytest.raises(SamplingStalled):
+            sampler(two_state)
+        assert issubclass(SamplingStalled, NumericError)
+
 
 class TestTrajectoryCsv:
     def test_columns_and_empty_w(self, two_state, tmp_path):
         traj = sp.simulate_split(two_state, 5, seed=1)
         out = tmp_path / "traj.csv"
-        sp.write_trajectory_csv(traj, out)
+        write_trajectory_csv(traj, out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,x,w,y"
         assert len(lines) == 7
