@@ -71,10 +71,13 @@ def _write_metadata(out: Path, command: str, config: dict) -> None:
 
 
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise err.IoFailure(str(exc)) from exc
 
 
 def _fmt(v) -> str:

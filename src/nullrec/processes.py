@@ -166,13 +166,15 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STEP_CHUNK):
         elif fam == "SHARED_INNOVATION":
             w = _SQ5 * E[:, 0] + _SQ5 * E[:, 1]
         elif fam == "AR1_LINKED":
-            u = spec.sigma_u * E[:, 1]
+            # w_t = (a w_{t-1} + b e_t) + u_t over Python floats, a slice at a time.
+            be, u = b * e, spec.sigma_u * E[:, 1]
             w = np.empty(chunk)
-            w[0] = (_ar1_stationary_sd(spec) * E[0, 1] if first
-                    else a * w_prev + b * e[0] + u[0])
-            for t in range(1, chunk):
-                w[t] = a * w[t - 1] + b * e[t] + u[t]
-            w_prev = w[-1]
+            w[0] = w_prev = float(_ar1_stationary_sd(spec) * E[0, 1] if first
+                                  else a * w_prev + be[0] + u[0])
+            for i0 in range(1, chunk, _STEP_CHUNK):
+                rows = slice(i0, i0 + _STEP_CHUNK)
+                w[rows] = [w_prev := a * w_prev + be_t + u_t
+                           for be_t, u_t in zip(be[rows].tolist(), u[rows].tolist())]
         else:  # MA_LINKED
             w = np.empty(chunk)
             w[0] = E[0, 2] if first else (E[0, 0] + e_prev + eps_prev) / _SQ3

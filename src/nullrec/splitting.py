@@ -150,10 +150,11 @@ def simulate_split(process, n: int, seed: int) -> SplitTrajectory:
     x_ext = path.x
     u = np.random.default_rng([seed, 1]).random(n + 1)
     in_c = (x_ext >= atom.lo) & (x_ext <= atom.hi)
-    dx = x_ext[1:] - x_ext[:-1]
-    ratio = np.where(in_c[:-1] & in_c[1:],
-                     atom.s_level * atom.nu_density / _norm_pdf(dx), 0.0)
-    y = (u < ratio).astype(np.uint8)
+    # The ratio is zero unless both ends of the step lie in the atom.
+    both = np.flatnonzero(in_c[:-1] & in_c[1:])
+    dx = x_ext[both + 1] - x_ext[both]
+    y = np.zeros(n + 1, dtype=np.uint8)
+    y[both] = u[both] < atom.s_level * atom.nu_density / _norm_pdf(dx)
     return SplitTrajectory(x=x_ext[:n + 1], y=y, tau=np.flatnonzero(y), seed=seed,
                            w=path.w[:n + 1] if path.w is not None else None)
 
@@ -235,37 +236,43 @@ def block_sums(traj: SplitTrajectory, g) -> BlockDecomposition:
 
 def _draw_step(model: FiniteMarkovModel, states: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Next state per replica from its row of P: the count of table entries
-    <= u, as in :func:`nullrec.processes.step_chain` (the last one is 1.0)."""
-    nxt = np.zeros_like(states)
-    for j in range(model.d - 1):
-        nxt += model.cum_P[states, j] <= u
+    <= u, as in :func:`nullrec.processes.step_chain`, read column by column.
+    The last column is all 1.0 and never counts, not even as the first."""
+    cols = model.cum_P.T
+    nxt = (cols[0].take(states) <= u).astype(states.dtype)
+    for col in cols[1:-1]:
+        nxt += col.take(states) <= u
     return nxt
+
+
+def _split_ratio(model: FiniteMarkovModel, states: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """R[states, nxt], looked up in the flat table."""
+    return model.R.ravel().take(states * model.d + nxt)
 
 
 def sample_blocks(model: FiniteMarkovModel, g, n_blocks: int,
                   seed: int) -> tuple[np.ndarray, np.ndarray]:
     """n_blocks i.i.d. regeneration blocks of the split chain started from nu,
     returning (block sums of g, block lengths).  All replicas step in
-    lockstep; each stops at its first regeneration."""
+    lockstep; each stops at its first regeneration.  Live replicas are kept
+    compacted in block order: a round's k-th uniform goes to the k-th one."""
     g = np.asarray(g, dtype=float)
     rng = np.random.default_rng(seed)
 
     x = draw_start(model, rng.random(n_blocks))
-    U = g[x].astype(float)
-    L = np.ones(n_blocks, dtype=np.int64)
-    alive = np.arange(n_blocks)
-    for _ in range(_MAX_BLOCK_ROUNDS):
-        if alive.size == 0:
+    U = np.empty(n_blocks)
+    L = np.empty(n_blocks, dtype=np.int64)
+    block = np.arange(n_blocks)
+    u = g.take(x)
+    for length in range(1, _MAX_BLOCK_ROUNDS + 1):
+        if block.size == 0:
             return U, L
-        xa = x[alive]
-        nx = _draw_step(model, xa, rng.random(alive.size))
-        survive = rng.random(alive.size) >= model.R[xa, nx]
-        keep = alive[survive]
-        nxs = nx[survive]
-        x[keep] = nxs
-        U[keep] += g[nxs]
-        L[keep] += 1
-        alive = keep
+        nx = _draw_step(model, x, rng.random(block.size))
+        live = np.flatnonzero(rng.random(block.size) >= _split_ratio(model, x, nx))
+        U[block] = u
+        L[block] = length
+        block, x = block.take(live), nx.take(live)
+        u = u.take(live) + g.take(x)
     raise SamplingStalled("block sampling did not terminate; model may not regenerate")
 
 
@@ -274,7 +281,8 @@ def sample_compound_block_sums(x_model: FiniteMarkovModel, w_model: FiniteMarkov
                                seed: int) -> dict[int, np.ndarray]:
     """For n_blocks i.i.d. compound regeneration blocks of the independent
     product chain, the per-block sums over X-subblocks of V^m, where V is the
-    subblock sum of gX(X) gW(W).  Returns one array per requested order m."""
+    subblock sum of gX(X) gW(W).  Returns one array per requested order m.
+    Each round draws X steps, W steps, X flags, W flags, one per live block."""
     gX = np.asarray(gX, dtype=float)
     gW = np.asarray(gW, dtype=float)
     orders = tuple(orders)
@@ -282,30 +290,26 @@ def sample_compound_block_sums(x_model: FiniteMarkovModel, w_model: FiniteMarkov
 
     x = draw_start(x_model, rng.random(n_blocks))
     w = draw_start(w_model, rng.random(n_blocks))
-    V = gX[x] * gW[w]
+    V = gX.take(x) * gW.take(w)
     S = {m: np.zeros(n_blocks) for m in orders}
-    alive = np.arange(n_blocks)
+    block = np.arange(n_blocks)
     for _ in range(_MAX_BLOCK_ROUNDS):
-        if alive.size == 0:
+        if block.size == 0:
             return S
-        xa, wa = x[alive], w[alive]
-        nx = _draw_step(x_model, xa, rng.random(alive.size))
-        nw = _draw_step(w_model, wa, rng.random(alive.size))
-        y1 = rng.random(alive.size) < x_model.R[xa, nx]
-        y2 = rng.random(alive.size) < w_model.R[wa, nw]
-        sub_end = alive[y1]
+        nx = _draw_step(x_model, x, rng.random(block.size))
+        nw = _draw_step(w_model, w, rng.random(block.size))
+        y1 = rng.random(block.size) < _split_ratio(x_model, x, nx)
+        y2 = rng.random(block.size) < _split_ratio(w_model, w, nw)
+        sub_end = np.flatnonzero(y1)
+        ended, v_end = block.take(sub_end), V.take(sub_end)
         for m in orders:
-            S[m][sub_end] += V[sub_end] ** m
-        done = y1 & y2
-        keep_mask = ~done
-        keep = alive[keep_mask]
-        nxs, nws = nx[keep_mask], nw[keep_mask]
-        x[keep] = nxs
-        w[keep] = nws
-        step_val = gX[nxs] * gW[nws]
-        fresh = y1[keep_mask]
-        V[keep] = np.where(fresh, step_val, V[keep] + step_val)
-        alive = keep
+            S[m][ended] += v_end ** m
+        # -0.0 is the exact additive identity (-0.0 + x == x bit for bit,
+        # x = +-0.0 included), so a fresh X-subblock starts at its first step.
+        V[sub_end] = -0.0
+        live = np.flatnonzero(~(y1 & y2))
+        block, x, w = block.take(live), nx.take(live), nw.take(live)
+        V = V.take(live) + gX.take(x) * gW.take(w)
     raise SamplingStalled("compound block sampling did not terminate")
 
 
@@ -323,7 +327,7 @@ def sample_embedded_counts(x_model: FiniteMarkovModel, w_model: FiniteMarkovMode
     total = 0
     for _ in range(_MAX_EMBEDDED_ROUNDS):
         nx = _draw_step(x_model, x, rng.random(_EMBEDDED_REPLICAS))
-        y1 = rng.random(_EMBEDDED_REPLICAS) < x_model.R[x, nx]
+        y1 = rng.random(_EMBEDDED_REPLICAS) < _split_ratio(x_model, x, nx)
         nw = _draw_step(w_model, w, rng.random(_EMBEDDED_REPLICAS))
         hit = np.flatnonzero(y1)
         if hit.size:

@@ -74,6 +74,15 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigParse" and err["exit_code"] == 2
 
+    def test_unwritable_csv_is_io_failure(self, chain_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "trajectory.csv").mkdir(parents=True)
+        code = main(["simulate", "--chain", str(chain_path), "--n", "10", "--out", str(out)])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "IoFailure" and err["exit_code"] == 3
+        assert not (out / "metadata.json").exists()
+
     def test_invalid_chain_maps_to_validation_exit(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({

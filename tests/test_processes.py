@@ -142,6 +142,37 @@ class TestStream:
             next(pr.stream(indep, 0, chunk=0))
 
 
+def reference_ar1(spec, rows, seed):
+    """The AR1_LINKED disturbance by the per-index loop over numpy scalars,
+    over the time-major draws of one run: w_t = a w_{t-1} + b e_t + u_t."""
+    E = np.random.default_rng(seed).standard_normal((rows, 2))
+    e = spec.sigma_e * E[:, 0]
+    u = spec.sigma_u * E[:, 1]
+    w = np.empty(rows)
+    w[0] = pr._ar1_stationary_sd(spec) * E[0, 1]
+    for t in range(1, rows):
+        w[t] = spec.a * w[t - 1] + spec.b * e[t] + u[t]
+    return w
+
+
+class TestAr1AgainstSlowReference:
+    SPEC = pr.ProcessSpec(family="AR1_LINKED", a=-0.83, b=0.37, sigma_e=1.9, sigma_u=0.45,
+                          x0=1.25)
+
+    @pytest.mark.parametrize("chunk", [1, 997, 65535, 65536, 65537])
+    def test_stream_blocks(self, chunk):
+        rows = max(3 * chunk, 3000)
+        blocks = list(islice(pr.stream(self.SPEC, 13, chunk=chunk), -(-rows // chunk)))
+        w = np.concatenate([b.w for b in blocks])[:rows]
+        assert np.array_equal(w, reference_ar1(self.SPEC, rows, 13))
+
+    def test_generate_spans_several_slices(self):
+        rows = 3 * 65536 + 7
+        path = pr.generate(self.SPEC, rows - 1, 14)
+        assert np.array_equal(path.w, reference_ar1(self.SPEC, rows, 14))
+        assert np.array_equal(path.z, self.SPEC.f(path.x) + path.w)
+
+
 class TestAr1Moments:
     def test_formula_values(self):
         spec = pr.ProcessSpec(family="AR1_LINKED", a=0.5, b=1.0, sigma_e=1.0)

@@ -50,6 +50,97 @@ def reference_chain_path(model, uniforms):
     return np.minimum(idx, model.d - 1)
 
 
+# The lockstep samplers as they were before the live state was compacted:
+# each round gathers x[alive] and scatters back into full-length arrays.  The
+# samplers must reproduce them bit for bit.
+
+def reference_draw_step(model, states, u):
+    nxt = np.zeros_like(states)
+    for j in range(model.d - 1):
+        nxt += model.cum_P[states, j] <= u
+    return nxt
+
+
+def reference_sample_blocks(model, g, n_blocks, seed):
+    g = np.asarray(g, dtype=float)
+    rng = np.random.default_rng(seed)
+    x = draw_start(model, rng.random(n_blocks))
+    U = g[x].astype(float)
+    L = np.ones(n_blocks, dtype=np.int64)
+    alive = np.arange(n_blocks)
+    while alive.size:
+        xa = x[alive]
+        nx = reference_draw_step(model, xa, rng.random(alive.size))
+        survive = rng.random(alive.size) >= model.R[xa, nx]
+        keep = alive[survive]
+        nxs = nx[survive]
+        x[keep] = nxs
+        U[keep] += g[nxs]
+        L[keep] += 1
+        alive = keep
+    return U, L
+
+
+def reference_compound_block_sums(x_model, w_model, gX, gW, orders, n_blocks, seed):
+    gX = np.asarray(gX, dtype=float)
+    gW = np.asarray(gW, dtype=float)
+    rng = np.random.default_rng(seed)
+    x = draw_start(x_model, rng.random(n_blocks))
+    w = draw_start(w_model, rng.random(n_blocks))
+    V = gX[x] * gW[w]
+    S = {m: np.zeros(n_blocks) for m in orders}
+    alive = np.arange(n_blocks)
+    while alive.size:
+        xa, wa = x[alive], w[alive]
+        nx = reference_draw_step(x_model, xa, rng.random(alive.size))
+        nw = reference_draw_step(w_model, wa, rng.random(alive.size))
+        y1 = rng.random(alive.size) < x_model.R[xa, nx]
+        y2 = rng.random(alive.size) < w_model.R[wa, nw]
+        sub_end = alive[y1]
+        for m in orders:
+            S[m][sub_end] += V[sub_end] ** m
+        keep_mask = ~(y1 & y2)
+        keep = alive[keep_mask]
+        nxs, nws = nx[keep_mask], nw[keep_mask]
+        x[keep] = nxs
+        w[keep] = nws
+        step_val = gX[nxs] * gW[nws]
+        V[keep] = np.where(y1[keep_mask], step_val, V[keep] + step_val)
+        alive = keep
+    return S
+
+
+def reference_embedded_counts(x_model, w_model, n_pairs, seed):
+    k = sp._EMBEDDED_REPLICAS
+    rng = np.random.default_rng(seed)
+    x = draw_start(x_model, rng.random(k))
+    w = draw_start(w_model, rng.random(k))
+    last_w = np.full(k, -1, dtype=np.int64)
+    counts = np.zeros((w_model.d, w_model.d), dtype=np.int64)
+    total = 0
+    while total < n_pairs:
+        nx = reference_draw_step(x_model, x, rng.random(k))
+        y1 = rng.random(k) < x_model.R[x, nx]
+        nw = reference_draw_step(w_model, w, rng.random(k))
+        hit = np.flatnonzero(y1)
+        prev, cur = last_w[hit], w[hit]
+        valid = prev >= 0
+        np.add.at(counts, (prev[valid], cur[valid]), 1)
+        total += int(valid.sum())
+        last_w[hit] = cur
+        x, w = nx, nw
+    return counts
+
+
+def reference_walk_flags(x_ext, u, atom):
+    """Walk regeneration flags with the split ratio evaluated at every step."""
+    in_c = (x_ext >= atom.lo) & (x_ext <= atom.hi)
+    dx = x_ext[1:] - x_ext[:-1]
+    ratio = np.where(in_c[:-1] & in_c[1:], atom.s_level * atom.nu_density / sp._norm_pdf(dx),
+                     0.0)
+    return (u < ratio).astype(np.uint8)
+
+
 def two_sample_ks(a, b):
     data = np.concatenate([a, b])
     order = np.argsort(data, kind="mergesort")
@@ -406,6 +497,92 @@ class TestVectorizedSamplers:
         with pytest.raises(SamplingStalled):
             sampler(two_state)
         assert issubclass(SamplingStalled, NumericError)
+
+
+class TestSamplersAgainstSlowReference:
+    """The compacted lockstep samplers against the gather/scatter references:
+    same uniforms in the same order, so every output is bit-identical."""
+
+    @staticmethod
+    def _chains():
+        rng = np.random.default_rng(61)
+        # Zero entries in P (row 0 also sums to 0.9999999999999999) repeat
+        # values along rows of the cumulative table, and nu = e_2 leaves three
+        # columns of R zero.
+        P = [[0.7, 0.2, 0.1, 0.0], [0.0, 0.5, 0.5, 0.0],
+             [0.25, 0.25, 0.25, 0.25], [1.0, 0.0, 0.0, 0.0]]
+        return {
+            "threestate": alg.load_model(CONFIGS / "threestate.json"),
+            "twostate": alg.load_model(CONFIGS / "twostate.json"),
+            "d50": random_model(rng, d=50),
+            "d300": random_model(rng, d=300),
+            "zeros": alg.FiniteMarkovModel(states=(0, 1, 2, 3), P=P, s=[0.1, 0.5, 0.25, 0.0],
+                                           nu=[0.0, 0.0, 1.0, 0.0]),
+        }
+
+    # Blocks per run beyond the single-block case: the wide chains cost the
+    # references a column pass per state, so they get fewer.
+    MANY = {"threestate": 100_000, "twostate": 100_000, "zeros": 100_000, "d50": 10_000,
+            "d300": 500}
+
+    @pytest.mark.parametrize("many", [False, True])
+    def test_sample_blocks(self, many):
+        for name, model in self._chains().items():
+            n_blocks = self.MANY[name] if many else 1
+            g = np.random.default_rng(model.d).normal(size=model.d)
+            for seed in (0, 17):
+                got = sp.sample_blocks(model, g, n_blocks, seed)
+                want = reference_sample_blocks(model, g, n_blocks, seed)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype
+                    assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("many", [False, True])
+    @pytest.mark.parametrize("x_name, w_name", [
+        ("twostate", "threestate"), ("threestate", "twostate"), ("d50", "zeros"),
+        ("d300", "twostate"),
+    ])
+    def test_compound_block_sums(self, x_name, w_name, many):
+        chains = self._chains()
+        x_model, w_model = chains[x_name], chains[w_name]
+        n_blocks = min(self.MANY[x_name], self.MANY[w_name]) if many else 1
+        rng = np.random.default_rng(3)
+        gX, gW = rng.uniform(-1, 1, x_model.d), rng.uniform(-1, 1, w_model.d)
+        gX[0] = 0.0  # zero (and signed-zero) products in V
+        for seed in (0, 17):
+            got = sp.sample_compound_block_sums(x_model, w_model, gX, gW, (1, 2, 3), n_blocks,
+                                                seed)
+            want = reference_compound_block_sums(x_model, w_model, gX, gW, (1, 2, 3), n_blocks,
+                                                 seed)
+            assert sorted(got) == [1, 2, 3]
+            for m in (1, 2, 3):
+                assert np.array_equal(got[m], want[m]), m
+
+    @pytest.mark.parametrize("x_name, w_name", [
+        ("twostate", "threestate"), ("threestate", "twostate"), ("zeros", "d50"),
+    ])
+    def test_embedded_counts(self, x_name, w_name):
+        chains = self._chains()
+        got = sp.sample_embedded_counts(chains[x_name], chains[w_name], 50_000, seed=5)
+        want = reference_embedded_counts(chains[x_name], chains[w_name], 50_000, seed=5)
+        assert np.array_equal(got, want)
+
+    def test_draw_step_on_every_state(self):
+        for name, model in self._chains().items():
+            u = np.random.default_rng(8).random(5000)
+            states = np.arange(5000) % model.d
+            assert np.array_equal(sp._draw_step(model, states, u),
+                                  reference_draw_step(model, states, u)), name
+
+    @pytest.mark.parametrize("halfwidth, seed", [(0.5, 3), (0.05, 4), (1.0, 5)])
+    def test_walk_flags(self, halfwidth, seed):
+        spec = ProcessSpec(family="AR1_LINKED", a=0.3, halfwidth=halfwidth)
+        traj = sp.simulate_split(spec, 50_000, seed)
+        x_ext = generate(spec, 50_001, seed).x
+        u = np.random.default_rng([seed, 1]).random(50_001)
+        want = reference_walk_flags(x_ext, u, sp.gaussian_rw_atom(halfwidth))
+        assert want.any()
+        assert np.array_equal(traj.y, want) and traj.y.dtype == want.dtype
 
 
 class TestTrajectoryCsv:
