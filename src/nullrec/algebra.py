@@ -629,12 +629,3 @@ def model_from_dict(obj: dict) -> FiniteMarkovModel:
 def load_model(path) -> FiniteMarkovModel:
     with open(path) as fh:
         return model_from_dict(json.load(fh))
-
-
-def model_to_dict(model: FiniteMarkovModel) -> dict:
-    return {
-        "states": list(model.states),
-        "P": model.P.tolist(),
-        "s": model.s.tolist(),
-        "nu": model.nu.tolist(),
-    }

@@ -27,7 +27,6 @@ is order-independent.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -45,7 +44,7 @@ from .errors import (
     TooFewValues,
 )
 from .estimator import EPANECHNIKOV, Kernel, local_bandwidth, modal_value, nw_estimate
-from .processes import ProcessSpec, generate, spec_from_dict, spec_to_dict, stream
+from .processes import ProcessSpec, generate, spec_from_dict, stream
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -254,8 +253,7 @@ class TrendReport:
 
 
 def _comparability_key(p: CltProtocol):
-    return (p.mode, json.dumps(spec_to_dict(p.process), sort_keys=True),
-            p.kernel.kind, p.kernel.c, p.c0, p.fixed_h, p.reps,
+    return (p.mode, p.process, p.kernel, p.c0, p.fixed_h, p.reps,
             p.x_eval, p.window, p.max_path_length)
 
 
@@ -314,22 +312,4 @@ def protocols_from_dict(obj: dict) -> list[CltProtocol]:
                           window=tuple(float(v) for v in obj["window"]),
                           local_count=size)
         out.append(CltProtocol(**kwargs))
-    return out
-
-
-def protocol_to_dict(p: CltProtocol) -> dict:
-    out = {
-        "id": p.protocol_id,
-        "mode": p.mode,
-        "process": spec_to_dict(p.process),
-        "reps": p.reps,
-        "base_seed": p.base_seed,
-        "kernel": {"kind": p.kernel.kind, "c": p.kernel.c},
-        "bandwidth": {"c0": p.c0} if p.fixed_h is None else {"h": p.fixed_h},
-        "max_path_length": p.max_path_length,
-    }
-    if p.mode == "modal":
-        out["n"] = p.n
-    else:
-        out.update(x_eval=p.x_eval, window=list(p.window), local_count=p.local_count)
     return out

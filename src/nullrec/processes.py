@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import FiniteMarkovModel, model_from_dict, model_to_dict
+from .algebra import FiniteMarkovModel, model_from_dict
 from .errors import InvalidSpec, UnknownProcessFamily, WrongFamily
 
 FAMILIES = ("INDEP", "SHARED_INNOVATION", "AR1_LINKED", "MA_LINKED", "FINITE_PRODUCT")
@@ -268,12 +268,6 @@ def transfer_from_dict(obj: dict) -> Transfer:
                     ys=tuple(float(v) for v in obj["ys"]))
 
 
-def transfer_to_dict(f: Transfer) -> dict:
-    if f.kind == "linear":
-        return {"kind": "linear", "a": f.a, "b": f.b}
-    return {"kind": "table", "xs": list(f.xs), "ys": list(f.ys)}
-
-
 def spec_from_dict(obj: dict) -> ProcessSpec:
     params = obj.get("params", {})
     kwargs = {}
@@ -290,24 +284,6 @@ def spec_from_dict(obj: dict) -> ProcessSpec:
         x0=float(obj.get("x0", 0.0)),
         **kwargs,
     )
-
-
-def spec_to_dict(spec: ProcessSpec) -> dict:
-    params = {
-        "a": spec.a, "b": spec.b,
-        "sigma_e": spec.sigma_e, "sigma_u": spec.sigma_u, "sigma_w": spec.sigma_w,
-        "halfwidth": spec.halfwidth,
-    }
-    if spec.x_chain is not None:
-        params["x_chain"] = model_to_dict(spec.x_chain)
-    if spec.w_chain is not None:
-        params["w_chain"] = model_to_dict(spec.w_chain)
-    return {
-        "family": spec.family,
-        "f": transfer_to_dict(spec.f),
-        "params": params,
-        "x0": spec.x0,
-    }
 
 
 def load_spec(path) -> ProcessSpec:

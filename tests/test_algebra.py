@@ -1,4 +1,3 @@
-import itertools
 import math
 import pickle
 
@@ -200,6 +199,13 @@ class TestInvariantMeasure:
         assert np.abs(pi @ model.P - pi).max() < 1e-10
         assert abs(pi @ model.s - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("d", [11, 21, 51, 101, 201, 401])
+    def test_birth_death_closed_forms(self, d):
+        model = birth_death(d)
+        assert abs(float(model.pi.sum()) - d) <= 1e-12 * d
+        assert np.abs(model.pi @ model.P - model.pi).max() <= 1e-12
+        assert np.abs(model.G @ model.s - 1.0).max() <= 1e-10
+
 
 class TestBlockMeanVariance:
     def test_two_state_matches_geometric_oracle(self, two_state):
@@ -353,6 +359,22 @@ class TestSigma2Series:
             res = alg.sigma2_from_series(model, g, tol=1e-10)
             assert abs(res.value - sigma2) <= 1e-8 + res.tail_bound
 
+    @pytest.mark.parametrize("d", [
+        11, 51,
+        pytest.param(201, marks=pytest.mark.xfail(
+            strict=True, reason="sigma2_from_series is off by 2.3e-5 and reports a tail of 1.7e-22")),
+        pytest.param(401, marks=pytest.mark.xfail(
+            strict=True, reason="sigma2_from_series is off by 1.3e-3 and reports a tail of 9.7e-22")),
+    ])
+    def test_matches_block_variance_on_birth_death(self, d):
+        # The doubled powers of the centred kernel, whose spectral radius
+        # tends to 1 with d, lose accuracy that the tail bound does not count.
+        model = birth_death(d)
+        g = np.linspace(-1.0, 1.0, d)
+        _, sigma2 = alg.block_mean_variance(model, g)
+        res = alg.sigma2_from_series(model, g)
+        assert abs(res.value - sigma2) <= 1e-8 + res.tail_bound
+
 
 class TestEmbeddedTransition:
     def test_every_step_regenerates(self):
@@ -453,86 +475,6 @@ def reference_weighted_tail(model, a, g, m, start="nu"):
     return scale ** 2 * (float(masses[L + 1:].sum()) + 2.0 * k_weighted)
 
 
-def reference_taboo_sup_decay(H, floor=1e-250, cap=500_000):
-    """base[k] = max_i (H^k 1)(i)."""
-    v = np.ones(H.shape[0])
-    base = [1.0]
-    for _ in range(cap):
-        v = H @ v
-        base.append(float(v.max()))
-        if base[-1] < floor:
-            return np.array(base)
-    raise TruncationInsufficient(base[-1], floor)
-
-
-def compositions(m, r):
-    """All tuples of r strictly positive integers summing to m."""
-    for cuts in itertools.combinations(range(1, m), r - 1):
-        bounds = (0,) + cuts + (m,)
-        yield tuple(bounds[k + 1] - bounds[k] for k in range(r))
-
-
-def multinomial(m, alpha):
-    c = math.factorial(m)
-    for a in alpha:
-        c //= math.factorial(a)
-    return c
-
-
-def reference_compound(x_model, w_model, gX, gW, m, tol=1e-10, L=None):
-    """(value, tail bound, L) of compound_block_moment for m in {2, 3} with the
-    tail bound sum_{k>=j} max_i (H1^k 1)_i and the inner sums contracted as
-    L x L matrices; a given L overrides the truncation point."""
-    gX = np.asarray(gX, dtype=float)
-    gW = np.asarray(gW, dtype=float)
-    pi1, pi2, H1, P2 = x_model.pi, w_model.pi, x_model.H, w_model.P
-    base = reference_taboo_sup_decay(H1)
-    tails = np.concatenate([np.cumsum(base[::-1])[::-1], [0.0]])
-    Xmax, Wmax = float(np.abs(gX).max()), float(np.abs(gW).max())
-
-    def tail_bound(L):
-        bound = 0.0
-        for r in range(2, m + 1):
-            for alpha in compositions(m, r):
-                a = alpha[0]
-                c = (multinomial(m, alpha) * float(pi1 @ np.abs(gX) ** a)
-                     * Xmax ** (m - a) * float(pi2 @ np.abs(gW) ** a) * Wmax ** (m - a))
-                out = float(tails[min(L + 1, len(tails) - 1)])
-                bound += c * (out if r == 2 else 2.0 * out * float(tails[1]))
-        return bound
-
-    if L is None:
-        L = 8
-        while tail_bound(L) > tol:
-            L *= 2
-    total = 0.0
-    for r in range(1, m + 1):
-        for alpha in compositions(m, r):
-            coef = multinomial(m, alpha)
-            if r == 1:
-                total += coef * float(pi1 @ gX ** alpha[0]) * float(pi2 @ gW ** alpha[0])
-            elif r == 2:
-                a, b = alpha
-                xl, wl, vx, vw = pi1 * gX ** a, pi2 * gW ** a, gX ** b, gW ** b
-                for _ in range(L):
-                    vx, vw = H1 @ vx, P2 @ vw
-                    total += coef * float(xl @ vx) * float(wl @ vw)
-            else:
-                rows, cols = [], []
-                for (model, P, gv, piv) in ((x_model, H1, gX, pi1), (w_model, P2, gW, pi2)):
-                    u, v = piv * gv, gv.copy()
-                    R, C = np.empty((L + 1, model.d)), np.empty((L + 1, model.d))
-                    for j in range(L + 1):
-                        R[j], C[j] = u, v
-                        u, v = u @ P, P @ v
-                    rows.append(R)
-                    cols.append(C * gv)
-                MX = rows[0][1:] @ cols[0][1:].T
-                MW = rows[1][1:] @ cols[1][1:].T
-                total += coef * float((MX * MW).sum())
-    return total, tail_bound(L), L
-
-
 def reference_power_sum(A, Q, B, n):
     """sum_{j<n} A^j . Q . B^j, A^j acting on the first axis of Q and B^j on
     the last, one term per step."""
@@ -582,43 +524,6 @@ def reference_embedded(x_model, w_model, tol=1e-10, max_terms=200_000):
     raise TruncationInsufficient(remaining, tol)
 
 
-def reference_compound_two_sums(x_model, w_model, gX, gW, m, tol=1e-10):
-    """compound_block_moment as it was with the r = 3 term summed by a second
-    _doubling_sum call, which forms every power of H1 and P2^T again."""
-    gX = np.asarray(gX, dtype=float)
-    gW = np.asarray(gW, dtype=float)
-    pi1, pi2, H1, P2 = x_model.pi, w_model.pi, x_model.H, w_model.P
-    G1 = x_model.G.sum(axis=1)
-    Xmax, Wmax = float(np.abs(gX).max()), float(np.abs(gW).max())
-    sup_1 = float((H1 @ G1).max())
-    scale = 0.0
-    for r in range(2, m + 1):
-        for alpha in compositions(m, r):
-            a = alpha[0]
-            c = (multinomial(m, alpha) * float(pi1 @ np.abs(gX) ** a) * Xmax ** (m - a)
-                 * float(pi2 @ np.abs(gW) ** a) * Wmax ** (m - a))
-            scale += c if r == 2 else 2.0 * c * sup_1
-
-    def tail(n, H1n):
-        return scale * float((H1 @ (H1n @ G1)).max()) if n >= 8 else math.inf
-    stack = np.stack([np.outer(H1 @ gX ** b, P2 @ gW ** b) for b in range(1, m)], axis=1)
-    C, bound = alg._doubling_sum(H1, stack, P2.T, tail, tol)
-    total = 0.0
-    for r in range(1, m + 1):
-        for alpha in compositions(m, r):
-            a = alpha[0]
-            if r == 1:
-                term = float(pi1 @ gX ** a) * float(pi2 @ gW ** a)
-            elif r == 2:
-                term = float((pi1 * gX ** a) @ C[:, alpha[1] - 1] @ (pi2 * gW ** a))
-            else:
-                D, _ = alg._doubling_sum(H1, H1 @ (np.outer(gX, gW) * C[:, 0]) @ P2.T, P2.T,
-                                         tail, tol)
-                term = float((pi1 * gX) @ D @ (pi2 * gW))
-            total += multinomial(m, alpha) * term
-    return alg.SeriesValue(total, bound)
-
-
 def reference_compound_recursion(x_model, w_model, gX, gW, m, tol=1e-10):
     """compound_block_moment with every K a fresh _doubling_sum call, which
     forms again every power of H1 and P2^T that the first call formed."""
@@ -648,6 +553,50 @@ def reference_compound_recursion(x_model, w_model, gX, gW, m, tol=1e-10):
 
     u = alg._binomial_moments(np.outer(gX, gW), K, m)
     return alg.SeriesValue(float(x_model.pi @ u @ w_model.pi), bounds[-1])
+
+
+def reference_compound_forward(x_model, w_model, gX, gW, m):
+    """(values, |g| values, tails), each indexed by k = 0..m, of the compound
+    block moment E_nu sum over X-subblocks of V^k, V the X-subblock sum of
+    g = gX gW, by a forward recursion on the product chain that uses no G.
+
+    M[k, x, w] = E[V_t^k; X_t = x, W_t = w, compound block alive], for g and
+    |g| stacked, starts at nu1 (x) nu2 and follows the sampler's order: the
+    X-subblock closes with s1(x), whatever W does; with no X-regeneration
+    (x, w) moves by H1 (x) P2 and V grows by g(x', w'), expanded binomially;
+    an X-regeneration without a W-regeneration restarts V at x' ~ nu1, w' by H2.
+
+    The subblocks closing at t' >= t add at most mass_t' ((t'+1) max|g|)^k.
+    Every start survives n steps with probability at most 1/2, so for r < n
+    mass_(t+r+qn) <= 2^-q mass_t and t + r + qn + 1 <= (t + n)(1 + q); the
+    recursion stops once that tail is below 1e-13 of the |g| value."""
+    g = np.outer(gX, gW)
+    g = np.stack([g, np.abs(g)])
+    gmax = float(g[1].max())
+    H1, s1, nu1, P2, H2 = x_model.H, x_model.s, x_model.nu, w_model.P, w_model.H
+    b, n = np.ones(g.shape[1:]), 0  # b = P_(x, w)(alive after n steps)
+    while b.max() > 0.5:
+        b = H1 @ b @ P2.T + np.outer(s1, H2 @ (nu1 @ b))
+        n += 1
+    # sum_q (1 + q)^k 2^-q; the terms past q = 200 are below 1e-50 of it
+    geometric = [sum((q + 1) ** k / 2 ** q for q in range(200)) for k in range(m + 1)]
+    powers = g ** np.arange(m + 1)[:, None, None, None]
+    M = np.outer(nu1, w_model.nu) * powers
+    total = np.zeros((m + 1, 2))
+    t = 0
+    while True:
+        mass = float(M[0, 0].sum())
+        tail = np.array([n * mass * c * ((t + n) * gmax) ** k for k, c in enumerate(geometric)])
+        if (tail[1:] <= 1e-13 * total[1:, 1]).all():
+            return total[:, 0], total[:, 1], tail
+        closed = s1 @ M
+        total += closed.sum(axis=-1)
+        restart = np.outer(nu1, closed[0, 0] @ H2)
+        M = H1.T @ M @ P2
+        for i in range(1, m + 1):
+            M[i:] += g * M[i - 1:m]
+        M += restart * powers
+        t += 1
 
 
 def reference_enumerated_block_moments(model, g, orders, start="nu", depth=60):
@@ -761,6 +710,17 @@ def tail_test_chains():
     return [random_model(rng, d=d) for d in list(range(2, 9)) * 2 + [50]]
 
 
+def birth_death(d):
+    """The reflected symmetric walk on 0..d-1, regenerating on every move
+    into the middle state c = d // 2 (nu = e_c, s = P[:, c]): the finite
+    stand-in for a null-recurrent walk.  Its invariant measure is uniform,
+    so pi . 1 = d, and the spectral radius of H tends to 1 as d grows."""
+    P = 0.5 * (np.eye(d, k=1) + np.eye(d, k=-1))
+    P[0, 0] = P[-1, -1] = 0.5
+    c = d // 2
+    return alg.FiniteMarkovModel(states=tuple(range(d)), P=P, s=P[:, c], nu=np.eye(d)[c])
+
+
 def near_singular_two_state(s=1e-3):
     """Regenerates with probability s per step: H has spectral radius 1 - s."""
     return alg.FiniteMarkovModel(states=(0, 1), P=[[0.5, 0.5], [0.5, 0.5]],
@@ -780,6 +740,17 @@ def assert_within_tails(new_value, new_tail, old_value, old_tail):
     assert gap <= old_tail + new_tail + 1e-12 * float(np.abs(old_value).max())
 
 
+def assert_compound_matches_forward(x_model, w_model, gX, gW, orders):
+    """compound_block_moment within its default tol of truncation and, at
+    every order, within both tails plus 1e-12 of the |g| moment of the
+    forward recursion."""
+    value, scale, tail = reference_compound_forward(x_model, w_model, gX, gW, max(orders))
+    for m in orders:
+        got = alg.compound_block_moment(x_model, w_model, gX, gW, m)
+        assert got.tail_bound <= 1e-10
+        assert abs(got.value - value[m]) <= got.tail_bound + tail[m] + 1e-12 * scale[m]
+
+
 class TestTailsThroughG:
     def test_weighted_tails_match_summed_survival_masses(self):
         rng = np.random.default_rng(7)
@@ -794,22 +765,15 @@ class TestTailsThroughG:
                         ref = reference_weighted_tail(model, a, g, m, start)
                         assert got.tail_bound == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    def test_compound_matches_the_square_contraction(self):
-        w_model = alg.load_model("configs/threestate.json")
+    def test_compound_matches_the_forward_recursion(self):
+        three = alg.load_model("configs/threestate.json")
+        two = alg.load_model("configs/twostate.json")
         rng = np.random.default_rng(8)
-        for x_model in tail_test_chains():
+        x_chains = tail_test_chains() + [birth_death(d) for d in (11, 21, 51)]
+        for x_model, w_model in [(x, three) for x in x_chains] + [(three, two), (two, three)]:
             gX = rng.uniform(-1.0, 1.0, size=x_model.d)
-            gW = rng.uniform(-1.0, 1.0, size=3)
-            for m in (2, 3):
-                got = alg.compound_block_moment(x_model, w_model, gX, gW, m)
-                value, bound, L = reference_compound(x_model, w_model, gX, gW, m)
-                assert got.value == pytest.approx(value, rel=1e-12, abs=0.0)
-                assert got.tail_bound <= bound * (1.0 + 1e-12)
-                # The new truncation point is never past the old one, so 4 L
-                # of the old one is at least four times the new one.  Many
-                # bounds are far below double rounding, hence the 1e-13.
-                far, _, _ = reference_compound(x_model, w_model, gX, gW, m, L=4 * L)
-                assert abs(got.value - far) <= got.tail_bound + 1e-13 * abs(far)
+            gW = rng.uniform(-1.0, 1.0, size=w_model.d)
+            assert_compound_matches_forward(x_model, w_model, gX, gW, (1, 2, 3))
 
     def test_doubling_sum_matches_a_plain_loop(self):
         rng = np.random.default_rng(9)
@@ -965,9 +929,8 @@ class TestDoubledSeries:
         for m in (2, 3):
             res = alg.compound_block_moment(x_model, w_model, gX, gW, m)
             assert math.isfinite(res.value) and res.tail_bound <= 1e-10
-            if m == 2 and s >= 1e-2:
-                value, _, _ = reference_compound(x_model, w_model, gX, gW, m)
-                assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
+        if s >= 1e-2:
+            assert_compound_matches_forward(x_model, w_model, gX, gW, (2, 3))
         for xm, wm in ((x_model, w_model), (w_model, x_model)):
             emb = alg.embedded_transition(xm, wm)
             assert emb.tail_bound <= 1e-10
@@ -993,9 +956,6 @@ class TestDoubledSeries:
                 for m in (2, 3):
                     got = alg.compound_block_moment(x_model, wm, gX, gW, m)
                     assert got == reference_compound_recursion(x_model, wm, gX, gW, m)
-                    old = reference_compound_two_sums(x_model, wm, gX, gW, m)
-                    assert got.value == pytest.approx(old.value, rel=1e-12, abs=0.0)
-                    assert got.tail_bound == pytest.approx(old.tail_bound, rel=1e-12, abs=0.0)
 
     def test_series_that_never_meet_tol_stop_after_53_doublings(self):
         import time
@@ -1025,12 +985,6 @@ class TestChainFiles:
         })
         assert model.d == 2
         np.testing.assert_array_equal(model.P, 0.5 * np.ones((2, 2)))
-
-    def test_round_trip(self, two_state):
-        again = alg.model_from_dict(alg.model_to_dict(two_state))
-        np.testing.assert_array_equal(again.P, two_state.P)
-        np.testing.assert_array_equal(again.s, two_state.s)
-        np.testing.assert_array_equal(again.nu, two_state.nu)
 
     def test_validation_on_load(self):
         with pytest.raises(MinorizationViolated):

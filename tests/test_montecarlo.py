@@ -15,6 +15,7 @@ from nullrec.errors import (
     InvalidSpec,
     TooFewValues,
 )
+from nullrec.algebra import load_model
 from nullrec.cli import write_replication_csv, write_summary_csv
 from nullrec.estimator import local_bandwidth, nw_estimate
 from nullrec.processes import ProcessSpec, generate, linear, stream
@@ -238,6 +239,19 @@ class TestTrendReport:
         report = mc.trend_report([res, res])
         assert not report.violation
 
+    def test_equal_but_distinct_product_models_compare(self):
+        def product(x_file, w_file, n):
+            spec = ProcessSpec(family="FINITE_PRODUCT", x_chain=load_model(x_file),
+                               w_chain=load_model(w_file))
+            return mc.CltProtocol(process=spec, mode="modal", reps=40, n=n)
+
+        three, two = "configs/threestate.json", "configs/twostate.json"
+        a = self._result(product(three, two, 500), 0.03)
+        b = self._result(product(three, two, 1000), 0.02)
+        assert [row.size for row in mc.trend_report([b, a]).rows] == [500, 1000]
+        with pytest.raises(IncomparableProtocols):
+            mc.trend_report([a, self._result(product(two, three, 1000), 0.02)])
+
     def test_incomparable(self):
         a = self._result(modal_protocol(n=500, reps=40, seed=1), 0.03)
         b = self._result(modal_protocol(n=1000, reps=50, seed=1), 0.02)
@@ -292,11 +306,3 @@ class TestCsvAndJson:
         (proto,) = mc.protocols_from_dict(obj)
         assert proto.fixed_h == 0.4 and proto.c0 is None
         assert proto.window == (5.0, 10.0)
-        round_trip = mc.protocol_to_dict(proto)
-        assert round_trip["bandwidth"] == {"h": 0.4}
-
-    def test_protocol_round_trip(self):
-        proto = modal_protocol(n=500, reps=20, seed=9)
-        (again,) = mc.protocols_from_dict(mc.protocol_to_dict(proto))
-        assert again.n == proto.n and again.base_seed == proto.base_seed
-        assert again.process == proto.process

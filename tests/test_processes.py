@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import islice
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import nullrec.processes as pr
+from nullrec.algebra import load_model
 from nullrec.errors import InvalidSpec, UnknownProcessFamily, WrongFamily
 from nullrec.montecarlo import ks_normal
 from tests.conftest import random_model
@@ -212,19 +214,20 @@ class TestAr1Moments:
 
 
 class TestSpecJson:
-    def test_round_trip(self):
-        spec = pr.ProcessSpec(family="SHARED_INNOVATION", f=pr.linear(1.0, -5.0), x0=0.5)
-        again = pr.spec_from_dict(pr.spec_to_dict(spec))
-        assert again == spec
-
-    def test_round_trip_finite_product(self, two_state):
-        wm = random_model(np.random.default_rng(3), d=2)
-        spec = pr.ProcessSpec(family="FINITE_PRODUCT", f=pr.linear(),
-                              x_chain=two_state, w_chain=wm)
-        again = pr.spec_from_dict(pr.spec_to_dict(spec))
-        np.testing.assert_array_equal(again.x_chain.P, two_state.P)
-        np.testing.assert_array_equal(again.w_chain.P, wm.P)
-        assert again == spec
+    def test_finite_product_with_inline_chains(self, two_state):
+        with open("configs/threestate.json") as fh:
+            three = json.load(fh)
+        spec = pr.spec_from_dict({
+            "family": "FINITE_PRODUCT",
+            "f": {"kind": "linear", "a": 1.0, "b": -5.0},
+            "params": {"x_chain": {"states": [0, 1], "P": [[0.5, 0.5], [0.5, 0.5]],
+                                   "s": [0.5, 0.5], "nu": [0.5, 0.5]},
+                       "w_chain": three},
+            "x0": 0.5,
+        })
+        assert spec == pr.ProcessSpec(family="FINITE_PRODUCT", f=pr.linear(1.0, -5.0), x0=0.5,
+                                      x_chain=two_state,
+                                      w_chain=load_model("configs/threestate.json"))
 
     def test_defaults(self):
         spec = pr.spec_from_dict({"family": "INDEP"})
