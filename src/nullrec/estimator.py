@@ -101,7 +101,13 @@ class Kernel:
     def weights(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if self.kind == "epanechnikov":
-            return 0.75 * np.maximum(0.0, 1.0 - u * u)
+            # 0.75 * max(0, 1 - u^2), built in one output array; a 0-d u
+            # gives a numpy float64 scalar.
+            w = np.multiply(u, u, out=np.empty_like(u))
+            np.subtract(1.0, w, out=w)
+            np.maximum(0.0, w, out=w)
+            w *= 0.75
+            return w[()]
         z = math.erf(self.c / math.sqrt(2.0))
         inside = np.abs(u) <= self.c
         return np.where(inside, np.exp(-0.5 * u * u) / (_SQRT_2PI * z), 0.0)
@@ -144,13 +150,14 @@ def nw_estimate(x, z, x_eval: float, h: float, kernel: Kernel = EPANECHNIKOV,
         raise ValueError("x and z must have equal length")
     if not h > 0:
         raise ValueError("bandwidth must be positive")
-    k = kernel.weights((x - x_eval) / h)
+    u = x - x_eval
+    u /= h
+    k = kernel.weights(u)
     raw = float(k.sum())
     if raw <= 0.0:
         raise EmptyNeighborhood(f"no observations within the kernel support at {x_eval!r}")
     f_hat = float((z * k).sum() / raw)
-    lo, hi = window if window is not None else default_window(x_eval)
-    t_c = int(((x >= lo) & (x <= hi)).sum())
+    t_c = _occupation(x, window if window is not None else default_window(x_eval))
     sum_k = raw / h
     p_hat_c = sum_k / t_c if t_c > 0 else None
     stud = None
@@ -165,18 +172,33 @@ def local_bandwidth(x, x_eval: float, window: Optional[tuple[float, float]] = No
     """h = c0 * (T_C(n) p_hat_C(x))^{-1/5}, the null-recurrent analogue of the
     usual n^{-1/5} rate: the effective sample size is the local one.
 
-    The pilot p_hat_C uses the fixed reference bandwidth width(C)/10."""
+    The pilot p_hat_C uses the fixed reference bandwidth width(C)/10.  c0
+    must be finite and > 0, and C must have finite ends lo < hi."""
     x = np.asarray(x, dtype=float)
     lo, hi = window if window is not None else default_window(x_eval)
-    t_c = int(((x >= lo) & (x <= hi)).sum())
+    if not (math.isfinite(c0) and c0 > 0.0):
+        raise ValueError(f"bandwidth constant c0 must be finite and > 0, got {c0!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"window {(lo, hi)!r} must have finite ends lo < hi")
+    t_c = _occupation(x, (lo, hi))
     if t_c == 0:
         raise EmptyOccupation(f"no observations in the window {(lo, hi)!r}")
     h_ref = (hi - lo) / 10.0
-    raw = float(kernel.weights((x - x_eval) / h_ref).sum())
+    u = x - x_eval
+    u /= h_ref
+    raw = float(kernel.weights(u).sum())
     if raw <= 0.0:
         raise EmptyNeighborhood(f"pilot neighborhood at {x_eval!r} is empty")
     p_hat = raw / h_ref / t_c
     return c0 * (t_c * p_hat) ** (-0.2)
+
+
+def _occupation(x: np.ndarray, window: tuple[float, float]) -> int:
+    """T_C(n): the number of observations in the closed window C."""
+    lo, hi = window
+    inside = x >= lo
+    inside &= x <= hi
+    return int(np.count_nonzero(inside))
 
 
 def cv_constant(x, z, grid, kernel: Kernel = EPANECHNIKOV) -> float:

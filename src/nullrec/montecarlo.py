@@ -13,7 +13,8 @@ Two admission protocols:
 Every replication records the path length it used: n + 1 for modal, and
 T + 1 for fixed_point, T the stopping time (max_path_length + 1 for a guard
 rejection, a right-censored value).  Fixed-point paths are streamed and cut
-at T, so no row beyond T's block is drawn.
+at T, so no row beyond T's block is drawn; the rows up to T are copied into
+a per-thread scratch pair that every replication on the thread reuses.
 
 Each admitted replication contributes one studentized statistic; the
 empirical law is summarized by its Kolmogorov-Smirnov distance to the
@@ -28,6 +29,7 @@ is order-independent.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -52,6 +54,11 @@ _GOLDEN = 0x9E3779B97F4A7C15
 ADMITTED = "admitted"
 EMPTY = "empty"
 GUARD = "guard"
+
+_SCRATCH_ROWS = 1 << 16  # first size of a thread's fixed-point path scratch
+# The thread's (x, z) path scratch: run_clt drops it on return, so a long
+# path does not hold its memory past the run.
+_scratch = threading.local()
 
 
 def derive_seed(base: int, rep: int) -> int:
@@ -145,27 +152,49 @@ def _rejection(rep: int, seed: int, size, status: str, path_length: int) -> RepR
 def _fixed_point_path(protocol: CltProtocol, seed: int):
     """x and z for t = 0..T, T the first time `local_count` observations
     have fallen in the window, or None when T > max_path_length.  The path
-    is streamed block by block and no row after T's block is drawn."""
+    is streamed block by block and no row after T's block is drawn.
+
+    The rows are copied into the thread's scratch pair, and the result is a
+    pair of views into it, valid until the thread's next call."""
     lo, hi = protocol.window
     limit = protocol.max_path_length + 1
     missing = protocol.local_count
-    xs, zs = [], []
+    xs, zs = getattr(_scratch, "paths", (np.empty(0), np.empty(0)))
     rows = 0
     for block in stream(protocol.process, seed):
         x, z = block.x[:limit - rows], block.z[:limit - rows]
-        inside = (x > lo) & (x < hi)
+        inside = x > lo
+        inside &= x < hi
         found = int(np.count_nonzero(inside))
+        end = rows + len(x)
         if found >= missing:
-            stop = int(np.flatnonzero(inside)[missing - 1])
-            xs.append(x[:stop + 1])
-            zs.append(z[:stop + 1])
-            return np.concatenate(xs), np.concatenate(zs)
+            end = rows + int(np.flatnonzero(inside)[missing - 1]) + 1
+        if end > len(xs):
+            xs, zs = _grow_scratch(xs, zs, rows, end, limit)
+        xs[rows:end] = x[:end - rows]
+        zs[rows:end] = z[:end - rows]
+        if found >= missing:
+            return xs[:end], zs[:end]
         missing -= found
-        xs.append(x)
-        zs.append(z)
-        rows += len(x)
+        rows = end
         if rows == limit:
             return None
+
+
+def _grow_scratch(xs, zs, rows: int, need: int, limit: int):
+    """The thread's scratch pair, at least `need` rows long, with the first
+    `rows` rows of xs and zs kept: doubled from _SCRATCH_ROWS rows, and never
+    past the guard's `limit` rows, since a protocol's guard may be far
+    beyond any path it draws."""
+    size = max(len(xs), _SCRATCH_ROWS)
+    while size < need:
+        size *= 2
+    size = min(size, limit)
+    grown = np.empty(size), np.empty(size)
+    grown[0][:rows] = xs[:rows]
+    grown[1][:rows] = zs[:rows]
+    _scratch.paths = grown
+    return grown
 
 
 def _run_rep(protocol: CltProtocol, rep: int) -> RepRecord:
@@ -204,13 +233,16 @@ def run_clt(protocol: CltProtocol, threads: Optional[int] = None) -> CltExperime
 
     Deterministic given the protocol (including base_seed) and independent of
     `threads`: replication r always uses derive_seed(base_seed, r)."""
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, protocol.reps // (threads * 8))
-            records = list(pool.map(partial(_run_rep, protocol),
-                                    range(protocol.reps), chunksize=chunk))
-    else:
-        records = [_run_rep(protocol, r) for r in range(protocol.reps)]
+    try:
+        if threads and threads > 1:
+            with ProcessPoolExecutor(max_workers=threads) as pool:
+                chunk = max(1, protocol.reps // (threads * 8))
+                records = list(pool.map(partial(_run_rep, protocol),
+                                        range(protocol.reps), chunksize=chunk))
+        else:
+            records = [_run_rep(protocol, r) for r in range(protocol.reps)]
+    finally:
+        vars(_scratch).pop("paths", None)
 
     values = np.array([r.studentized for r in records if r.status == ADMITTED])
     admitted = len(values)

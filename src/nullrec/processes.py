@@ -16,8 +16,8 @@ Generation is deterministic given (spec, n, seed), and the first n+1 points
 of a longer run with the same seed coincide with a shorter one (draws are
 consumed in time-major order).  stream(spec, seed) yields the run as
 consecutive row blocks that carry the linking state between them, so a
-caller that stops at a data-dependent time draws each row once; generate is
-its first block.
+caller that stops at a data-dependent time draws each row once, and at most
+one block past it; generate is its first block.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ FAMILIES = ("INDEP", "SHARED_INNOVATION", "AR1_LINKED", "MA_LINKED", "FINITE_PRO
 
 _SQ5 = math.sqrt(0.5)
 _SQ3 = math.sqrt(3.0)
-_STEP_CHUNK = 1 << 16
+_STEP_CHUNK = 1 << 16  # rows per Python-list slice of step_chain and the AR1 loop
+_STREAM_BLOCK = 1 << 13  # rows per block of stream: small blocks reuse freed heap memory
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,9 @@ class Transfer:
 
     def __call__(self, x):
         if self.kind == "linear":
-            return self.a * np.asarray(x, dtype=float) + self.b
+            out = self.a * np.asarray(x, dtype=float)
+            out += self.b
+            return out
         return np.interp(x, self.xs, self.ys)
 
 
@@ -119,14 +122,16 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> GeneratedPath:
     return next(stream(spec, seed, chunk=n + 1))
 
 
-def stream(spec: ProcessSpec, seed: int, chunk: int = _STEP_CHUNK):
+def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK):
     """Endless run of the system as consecutive `chunk`-row blocks: rows
     0..chunk-1, then chunk..2 chunk-1, and so on, each a GeneratedPath.
 
     The state that links rows (the walk's running sum, w_{t-1}, e_{t-1} and
     eps_{t-1}, the chain states) is carried from block to block, and the
     draws are taken in time-major order, so the blocks concatenated are
-    bit-identical to one generate() call with the same seed."""
+    bit-identical to one generate() call with the same seed.  Each block's
+    draws refill one buffer, which no yielded array shares, so a caller may
+    keep every block."""
     if chunk < 1:
         raise InvalidSpec("chunk must be >= 1")
     rng = np.random.default_rng(seed)
@@ -142,7 +147,7 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STEP_CHUNK):
         while True:
             x, w = (v[p] for v, p in zip(values, paths))
             yield GeneratedPath(x, w, spec.f(x) + w, None)
-            U = rng.random((chunk, 2))
+            rng.random(out=U)
             paths = [step_chain(c, int(p[-1]), U[:, j])[1:]
                      for j, (c, p) in enumerate(zip(chains, paths))]
 
@@ -150,8 +155,9 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STEP_CHUNK):
     a, b = spec.a, spec.b
     first = True
     walk = w_prev = e_prev = eps_prev = 0.0
+    E = np.empty((chunk, ncols))
     while True:
-        E = rng.standard_normal((chunk, ncols))
+        rng.standard_normal(out=E)
         e = spec.sigma_e * E[:, 0]
         # The running sum of e_1..e_t, as one sequential cumsum over all
         # blocks (e_0 is not a walk increment); x0 is added afterwards.

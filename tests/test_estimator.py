@@ -145,6 +145,116 @@ class TestLocalBandwidth:
         large = rng.uniform(-1, 1, size=800)
         assert est.local_bandwidth(large, 0.0, c0=1.0) < est.local_bandwidth(small, 0.0, c0=1.0)
 
+    @pytest.mark.parametrize("c0", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_bad_constant(self, c0):
+        x = np.linspace(-1.0, 1.0, 50)
+        with pytest.raises(ValueError, match="c0"):
+            est.local_bandwidth(x, 0.0, window=(-2.5, 2.5), c0=c0)
+
+    @pytest.mark.parametrize("window", [(0.0, 0.0), (1.0, -1.0), (math.nan, 1.0),
+                                        (-1.0, math.inf), (-math.inf, 1.0)])
+    def test_rejects_bad_window(self, window):
+        x = np.linspace(-1.0, 1.0, 50)
+        with pytest.raises(ValueError, match="window"):
+            est.local_bandwidth(x, 0.0, window=window, c0=1.0)
+
+    def test_rejects_nan_default_window(self):
+        with pytest.raises(ValueError, match="window"):
+            est.local_bandwidth(np.linspace(-1.0, 1.0, 50), math.nan, c0=1.0)
+
+
+# The expressions the estimator used before it built its temporaries in place.
+# The in-place forms keep each element's operations in the same order, so
+# they must agree bit for bit.
+
+def reference_weights(kernel, u):
+    u = np.asarray(u, dtype=float)
+    if kernel.kind == "epanechnikov":
+        return 0.75 * np.maximum(0.0, 1.0 - u * u)
+    z = math.erf(kernel.c / math.sqrt(2.0))
+    inside = np.abs(u) <= kernel.c
+    return np.where(inside, np.exp(-0.5 * u * u) / (math.sqrt(2.0 * math.pi) * z), 0.0)
+
+
+def reference_nw_estimate(x, z, x_eval, h, kernel, window=None, f_true_at_x=None):
+    k = reference_weights(kernel, (x - x_eval) / h)
+    raw = float(k.sum())
+    f_hat = float((z * k).sum() / raw)
+    lo, hi = window if window is not None else est.default_window(x_eval)
+    t_c = int(((x >= lo) & (x <= hi)).sum())
+    sum_k = raw / h
+    stud = None
+    if f_true_at_x is not None:
+        stud = math.sqrt(raw / kernel.l2_norm_sq) * (f_hat - f_true_at_x)
+    return est.EstimateReport(x_eval=float(x_eval), h=float(h), f_hat=f_hat, sum_k=sum_k,
+                              t_c=t_c, p_hat_c=sum_k / t_c if t_c > 0 else None,
+                              studentized=stud)
+
+
+def reference_local_bandwidth(x, x_eval, window, c0, kernel):
+    lo, hi = window if window is not None else est.default_window(x_eval)
+    t_c = int(((x >= lo) & (x <= hi)).sum())
+    h_ref = (hi - lo) / 10.0
+    raw = float(reference_weights(kernel, (x - x_eval) / h_ref).sum())
+    return c0 * (t_c * (raw / h_ref / t_c)) ** (-0.2)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestInPlaceAgainstReference:
+    """Kernel weights, nw_estimate and local_bandwidth equal the reference
+    expressions above on walks, including points exactly on the window ends,
+    on x_eval +- h and +- c h, and negative zeros."""
+
+    KERNELS = [est.EPANECHNIKOV, est.gaussian_truncated(2.5)]
+
+    @staticmethod
+    def walk(n, shift, x_eval, h, kernel, window):
+        from nullrec.processes import ProcessSpec, generate, linear
+
+        path = generate(ProcessSpec(family="INDEP", f=linear(0.5, 1.0)), n - 1, seed=n)
+        c = kernel.support_radius
+        edges = [*window, x_eval - h, x_eval + h, x_eval - c * h, x_eval + c * h, x_eval,
+                 -0.0, 0.0]
+        x = np.concatenate([path.x + shift, edges])
+        z = np.concatenate([path.z, np.linspace(-1.0, 1.0, len(edges))])
+        return x, z
+
+    @pytest.mark.parametrize("n", [1000, 100_000])
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["epanechnikov", "gaussian"])
+    def test_walks(self, n, shift, kernel):
+        x_eval = shift  # with shift 0, x = -0.0 gives u = -0.0
+        window = (x_eval - 2.5, x_eval + 2.5)
+        for h in (0.37, 0.5):
+            x, z = self.walk(n, shift, x_eval, h, kernel, window)
+            u = (x - x_eval) / h
+            assert same_bits(kernel.weights(u), reference_weights(kernel, u))
+            for w in (window, None):
+                got = est.nw_estimate(x, z, x_eval, h, kernel, window=w, f_true_at_x=0.25)
+                assert got == reference_nw_estimate(x, z, x_eval, h, kernel, w, 0.25)
+                assert (est.local_bandwidth(x, x_eval, w, 0.8, kernel)
+                        == reference_local_bandwidth(x, x_eval, w, 0.8, kernel))
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["epanechnikov", "gaussian"])
+    def test_signed_zeros_and_support_edges(self, kernel):
+        c = kernel.support_radius
+        u = np.array([-0.0, 0.0, -1.0, 1.0, -c, c, np.nextafter(c, 0.0), np.nextafter(c, 9.0),
+                      -np.nextafter(1.0, 0.0), 0.5, -2.0 * c])
+        assert same_bits(kernel.weights(u), reference_weights(kernel, u))
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["epanechnikov", "gaussian"])
+    @pytest.mark.parametrize("u", [0.0, -0.0, 0.3, np.float64(-0.7), np.array(1.0), 7])
+    def test_zero_dimensional_input(self, kernel, u):
+        got, want = kernel.weights(u), reference_weights(kernel, u)
+        assert type(got) is type(want)
+        assert same_bits(got, want)
+        if kernel.kind == "epanechnikov":  # cv_constant takes K(0) from weights(0.0)
+            assert type(got) is np.float64
+
 
 class TestWalkSystemBehavior:
     def test_mean_estimate_at_far_point_with_accumulated_observations(self):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 from functools import partial
 from statistics import NormalDist
@@ -18,6 +20,7 @@ from nullrec.errors import (
 from nullrec.algebra import load_model
 from nullrec.cli import write_replication_csv, write_summary_csv
 from nullrec.estimator import local_bandwidth, nw_estimate
+from nullrec import processes
 from nullrec.processes import ProcessSpec, generate, linear, stream
 
 
@@ -187,7 +190,7 @@ class TestFixedPointStream:
     def test_records_equal_reference(self, protocol, reference, monkeypatch):
         assert list(mc.run_clt(protocol).records) == reference
         # Small blocks: the stopping index and the guard fall blocks deep.
-        for chunk in (1, 97, 4096, protocol.max_path_length + 1):
+        for chunk in (1, 97, 4096, processes._STREAM_BLOCK, protocol.max_path_length + 1):
             monkeypatch.setattr(mc, "stream", partial(stream, chunk=chunk))
             assert [mc._run_rep(protocol, r) for r in range(protocol.reps)] == reference
 
@@ -199,6 +202,63 @@ class TestFixedPointStream:
             for chunk in (stop, stop + 1):  # stop opens a block / ends one
                 monkeypatch.setattr(mc, "stream", partial(stream, chunk=chunk))
                 assert mc._run_rep(protocol, r) == rec
+
+    def test_stopping_index_on_each_side_of_a_scratch_doubling(self, protocol, reference,
+                                                                monkeypatch):
+        # The path fills the scratch to its last row, or needs one row more,
+        # so that the scratch doubles and keeps the rows already copied.
+        for r, rec in enumerate(reference):
+            if rec.status == mc.GUARD:
+                continue
+            for rows in (rec.path_length - 1, rec.path_length):
+                monkeypatch.setattr(mc, "_SCRATCH_ROWS", rows)
+                for chunk in (97, rows):
+                    monkeypatch.setattr(mc, "stream", partial(stream, chunk=chunk))
+                    vars(mc._scratch).pop("paths", None)
+                    assert mc._run_rep(protocol, r) == rec
+
+    def test_long_reps_leave_no_rows_for_short_ones(self, protocol, reference):
+        # Guard reps first (they are the longest), then admitted reps from the
+        # longest down, all on one thread's scratch.
+        order = sorted(range(protocol.reps), key=lambda r: -reference[r].path_length)
+        assert reference[order[0]].status == mc.GUARD
+        assert [mc._run_rep(protocol, r) for r in order] == [reference[r] for r in order]
+
+    def test_concurrent_runs_keep_their_records(self, protocol):
+        # Long paths and the local bandwidth rule, which reads every row, so
+        # that one shared scratch would mix the threads' rows.
+        protocols = [replace(protocol, reps=60, base_seed=seed, local_count=300,
+                             max_path_length=50_000, fixed_h=None, c0=1.0)
+                     for seed in (4, 5, 6)]
+        serial = [mc.run_clt(p).records for p in protocols]
+        results = [None] * len(protocols)
+        barrier = threading.Barrier(len(protocols))
+
+        def work(i):
+            barrier.wait(timeout=60)
+            results[i] = mc.run_clt(protocols[i]).records
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(protocols))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
+
+    def test_run_clt_drops_the_scratch(self, protocol):
+        mc._run_rep(protocol, 0)
+        assert hasattr(mc._scratch, "paths")
+        mc.run_clt(protocol)
+        assert not hasattr(mc._scratch, "paths")
+        with pytest.raises(AllRejected):
+            mc.run_clt(replace(protocol, x_eval=400.0, window=(399.0, 401.0)))
+        assert not hasattr(mc._scratch, "paths")
 
     def test_path_length_ends_at_the_stopping_time(self, protocol, reference):
         lo, hi = protocol.window

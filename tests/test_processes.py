@@ -41,6 +41,28 @@ class TestSpecValidation:
             pr.Transfer("cubic")
 
 
+class TestLinearTransferAgainstReference:
+    """The linear transfer, built in place, equals a * x + b bit for bit."""
+
+    F = pr.linear(0.7, -1.3)
+
+    def reference(self, x):
+        return self.F.a * np.asarray(x, dtype=float) + self.F.b
+
+    @pytest.mark.parametrize("n", [1000, 100_000])
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_walks(self, indep, n, shift):
+        x = np.concatenate([pr.generate(indep, n - 1, seed=n).x + shift, [-0.0, 0.0]])
+        got, want = self.F(x), self.reference(x)
+        assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+
+    @pytest.mark.parametrize("x", [7.5, -0.0, np.float64(1e6 + 0.1), np.array(3.0), 2])
+    def test_zero_dimensional_input(self, x):
+        got, want = self.F(x), self.reference(x)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestGenerate:
     def test_determinism_and_prefix_stability(self, indep):
         a = pr.generate(indep, 1000, seed=5)
@@ -130,6 +152,12 @@ class TestStream:
                 for chunk in (1, 2, 997, rows):
                     blocks = list(islice(pr.stream(spec, seed, chunk=chunk), -(-rows // chunk)))
                     assert all(len(b.x) == chunk for b in blocks)
+                    # Each block's draws refill one buffer: no array of a block
+                    # may share it with the next block's arrays.
+                    for b0, b1 in zip(blocks[:3], blocks[1:4]):
+                        assert not any(np.shares_memory(u, v) for u in vars(b0).values()
+                                       for v in vars(b1).values() if u is not None
+                                       and v is not None)
                     for name in ("x", "w", "z", "e"):
                         want = getattr(whole, name)
                         got = [getattr(b, name) for b in blocks]
