@@ -24,9 +24,11 @@ the pilot density taken at a fixed reference bandwidth of one tenth of the
 window width; the constant c0 can be chosen by leave-one-out
 cross-validation.
 
-The estimate at one point is a direct O(n) sum.  Cross-validation needs
-sums at every sample point, unweighted and weighted by the response, and
-gets both from one pass of _kernel_sums, in O(n) memory.  Sums at many
+The estimate at one point is a direct O(n) sum over the rows of positive
+weight, in time order, so any subset of the sample that keeps those rows
+gives the same sums bit for bit.  Cross-validation needs sums at every
+sample point, unweighted and weighted by the response, and gets both from
+one pass of _kernel_sums, in O(n) memory.  Sums at many
 points come from one routine, _centred_sums: prefix-sum differences of
 offsets to one middle point (locally re-centred, as in Seifert, Brockmann,
 Engel & Gasser 1994 and Fan & Marron 1994).  For the Epanechnikov kernel
@@ -91,6 +93,15 @@ class Kernel:
     def support_radius(self) -> float:
         return 1.0 if self.kind == "epanechnikov" else self.c
 
+    def support(self, x_eval: float, h: float) -> tuple[float, float]:
+        """Closed bounds [lo, hi] holding every x of positive weight
+        K((x - x_eval)/h): x_eval +- r h, widened by one part in 1e9 of r h,
+        which covers the rounding of x - x_eval, of the division by h and of
+        r h.  Rounding x_eval +- pad to the nearest double drops no double
+        that lies within it."""
+        pad = self.support_radius * h * (1.0 + 1e-9)
+        return x_eval - pad, x_eval + pad
+
     @property
     def l2_norm_sq(self) -> float:
         if self.kind == "epanechnikov":
@@ -150,13 +161,13 @@ def nw_estimate(x, z, x_eval: float, h: float, kernel: Kernel = EPANECHNIKOV,
         raise ValueError("x and z must have equal length")
     if not h > 0:
         raise ValueError("bandwidth must be positive")
-    u = x - x_eval
-    u /= h
-    k = kernel.weights(u)
+    rows, k = _positive_weights(x, x_eval, h, kernel)
     raw = float(k.sum())
     if raw <= 0.0:
         raise EmptyNeighborhood(f"no observations within the kernel support at {x_eval!r}")
-    f_hat = float((z * k).sum() / raw)
+    zk = z[rows]
+    zk *= k
+    f_hat = float(zk.sum() / raw)
     t_c = _occupation(x, window if window is not None else default_window(x_eval))
     sum_k = raw / h
     p_hat_c = sum_k / t_c if t_c > 0 else None
@@ -184,13 +195,29 @@ def local_bandwidth(x, x_eval: float, window: Optional[tuple[float, float]] = No
     if t_c == 0:
         raise EmptyOccupation(f"no observations in the window {(lo, hi)!r}")
     h_ref = (hi - lo) / 10.0
-    u = x - x_eval
-    u /= h_ref
-    raw = float(kernel.weights(u).sum())
+    raw = float(_positive_weights(x, x_eval, h_ref, kernel)[1].sum())
     if raw <= 0.0:
         raise EmptyNeighborhood(f"pilot neighborhood at {x_eval!r} is empty")
     p_hat = raw / h_ref / t_c
     return c0 * (t_c * p_hat) ** (-0.2)
+
+
+def _positive_weights(x: np.ndarray, x_eval: float, h: float,
+                      kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """The rows t of x with positive weight K((x_t - x_eval)/h), in time
+    order, and those weights.  Only the rows within kernel.support are
+    weighted, so every subset of x that keeps the positive-weight rows gives
+    the same two arrays, and sums over them agree bit for bit."""
+    lo, hi = kernel.support(x_eval, h)
+    near = x >= lo
+    near &= x <= hi
+    rows = np.flatnonzero(near)
+    u = x[rows]
+    u -= x_eval
+    u /= h
+    k = kernel.weights(u)
+    positive = k > 0.0
+    return rows[positive], k[positive]
 
 
 def _occupation(x: np.ndarray, window: tuple[float, float]) -> int:

@@ -13,8 +13,13 @@ Two admission protocols:
 Every replication records the path length it used: n + 1 for modal, and
 T + 1 for fixed_point, T the stopping time (max_path_length + 1 for a guard
 rejection, a right-censored value).  Fixed-point paths are streamed and cut
-at T, so no row beyond T's block is drawn; the rows up to T are copied into
-a per-thread scratch pair that every replication on the thread reuses.
+at T, so no row beyond T's block is drawn.  A fixed-point replication keeps
+only the band of its path: the rows in the closed window, widened to the
+pilot's kernel support.  The estimator weights only the rows of positive
+weight, and the band holds every one of them unless the local bandwidth
+reaches past it; the replication is then streamed again from its seed and
+estimated on the whole path.  Either way the results are those of the whole
+path, bit for bit.
 
 Each admitted replication contributes one studentized statistic; the
 empirical law is summarized by its Kolmogorov-Smirnov distance to the
@@ -29,7 +34,6 @@ is order-independent.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -55,10 +59,7 @@ ADMITTED = "admitted"
 EMPTY = "empty"
 GUARD = "guard"
 
-_SCRATCH_ROWS = 1 << 16  # first size of a thread's fixed-point path scratch
-# The thread's (x, z) path scratch: run_clt drops it on return, so a long
-# path does not hold its memory past the run.
-_scratch = threading.local()
+_WHOLE_PATH = (-math.inf, math.inf)  # the band that keeps every row
 
 
 def derive_seed(base: int, rep: int) -> int:
@@ -149,52 +150,48 @@ def _rejection(rep: int, seed: int, size, status: str, path_length: int) -> RepR
     return RepRecord(rep, seed, size, None, None, None, None, None, status, path_length)
 
 
-def _fixed_point_path(protocol: CltProtocol, seed: int):
-    """x and z for t = 0..T, T the first time `local_count` observations
-    have fallen in the window, or None when T > max_path_length.  The path
-    is streamed block by block and no row after T's block is drawn.
-
-    The rows are copied into the thread's scratch pair, and the result is a
-    pair of views into it, valid until the thread's next call."""
+def _band(protocol: CltProtocol) -> tuple[float, float]:
+    """The closed window, widened to the support of the pilot bandwidth
+    width/10 (or of a larger fixed bandwidth) about x_eval."""
     lo, hi = protocol.window
+    h = max((hi - lo) / 10.0, protocol.fixed_h or 0.0)
+    s_lo, s_hi = protocol.kernel.support(protocol.x_eval, h)
+    return min(lo, s_lo), max(hi, s_hi)
+
+
+def _fixed_point_path(protocol: CltProtocol, seed: int, band: tuple[float, float]):
+    """(x, z, T + 1): the rows t <= T whose x lies in the closed band, which
+    holds the closed window, in time order, with T the first time
+    `local_count` observations have fallen in the window; None when
+    T > max_path_length.  The path is streamed block by block, no row after
+    T's block is drawn, and the window and z = f(x) + w are evaluated on the
+    band rows only."""
+    lo, hi = protocol.window
+    b_lo, b_hi = band
     limit = protocol.max_path_length + 1
     missing = protocol.local_count
-    xs, zs = getattr(_scratch, "paths", (np.empty(0), np.empty(0)))
-    rows = 0
-    for block in stream(protocol.process, seed):
-        x, z = block.x[:limit - rows], block.z[:limit - rows]
-        inside = x > lo
-        inside &= x < hi
-        found = int(np.count_nonzero(inside))
-        end = rows + len(x)
-        if found >= missing:
-            end = rows + int(np.flatnonzero(inside)[missing - 1]) + 1
-        if end > len(xs):
-            xs, zs = _grow_scratch(xs, zs, rows, end, limit)
-        xs[rows:end] = x[:end - rows]
-        zs[rows:end] = z[:end - rows]
-        if found >= missing:
-            return xs[:end], zs[:end]
-        missing -= found
-        rows = end
+    f = protocol.process.f
+    xs, zs, rows = [], [], 0
+    for block in stream(protocol.process, seed, responses=False):
+        x = block.x[:limit - rows]
+        keep = x >= b_lo
+        keep &= x <= b_hi
+        keep = keep.nonzero()[0]
+        if len(keep):
+            band_x = x[keep]
+            inside = ((band_x >= lo) & (band_x <= hi)).nonzero()[0]
+            stop = len(inside) >= missing
+            if stop:
+                keep = keep[:inside[missing - 1] + 1]
+                band_x = band_x[:len(keep)]
+            xs.append(band_x)
+            zs.append(f(band_x) + block.w[keep])
+            if stop:
+                return np.concatenate(xs), np.concatenate(zs), rows + int(keep[-1]) + 1
+            missing -= len(inside)
+        rows += len(x)
         if rows == limit:
             return None
-
-
-def _grow_scratch(xs, zs, rows: int, need: int, limit: int):
-    """The thread's scratch pair, at least `need` rows long, with the first
-    `rows` rows of xs and zs kept: doubled from _SCRATCH_ROWS rows, and never
-    past the guard's `limit` rows, since a protocol's guard may be far
-    beyond any path it draws."""
-    size = max(len(xs), _SCRATCH_ROWS)
-    while size < need:
-        size *= 2
-    size = min(size, limit)
-    grown = np.empty(size), np.empty(size)
-    grown[0][:rows] = xs[:rows]
-    grown[1][:rows] = zs[:rows]
-    _scratch.paths = grown
-    return grown
 
 
 def _run_rep(protocol: CltProtocol, rep: int) -> RepRecord:
@@ -202,30 +199,34 @@ def _run_rep(protocol: CltProtocol, rep: int) -> RepRecord:
     spec = protocol.process
     if protocol.mode == "modal":
         path = generate(spec, protocol.n, seed)
-        x, z = path.x, path.z
+        x, z, length = path.x, path.z, protocol.n + 1
         x_eval = modal_value(x, protocol.kernel)
-        size = protocol.n
+        size, window, band = protocol.n, None, _WHOLE_PATH
     else:
-        cut = _fixed_point_path(protocol, seed)
+        band = _band(protocol)
+        cut = _fixed_point_path(protocol, seed, band)
         if cut is None:
             # Right-censored: the stopping time is beyond the guard.
             return _rejection(rep, seed, None, GUARD, protocol.max_path_length + 1)
-        x, z = cut
+        x, z, length = cut
         x_eval = protocol.x_eval
-        size = protocol.local_count
+        size, window = protocol.local_count, protocol.window
 
-    window = protocol.window if protocol.mode == "fixed_point" else None
     try:
         if protocol.fixed_h is not None:
             h = protocol.fixed_h
         else:
             h = local_bandwidth(x, x_eval, window, protocol.c0, protocol.kernel)
+            s_lo, s_hi = protocol.kernel.support(x_eval, h)
+            if not band[0] <= s_lo <= s_hi <= band[1]:
+                # h reaches past the band: stream the path again, whole.
+                x, z, _ = _fixed_point_path(protocol, seed, _WHOLE_PATH)
         report = nw_estimate(x, z, x_eval, h, protocol.kernel, window=window,
                              f_true_at_x=float(spec.f(x_eval)))
     except (EmptyNeighborhood, EmptyOccupation):
-        return _rejection(rep, seed, size, EMPTY, len(x))
+        return _rejection(rep, seed, size, EMPTY, length)
     return RepRecord(rep, seed, size, float(x_eval), float(h), report.sum_k,
-                     report.f_hat, report.studentized, ADMITTED, len(x))
+                     report.f_hat, report.studentized, ADMITTED, length)
 
 
 def run_clt(protocol: CltProtocol, threads: Optional[int] = None) -> CltExperimentResult:
@@ -233,16 +234,13 @@ def run_clt(protocol: CltProtocol, threads: Optional[int] = None) -> CltExperime
 
     Deterministic given the protocol (including base_seed) and independent of
     `threads`: replication r always uses derive_seed(base_seed, r)."""
-    try:
-        if threads and threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                chunk = max(1, protocol.reps // (threads * 8))
-                records = list(pool.map(partial(_run_rep, protocol),
-                                        range(protocol.reps), chunksize=chunk))
-        else:
-            records = [_run_rep(protocol, r) for r in range(protocol.reps)]
-    finally:
-        vars(_scratch).pop("paths", None)
+    if threads and threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            chunk = max(1, protocol.reps // (threads * 8))
+            records = list(pool.map(partial(_run_rep, protocol),
+                                    range(protocol.reps), chunksize=chunk))
+    else:
+        records = [_run_rep(protocol, r) for r in range(protocol.reps)]
 
     values = np.array([r.studentized for r in records if r.status == ADMITTED])
     admitted = len(values)

@@ -99,11 +99,12 @@ class ProcessSpec:
 class GeneratedPath:
     """Arrays over t = 0..n (or over one block of :func:`stream`); e holds
     the walk innovations (e[0] is unused by the walk and only feeds
-    disturbance start-up terms)."""
+    disturbance start-up terms), and z is None in the blocks of a stream
+    with responses=False."""
 
     x: np.ndarray
     w: np.ndarray
-    z: np.ndarray
+    z: Optional[np.ndarray]
     e: Optional[np.ndarray] = None
 
 
@@ -122,9 +123,11 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> GeneratedPath:
     return next(stream(spec, seed, chunk=n + 1))
 
 
-def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK):
+def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK, responses: bool = True):
     """Endless run of the system as consecutive `chunk`-row blocks: rows
     0..chunk-1, then chunk..2 chunk-1, and so on, each a GeneratedPath.
+    With responses=False each block's z is None, for a caller that forms
+    z = f(x) + w, elementwise, on only the rows it keeps.
 
     The state that links rows (the walk's running sum, w_{t-1}, e_{t-1} and
     eps_{t-1}, the chain states) is carried from block to block, and the
@@ -146,7 +149,7 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK):
                  for j, c in enumerate(chains)]
         while True:
             x, w = (v[p] for v, p in zip(values, paths))
-            yield GeneratedPath(x, w, spec.f(x) + w, None)
+            yield GeneratedPath(x, w, spec.f(x) + w if responses else None, None)
             rng.random(out=U)
             paths = [step_chain(c, int(p[-1]), U[:, j])[1:]
                      for j, (c, p) in enumerate(zip(chains, paths))]
@@ -187,7 +190,7 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK):
             w[1:] = (E[1:, 0] + E[:-1, 0] + E[:-1, 1]) / _SQ3
             e_prev, eps_prev = E[-1, 0], E[-1, 1]
         first = False
-        yield GeneratedPath(x, w, spec.f(x) + w, e)
+        yield GeneratedPath(x, w, spec.f(x) + w if responses else None, e)
 
 
 def step_chain(model: FiniteMarkovModel, start: int, u: np.ndarray) -> np.ndarray:

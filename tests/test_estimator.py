@@ -163,9 +163,11 @@ class TestLocalBandwidth:
             est.local_bandwidth(np.linspace(-1.0, 1.0, 50), math.nan, c0=1.0)
 
 
-# The expressions the estimator used before it built its temporaries in place.
-# The in-place forms keep each element's operations in the same order, so
-# they must agree bit for bit.
+# Plain expressions for the weights and for the two estimator functions,
+# which sum over the rows of positive weight in time order.  The estimator
+# builds its temporaries in place and weights only the rows near x_eval, but
+# keeps each element's operations in the same order and sums the same rows
+# in the same order, so it must agree bit for bit.
 
 def reference_weights(kernel, u):
     u = np.asarray(u, dtype=float)
@@ -178,8 +180,9 @@ def reference_weights(kernel, u):
 
 def reference_nw_estimate(x, z, x_eval, h, kernel, window=None, f_true_at_x=None):
     k = reference_weights(kernel, (x - x_eval) / h)
-    raw = float(k.sum())
-    f_hat = float((z * k).sum() / raw)
+    positive = k > 0
+    raw = float(k[positive].sum())
+    f_hat = float((z[positive] * k[positive]).sum() / raw)
     lo, hi = window if window is not None else est.default_window(x_eval)
     t_c = int(((x >= lo) & (x <= hi)).sum())
     sum_k = raw / h
@@ -195,7 +198,8 @@ def reference_local_bandwidth(x, x_eval, window, c0, kernel):
     lo, hi = window if window is not None else est.default_window(x_eval)
     t_c = int(((x >= lo) & (x <= hi)).sum())
     h_ref = (hi - lo) / 10.0
-    raw = float(reference_weights(kernel, (x - x_eval) / h_ref).sum())
+    k = reference_weights(kernel, (x - x_eval) / h_ref)
+    raw = float(k[k > 0].sum())
     return c0 * (t_c * (raw / h_ref / t_c)) ** (-0.2)
 
 
@@ -254,6 +258,60 @@ class TestInPlaceAgainstReference:
         assert same_bits(got, want)
         if kernel.kind == "epanechnikov":  # cv_constant takes K(0) from weights(0.0)
             assert type(got) is np.float64
+
+
+class TestSubsetsOfThePath:
+    """nw_estimate and local_bandwidth on any subset of the rows that keeps
+    every row of positive weight (at h and at the pilot's width/10) and the
+    closed window equal their results on the whole path, bit for bit."""
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.parametrize("kernel", TestInPlaceAgainstReference.KERNELS,
+                             ids=["epanechnikov", "gaussian"])
+    @given(seed=st.integers(0, 2**32 - 1), keep=st.floats(0.0, 1.0))
+    def test_equal_on_the_whole_path(self, shift, kernel, seed, keep):
+        rng = np.random.default_rng(seed)
+        x_eval = shift + float(rng.uniform(-1.0, 1.0))
+        h = float(rng.uniform(0.05, 1.5))
+        window = (x_eval - float(rng.uniform(0.5, 3.0)), x_eval + float(rng.uniform(0.5, 3.0)))
+        x, z = TestInPlaceAgainstReference.walk(2000, shift, x_eval, h, kernel, window)
+        lo, hi = window
+        needed = (x >= lo) & (x <= hi)
+        for width in (h, (hi - lo) / 10.0):
+            needed |= reference_weights(kernel, (x - x_eval) / width) > 0
+        rows = needed | (rng.random(x.size) < keep)
+        whole = est.nw_estimate(x, z, x_eval, h, kernel, window=window, f_true_at_x=0.25)
+        assert est.nw_estimate(x[rows], z[rows], x_eval, h, kernel, window=window,
+                               f_true_at_x=0.25) == whole
+        assert (est.local_bandwidth(x[rows], x_eval, window, 0.8, kernel)
+                == est.local_bandwidth(x, x_eval, window, 0.8, kernel))
+
+    @pytest.mark.parametrize("kernel", [*TestInPlaceAgainstReference.KERNELS,
+                                        est.gaussian_truncated(1.7)],
+                             ids=["epanechnikov", "gaussian", "gaussian-1.7"])
+    @given(x_eval=st.one_of(st.floats(-1e9, 1e9), st.sampled_from([0.0, -0.0, 1e-3, 7.5])),
+           h=st.floats(1e-6, 1e3))
+    def test_support_holds_every_positive_weight(self, kernel, x_eval, h):
+        self.assert_support_holds(kernel, x_eval, h)
+
+    @pytest.mark.parametrize("kernel", TestInPlaceAgainstReference.KERNELS,
+                             ids=["epanechnikov", "gaussian"])
+    def test_support_far_out(self, kernel):
+        # r h spans a few roundings of x_eval, so the bounds round by a
+        # large share of r h.
+        for x_eval in (1e9 + 0.3, -1e9 - 0.7, 123456.789):
+            for h in (1e-6, 2.5e-6, 1e-5, 3e-10):
+                self.assert_support_holds(kernel, x_eval, h)
+
+    @staticmethod
+    def assert_support_holds(kernel, x_eval, h):
+        # Points on and up to 64 roundings either side of x_eval +- r h.
+        lo, hi = kernel.support(x_eval, h)
+        r = kernel.support_radius * h
+        edge = np.array([[x_eval - r], [x_eval + r]])
+        x = (edge + np.arange(-64, 65) * np.spacing(edge)).ravel()
+        positive = x[reference_weights(kernel, (x - x_eval) / h) > 0]
+        assert ((lo <= positive) & (positive <= hi)).all()
 
 
 class TestWalkSystemBehavior:

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from statistics import NormalDist
@@ -19,7 +20,7 @@ from nullrec.errors import (
 )
 from nullrec.algebra import load_model
 from nullrec.cli import write_replication_csv, write_summary_csv
-from nullrec.estimator import local_bandwidth, nw_estimate
+from nullrec.estimator import _occupation, local_bandwidth, nw_estimate
 from nullrec import processes
 from nullrec.processes import ProcessSpec, generate, linear, stream
 
@@ -118,7 +119,7 @@ class TestRunClt:
             if rec.status != mc.ADMITTED:
                 continue
             path = generate(spec, proto.max_path_length, rec.seed)
-            counts = np.cumsum((path.x > lo) & (path.x < hi))
+            counts = np.cumsum((path.x >= lo) & (path.x <= hi))
             stop = int(np.argmax(counts >= proto.local_count))
             assert counts[stop] == proto.local_count
 
@@ -140,14 +141,15 @@ class TestRunClt:
 def reference_fixed_point_rep(protocol, rep):
     """Slow reference for a fixed-point replication: regenerate the whole
     path from scratch at 4096, 8192, ... rows (capped at the guard) until
-    local_count window observations have accumulated."""
+    local_count observations have accumulated in the closed window, and
+    estimate on the whole path."""
     seed = mc.derive_seed(protocol.base_seed, rep)
     lo, hi = protocol.window
     n_len = 4096
     while True:
         n_len = min(n_len, protocol.max_path_length)
         path = generate(protocol.process, n_len, seed)
-        counts = np.cumsum((path.x > lo) & (path.x < hi))
+        counts = np.cumsum((path.x >= lo) & (path.x <= hi))
         if counts[-1] >= protocol.local_count:
             stop = int(np.argmax(counts >= protocol.local_count))
             break
@@ -203,30 +205,16 @@ class TestFixedPointStream:
                 monkeypatch.setattr(mc, "stream", partial(stream, chunk=chunk))
                 assert mc._run_rep(protocol, r) == rec
 
-    def test_stopping_index_on_each_side_of_a_scratch_doubling(self, protocol, reference,
-                                                                monkeypatch):
-        # The path fills the scratch to its last row, or needs one row more,
-        # so that the scratch doubles and keeps the rows already copied.
-        for r, rec in enumerate(reference):
-            if rec.status == mc.GUARD:
-                continue
-            for rows in (rec.path_length - 1, rec.path_length):
-                monkeypatch.setattr(mc, "_SCRATCH_ROWS", rows)
-                for chunk in (97, rows):
-                    monkeypatch.setattr(mc, "stream", partial(stream, chunk=chunk))
-                    vars(mc._scratch).pop("paths", None)
-                    assert mc._run_rep(protocol, r) == rec
-
     def test_long_reps_leave_no_rows_for_short_ones(self, protocol, reference):
         # Guard reps first (they are the longest), then admitted reps from the
-        # longest down, all on one thread's scratch.
+        # longest down, one after another on one thread.
         order = sorted(range(protocol.reps), key=lambda r: -reference[r].path_length)
         assert reference[order[0]].status == mc.GUARD
         assert [mc._run_rep(protocol, r) for r in order] == [reference[r] for r in order]
 
     def test_concurrent_runs_keep_their_records(self, protocol):
-        # Long paths and the local bandwidth rule, which reads every row, so
-        # that one shared scratch would mix the threads' rows.
+        # Long paths and the local bandwidth rule, so that any state shared
+        # between the threads would mix their rows.
         protocols = [replace(protocol, reps=60, base_seed=seed, local_count=300,
                              max_path_length=50_000, fixed_h=None, c0=1.0)
                      for seed in (4, 5, 6)]
@@ -251,27 +239,88 @@ class TestFixedPointStream:
         assert not any(t.is_alive() for t in threads)
         assert results == serial
 
-    def test_run_clt_drops_the_scratch(self, protocol):
-        mc._run_rep(protocol, 0)
-        assert hasattr(mc._scratch, "paths")
-        mc.run_clt(protocol)
-        assert not hasattr(mc._scratch, "paths")
-        with pytest.raises(AllRejected):
-            mc.run_clt(replace(protocol, x_eval=400.0, window=(399.0, 401.0)))
-        assert not hasattr(mc._scratch, "paths")
-
     def test_path_length_ends_at_the_stopping_time(self, protocol, reference):
         lo, hi = protocol.window
         for rec in reference:
             if rec.status == mc.GUARD:
                 continue
             x = generate(protocol.process, rec.path_length - 1, rec.seed).x
-            inside = (x > lo) & (x < hi)
+            inside = (x >= lo) & (x <= hi)
             assert inside.sum() == protocol.local_count and inside[-1]
 
     def test_threads_keep_records(self, protocol):
         serial = mc.run_clt(protocol, threads=1)
         assert mc.run_clt(protocol, threads=2).records == serial.records
+
+    @pytest.mark.parametrize("x_eval, fixed_h, c0, restreams", [
+        (7.5, None, 4.0, "some"),  # h reaches past the window on some admitted reps
+        (5.1, None, 0.5, "none"),  # the pilot's support reaches past the window
+        (5.1, 0.3, None, "none"),  # the fixed bandwidth's support does
+    ])
+    def test_band_holds_every_weighted_row(self, protocol, monkeypatch, x_eval, fixed_h, c0,
+                                           restreams):
+        protocol = replace(protocol, x_eval=x_eval, fixed_h=fixed_h, c0=c0)
+        whole = []
+
+        def counting(protocol, seed, band):
+            whole.append(band == mc._WHOLE_PATH)
+            return fixed_point_path(protocol, seed, band)
+
+        fixed_point_path = mc._fixed_point_path
+        monkeypatch.setattr(mc, "_fixed_point_path", counting)
+        records = [mc._run_rep(protocol, r) for r in range(protocol.reps)]
+        assert records == [reference_fixed_point_rep(protocol, r) for r in range(protocol.reps)]
+        admitted = sum(r.status == mc.ADMITTED for r in records)
+        assert admitted > 0
+        if restreams == "some":
+            assert 0 < sum(whole) < admitted
+        else:
+            assert sum(whole) == 0
+
+    def test_guard_rep_memory_is_small(self):
+        # A guard rep at the shipped protocol's guard holds its stream block
+        # and the band, not the million rows it draws.
+        spec = ProcessSpec(family="INDEP", f=linear())
+        protocol = mc.CltProtocol(process=spec, mode="fixed_point", reps=1, base_seed=271828,
+                                  x_eval=7.5, window=(5.0, 10.0), local_count=800,
+                                  max_path_length=1_000_000)
+        mc._run_rep(replace(protocol, max_path_length=1000), 0)  # first-call imports
+        tracemalloc.start()
+        try:
+            record = mc._run_rep(protocol, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record.status == mc.GUARD
+        assert peak < 2_000_000
+
+
+class TestClosedWindowOnStateValues:
+    """A FINITE_PRODUCT regressor takes the states 0, 1 and 2, and the window
+    [1, 2] ends on two of them: the stop rule counts the closed window, like
+    the occupation T_C of the estimator.  The table transfer checks that z,
+    formed on the band rows only, is z of the whole path."""
+
+    @pytest.fixture
+    def protocol(self):
+        f = processes.Transfer("table", xs=(-0.5, 0.7, 2.5), ys=(1.0, -0.3, 2.0))
+        spec = ProcessSpec(family="FINITE_PRODUCT", f=f,
+                           x_chain=load_model("configs/threestate.json"),
+                           w_chain=load_model("configs/twostate.json"))
+        return mc.CltProtocol(process=spec, mode="fixed_point", reps=20, base_seed=9,
+                              x_eval=1.5, window=(1.0, 2.0), local_count=50, fixed_h=0.75)
+
+    def test_occupation_equals_local_count_at_the_stop(self, protocol):
+        res = mc.run_clt(protocol)
+        assert res.admitted == protocol.reps
+        for rec in res.records:
+            x = generate(protocol.process, rec.path_length - 1, rec.seed).x
+            assert _occupation(x, protocol.window) == protocol.local_count
+            assert protocol.window[0] <= x[-1] <= protocol.window[1]
+
+    def test_records_equal_reference(self, protocol):
+        assert list(mc.run_clt(protocol).records) == [
+            reference_fixed_point_rep(protocol, r) for r in range(protocol.reps)]
 
 
 class TestTrendReport:

@@ -166,6 +166,10 @@ class TestStream:
                             continue
                         np.testing.assert_array_equal(np.concatenate(got)[:rows], want,
                                                       err_msg=f"{spec.family} {name} {chunk}")
+                bare = next(pr.stream(spec, seed, chunk=rows, responses=False))
+                assert bare.z is None
+                for name in ("x", "w"):
+                    assert np.array_equal(getattr(bare, name), getattr(whole, name))
 
     def test_invalid_chunk(self, indep):
         with pytest.raises(InvalidSpec):
