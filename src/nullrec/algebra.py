@@ -361,29 +361,27 @@ def enumerated_block_moments(model: FiniteMarkovModel, g, orders,
     t <= depth of (X[t, m] . s) from :func:`_forward_moments` with unit
     weights, with an upper bound on the omitted tail.
 
-    The tail bound sums, over the steps past `depth`, the survival mass
-    start H^t 1 times the largest possible |block sum|^m, (t+1)^m max|g|^m."""
+    Step t past `depth` adds at most mass_t ((t+1) max|g|)^m, mass_t =
+    start H^t 1.  With n the first power of two at which every row of H^n
+    sums to at most 1/2 (found by squaring H, no G), step depth+1+qn+r,
+    r < n, carries at most 2^-q mass_(depth+1), so the tail is at most
+    n mass_(depth+1) sum_{q<200} 2^-q ((depth+1+(q+1)n) max|g|)^m (for
+    m <= 6 the terms past q = 200 are below 1e-40 of the first); inf past
+    n = 2^53."""
     g = np.asarray(g, dtype=float)
     orders = tuple(orders)
     X = _forward_moments(model, g, np.ones(depth + 1), start, max(orders, default=0))
     totals = X.sum(axis=0) @ model.s
-    H = model.H
-    alive = X[depth, 0] @ H
-    gmax = float(np.abs(g).max()) if model.d else 0.0
-    tails = dict.fromkeys(orders, 0.0)
-    t = depth + 1
-    for _ in range(100_000):
-        mass = float(alive.sum())
-        done = True
-        for m in orders:
-            term = mass * ((t + 1) * gmax) ** m
-            tails[m] += term
-            done = done and term < 1e-300
-        if done or mass < 1e-300:
-            return {m: SeriesValue(float(totals[m]), tails[m]) for m in orders}
-        alive = alive @ H
-        t += 1
-    return {m: SeriesValue(float(totals[m]), math.inf) for m in orders}
+    mass = float((X[depth, 0] @ model.H).sum())
+    Hn, n = model.H, 1
+    while Hn.sum(axis=1).max() > 0.5:
+        if n == 2 ** _MAX_DOUBLINGS:
+            return {m: SeriesValue(float(totals[m]), math.inf) for m in orders}
+        Hn, n = Hn @ Hn, 2 * n
+    q = np.arange(200)
+    reach = (depth + 1 + (q + 1.0) * n) * float(np.abs(g).max())
+    return {m: SeriesValue(float(totals[m]), n * mass * float(0.5 ** q @ reach ** m))
+            for m in orders}
 
 
 def weighted_block_moment(model: FiniteMarkovModel, a, g, m: int,
@@ -459,29 +457,22 @@ def generalized_autocov(model: FiniteMarkovModel, g, f=None, ell: int = 0) -> fl
     return float(phi @ vec)
 
 
-def sigma2_from_series(model: FiniteMarkovModel, g, tol: float = 1e-8) -> SeriesValue:
+def sigma2_from_series(model: FiniteMarkovModel, g) -> SeriesValue:
     """Block variance as the two-sided sum of generalized autocovariances,
-    gamma(0) + 2 sum_{l>=1} gamma(l) with gamma(l) = phi_g P^(l-1) g0, doubled
-    (:func:`_doubling_sum`) to the first power of two N at which the exact
-    remainder phi_g P^N G g0 is below tol/2.  The doubling squares the centred
-    kernel Q = P - 1 (x) pi / (pi . 1), whose powers decay, not P, whose
-    row-sum error doubles with each squaring: phi_g . 1 = 0 makes
-    phi_g Q^l = phi_g P^l term for term.
-
-    Must agree with :func:`block_mean_variance` within tol plus the reported
-    tail bound; the two sides use different formulas, so the agreement is a
-    genuine cross-check."""
+    gamma(0) + 2 sum_{l>=1} gamma(l), gamma(l) = phi_g P^(l-1) g0, in closed
+    form: phi_g . 1 = 0 makes phi_g P^l = phi_g Q^l for Q = P - 1 (x) pi/(pi.1),
+    so the lags sum to phi_g (I - Q)^-1 g0 (the Kemeny-Snell fundamental
+    matrix), one solve with nothing truncated (tail bound 0).  On a periodic
+    chain that is the series' Abel sum, which still equals the block variance.
+    It reads G only through pi, so agreeing with :func:`block_mean_variance`
+    is a genuine cross-check."""
     g = np.asarray(g, dtype=float)
     pi = model.pi
     mu_g = float(pi @ g)
     g0 = g - model.s * mu_g
-    psi = model.G @ g0
     phi = (pi * g) @ model.P - mu_g * model.nu
-    Q = model.P - pi / pi.sum()
-    lags, remainder = _doubling_sum(Q, g0[:, None], np.ones((1, 1)),
-                                    lambda _n, Qn: abs(2.0 * float(phi @ (Qn @ psi))), tol / 2.0)
-    total = generalized_autocov(model, g, None, 0) + 2.0 * float(phi @ lags[:, 0])
-    return SeriesValue(total, remainder)
+    lags = np.linalg.solve(np.eye(model.d) - model.P + pi / pi.sum(), g0)
+    return SeriesValue(generalized_autocov(model, g, None, 0) + 2.0 * float(phi @ lags), 0.0)
 
 
 def regeneration_gap_coefficients(model: FiniteMarkovModel, count: int) -> np.ndarray:

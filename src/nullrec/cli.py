@@ -121,6 +121,7 @@ def _parse_vector(text: str, d: int) -> np.ndarray:
     except ValueError as exc:
         raise err.ConfigParse(f"cannot parse vector {text!r}: {exc}") from exc
     _require(len(vec) == d, f"vector {text!r} has {len(vec)} values for a chain with {d} states")
+    _require(bool(np.all(np.isfinite(vec))), f"vector {text!r} must be finite")
     return vec
 
 
@@ -249,10 +250,9 @@ def _cmd_autocov(args) -> int:
     g = _parse_vector(args.g, model.d)
     f = _parse_vector(args.f, model.d) if args.f else None
     _require(args.ell_max >= 0, f"--ell-max must be >= 0, got {args.ell_max}")
-    _require(args.tol > 0.0, f"--tol must be > 0, got {args.tol!r}")
     rows = [(ell, generalized_autocov(model, g, f, ell))
             for ell in range(-args.ell_max, args.ell_max + 1)]
-    series = sigma2_from_series(model, g, tol=args.tol)
+    series = sigma2_from_series(model, g)
     mu, sigma2 = block_mean_variance(model, g)
     print(f"sigma2_series={_fmt(series.value)} tail_bound={_fmt(series.tail_bound)} "
           f"sigma2_blocks={_fmt(sigma2)} |diff|={_fmt(abs(series.value - sigma2))}")
@@ -260,8 +260,7 @@ def _cmd_autocov(args) -> int:
         out = _out_dir(args.out)
         _write_csv(out / "autocov.csv", ["ell", "gamma"], ([ell, _fmt(val)] for ell, val in rows))
         _write_metadata(out, "autocov", {
-            "chain": args.chain, "g": args.g, "f": args.f,
-            "ell_max": args.ell_max, "tol": args.tol,
+            "chain": args.chain, "g": args.g, "f": args.f, "ell_max": args.ell_max,
             "sigma2_series": series.value, "sigma2_blocks": sigma2,
         })
     return 0
@@ -339,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True)
     p.add_argument("--f", default=None)
     p.add_argument("--ell-max", dest="ell_max", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_autocov)
 

@@ -96,7 +96,7 @@ def test_criterion_3_variance_series_equivalence():
         g_rng = np.random.default_rng(model.d * 7 + 1)
         for g in (np.eye(model.d)[0], g_rng.normal(size=model.d)):
             _, sigma2 = alg.block_mean_variance(model, g)
-            res = alg.sigma2_from_series(model, g, tol=1e-10)
+            res = alg.sigma2_from_series(model, g)
             excess = abs(res.value - sigma2) - res.tail_bound
             worst = max(worst, excess)
     elapsed = time.perf_counter() - start

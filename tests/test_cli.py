@@ -301,6 +301,11 @@ class TestAlgebraCommands:
         assert "sigma2_series=" in capsys.readouterr().out
         lines = (out / "autocov.csv").read_text().strip().splitlines()
         assert len(lines) == 12  # header + ell in [-5, 5]
+        config = json.loads((out / "metadata.json").read_text())["config"]
+        assert "tol" not in config and config["sigma2_series"] == pytest.approx(
+            config["sigma2_blocks"], rel=1e-12)
+        with pytest.raises(SystemExit):  # the series is a solve: there is no --tol
+            main(["autocov", "--chain", str(chain_path), "--g", "1,0", "--tol", "1e-8"])
 
     def test_embedded(self, chain_path, tmp_path, capsys):
         wpath = tmp_path / "w.json"
@@ -342,9 +347,9 @@ class TestAlgebraArgumentValidation:
         ["autocov", "--g", "1"],
         ["autocov", "--g", "1,0", "--f", "1,0,0"],
         ["autocov", "--g", "1,0", "--ell-max", "-1"],
-        ["autocov", "--g", "1,0", "--tol", "nan"],
-        ["autocov", "--g", "1,0", "--tol", "-1"],
-        ["autocov", "--g", "1,0", "--tol", "0"],
+        ["autocov", "--g", "nan,0"],
+        ["autocov", "--g", "1,inf"],
+        ["autocov", "--g", "1,0", "--f", "nan,0"],
         ["embedded", "--coeffs", "-1"],
         ["embedded", "--tol", "nan"],
         ["embedded", "--tol", "0"],
