@@ -62,6 +62,7 @@ STOCHASTIC_TOL = 1e-12
 _G_RESIDUAL_TOL = 1e-6
 MOMENT_ORDER_CAP = 6
 _MAX_DOUBLINGS = 53  # past 2^53 terms a double no longer counts the index exactly
+_SERIES_TOL = 1e-10  # the doubled series stop once their omitted tail is below this
 
 
 class SeriesValue(NamedTuple):
@@ -483,64 +484,61 @@ def regeneration_gap_coefficients(model: FiniteMarkovModel, count: int) -> np.nd
     return X[:, 0] @ model.s
 
 
-def embedded_transition(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel,
-                        tol: float = 1e-10) -> KernelMatrix:
+def embedded_transition(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel) -> KernelMatrix:
     """Transition matrix of the W-chain observed at the X-chain's
     regeneration times:  P2 . Phi  with  Phi = sum_l {nu1 H1^l s1} P2^l.
 
     The mixing coefficients b_{l+1} = nu1 H1^l s1 are the gap law of the
-    X-chain and must have total mass 1 (recurrence); a deficit raises.
-    Phi = nu1 . K_n with K_n[i] = sum_{l<n} (H1^l s1)_i P2^l, doubled
-    (:func:`_doubling_sum`) to the first power of two n at which the remaining
-    coefficient mass nu1 H1^n 1 is below tol, so the result is row-stochastic
-    within that mass."""
+    X-chain and must have total mass 1 (recurrence); a deficit past 1e-9
+    raises.  Phi = nu1 . K_n with K_n[i] = sum_{l<n} (H1^l s1)_i P2^l, doubled
+    (:func:`_fold`) to the first power of two n at which the remaining
+    coefficient mass nu1 H1^n 1 is below 1e-10, so the result is
+    row-stochastic within that mass."""
     total_mass = float(x_model.nu @ (x_model.G @ x_model.s))
-    if total_mass < 1.0 - max(tol, 1e-9):
-        raise CoefficientMassDeficit(total_mass, tol)
+    if total_mass < 1.0 - 1e-9:
+        raise CoefficientMassDeficit(total_mass, 1e-9)
 
-    K0 = x_model.s[:, None, None] * np.eye(w_model.d)
-    K, remaining = _doubling_sum(x_model.H, K0, w_model.P,
-                                    lambda _n, H1n: float(x_model.nu @ H1n.sum(axis=1)), tol)
+    pairs, remaining = _power_ladder(x_model.H, w_model.P,
+                                     lambda H1n: float(x_model.nu @ H1n.sum(axis=1)))
+    K = _fold(x_model.s[:, None, None] * np.eye(w_model.d), pairs)
     Phi = np.tensordot(x_model.nu, K, axes=1)
 
     P_tilde = w_model.P @ Phi
     row_err = float(np.abs(P_tilde.sum(axis=1) - 1.0).max())
     if row_err > remaining + 1e-9:
-        raise TruncationInsufficient(row_err, tol)
+        raise TruncationInsufficient(row_err, _SERIES_TOL)
     minor = np.outer(w_model.s, w_model.nu @ Phi) - P_tilde
-    if minor.max() > tol + 1e-9:
+    if minor.max() > _SERIES_TOL + 1e-9:
         i, j = np.unravel_index(np.argmax(minor), minor.shape)
         raise MinorizationViolated(int(i), int(j), float(minor[i, j]))
     return KernelMatrix(_read_only(P_tilde), tail_bound=remaining)
 
 
-def _doubling_sum(A: np.ndarray, Q: np.ndarray, B: np.ndarray, tail, tol: float,
-                  powers: list | None = None):
-    """(S_n, tail(n, A^n)) for S_n = sum_{j<n} A^j . Q . B^j, A^j acting on the
-    first axis of Q and B^j on the last, by Smith's doubling
-    S_2n = S_n + A^n . S_n . B^n over n = 1, 2, 4, ... until tail(n, A^n) < tol.
-    Raises TruncationInsufficient when that takes more than _MAX_DOUBLINGS
-    doublings, as it always does for tol <= 0 or NaN.  When `powers` is a
-    list, the pairs (A^n, B^n) applied are appended to it, so that _double
-    can sum another Q to the same n with them."""
-    S, An, Bn, n = Q, A, B, 1
-    while not ((bound := tail(n, An)) < tol):
-        if n == 2 ** _MAX_DOUBLINGS:
-            raise TruncationInsufficient(bound, tol)
-        if powers is not None:
-            powers.append((An, Bn))
-        S = _double(S, An, Bn)
-        An, Bn, n = An @ An, Bn @ Bn, 2 * n
-    return S, bound
+def _power_ladder(A: np.ndarray, B: np.ndarray, tail) -> tuple[list, float]:
+    """(pairs, bound): the pairs (A^n, B^n) for n = 1, 2, 4, ..., by repeated
+    squaring, up to the first n at which bound = tail(A^n) is below
+    _SERIES_TOL, which is left out.  Raises TruncationInsufficient when that
+    takes more than _MAX_DOUBLINGS squarings."""
+    pairs, An, Bn = [], A, B
+    while not ((bound := tail(An)) < _SERIES_TOL):
+        if len(pairs) == _MAX_DOUBLINGS:
+            raise TruncationInsufficient(bound, _SERIES_TOL)
+        pairs.append((An, Bn))
+        An, Bn = An @ An, Bn @ Bn
+    return pairs, bound
 
 
-def _double(S: np.ndarray, An: np.ndarray, Bn: np.ndarray) -> np.ndarray:
-    """S + A^n . S . B^n, A^n acting on the first axis of S and B^n on the last."""
-    return S + (An @ S.reshape(len(S), -1)).reshape(S.shape) @ Bn
+def _fold(S: np.ndarray, pairs) -> np.ndarray:
+    """sum_{j<n} A^j . S . B^j over the pairs of :func:`_power_ladder`, A^j
+    acting on the first axis of S and B^j on the last, by Smith's doubling
+    S_2n = S_n + A^n . S_n . B^n."""
+    for An, Bn in pairs:
+        S = S + (An @ S.reshape(len(S), -1)).reshape(S.shape) @ Bn
+    return S
 
 
 def compound_block_moment(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel,
-                          gX, gW, m: int, tol: float = 1e-10) -> SeriesValue:
+                          gX, gW, m: int) -> SeriesValue:
     """E_nu of the sum, over one compound regeneration block, of the m-th
     powers of X-subblock sums of gX(X) gW(W), for independent chains:
 
@@ -551,11 +549,11 @@ def compound_block_moment(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel
     That is pi1 u_m pi2 for the recursion of :func:`_binomial_moments` on
     d1 x d2 matrices, with g = outer(gX, gW) and
     K U = sum_{j>=1} H1^j U (P2^j)^T.  For m = 1 it is {pi1 gX} {pi2 gW}
-    (no series).  For m = 2, 3 every K runs j to L, doubled
-    (:func:`_doubling_sum`); the first K forms the powers of H1 and P2, and
-    the second replays them.  P2 is stochastic, so the omitted steps j > L
-    are bounded through the X side, by scale * max_i (H1^(L+1) G 1)_i;
-    L is the first power of two from 8 on at which the bound is below tol."""
+    (no series).  For m = 2, 3 every K runs j to L, doubled (:func:`_fold`)
+    over one ladder of powers of H1 and P2.  P2 is stochastic, so the omitted
+    steps j > L are bounded through the X side, by
+    scale * max_i (H1^(L+1) G 1)_i; L is the first power of two at which the
+    bound is below 1e-10."""
     if m > 3:
         raise OrderTooLarge(m, 3)
     if m < 1:
@@ -576,25 +574,9 @@ def compound_block_moment(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel
     scale = sum(math.comb(m, j) * float(x_model.pi @ np.abs(gX) ** (m - j))
                 * float(w_model.pi @ np.abs(gW) ** (m - j)) * (B[j] + sup_1 * E[j])
                 for j in range(1, m))
-
-    def tail(n, H1n):
-        return scale * float((H1 @ (H1n @ G1)).max()) if n >= 8 else math.inf
-
-    powers = [] if m == 3 else None  # only a second K replays them
-    bound = 0.0
-
-    def K(U):
-        # sum_{j=1..L} H1^j U (P2^j)^T = sum_{j<L} H1^j (H1 U P2^T) (P2^j)^T
-        nonlocal bound
-        S = H1 @ U @ P2.T
-        if powers:  # L >= 8: the first K recorded at least three doublings
-            for H1n, P2n in powers:
-                S = _double(S, H1n, P2n)
-            return S
-        S, bound = _doubling_sum(H1, S, P2.T, tail, tol, powers)
-        return S
-
-    u = _binomial_moments(np.outer(gX, gW), K, m)
+    pairs, bound = _power_ladder(H1, P2.T, lambda H1n: scale * float((H1 @ (H1n @ G1)).max()))
+    # sum_{j=1..L} H1^j U (P2^j)^T = sum_{j<L} H1^j (H1 U P2^T) (P2^j)^T
+    u = _binomial_moments(np.outer(gX, gW), lambda U: _fold(H1 @ U @ P2.T, pairs), m)
     return SeriesValue(float(x_model.pi @ u @ w_model.pi), bound)
 
 

@@ -131,15 +131,14 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("NULLREC_THREADS")
-    if env:
+    threads, env = args.threads, os.environ.get("NULLREC_THREADS")
+    if threads is None:
         try:
-            return int(env)
+            threads = int(env or 1)
         except ValueError as exc:
             raise err.ConfigParse(f"NULLREC_THREADS={env!r} is not an integer") from exc
-    return 1
+    _require(threads >= 1, f"thread count must be >= 1, got {threads}")
+    return threads
 
 
 def _cmd_simulate(args) -> int:
@@ -270,8 +269,7 @@ def _cmd_embedded(args) -> int:
     x_model = _load(load_model, args.chain)
     w_model = _load(load_model, args.wchain)
     _require(args.coeffs >= 0, f"--coeffs must be >= 0, got {args.coeffs}")
-    _require(args.tol > 0.0, f"--tol must be > 0, got {args.tol!r}")
-    result = embedded_transition(x_model, w_model, tol=args.tol)
+    result = embedded_transition(x_model, w_model)
     coeffs = regeneration_gap_coefficients(x_model, args.coeffs)
     print(f"coefficient_mass={_fmt(float(coeffs.sum()))} tail_bound={_fmt(result.tail_bound)}")
     for i, row in enumerate(result.entries):
@@ -284,7 +282,7 @@ def _cmd_embedded(args) -> int:
         _write_csv(out / "gap_coefficients.csv", ["lag", "coefficient"],
                    ([i, _fmt(float(b))] for i, b in enumerate(coeffs, start=1)))
         _write_metadata(out, "embedded", {
-            "chain": args.chain, "wchain": args.wchain, "tol": args.tol,
+            "chain": args.chain, "wchain": args.wchain,
             "coefficient_mass": float(coeffs.sum()), "tail_bound": result.tail_bound,
         })
     return 0
@@ -344,7 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embedded", help="transition law of W sampled at X regenerations")
     p.add_argument("--chain", required=True, help="X chain JSON")
     p.add_argument("--wchain", required=True, help="W chain JSON")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--coeffs", type=int, default=32, help="gap coefficients to report")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_embedded)

@@ -1,5 +1,6 @@
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -431,7 +432,7 @@ class TestEmbeddedTransition:
             Phi += 0.5 ** (ell + 1) * Ppow
             Ppow = Ppow @ w_model.P
         oracle = w_model.P @ Phi
-        got = alg.embedded_transition(two_state, w_model, tol=1e-12).entries
+        got = alg.embedded_transition(two_state, w_model).entries
         assert np.abs(got - oracle).max() < 1e-10
 
     def test_rows_stochastic_and_coefficients_proper(self):
@@ -439,7 +440,7 @@ class TestEmbeddedTransition:
         for _ in range(5):
             xm = random_model(rng)
             wm = random_model(rng)
-            result = alg.embedded_transition(xm, wm, tol=1e-10)
+            result = alg.embedded_transition(xm, wm)
             assert np.abs(result.entries.sum(axis=1) - 1.0).max() < 1e-8
             coeffs = alg.regeneration_gap_coefficients(xm, 200)
             assert coeffs.min() >= 0.0
@@ -558,9 +559,9 @@ def reference_embedded(x_model, w_model, tol=1e-10, max_terms=200_000):
     raise TruncationInsufficient(remaining, tol)
 
 
-def reference_compound_recursion(x_model, w_model, gX, gW, m, tol=1e-10):
-    """compound_block_moment with every K a fresh _doubling_sum call, which
-    forms again every power of H1 and P2^T that the first call formed."""
+def reference_compound_recursion(x_model, w_model, gX, gW, m):
+    """compound_block_moment with a fresh ladder of powers of H1 and P2^T for
+    every K, squared here until the tail is below 1e-10."""
     gX = np.asarray(gX, dtype=float)
     gW = np.asarray(gW, dtype=float)
     H1, P2 = x_model.H, w_model.P
@@ -575,15 +576,15 @@ def reference_compound_recursion(x_model, w_model, gX, gW, m, tol=1e-10):
                 * float(w_model.pi @ np.abs(gW) ** (m - j)) * (B[j] + sup_1 * E[j])
                 for j in range(1, m))
 
-    def tail(n, H1n):
-        return scale * float((H1 @ (H1n @ G1)).max()) if n >= 8 else math.inf
-
     bounds = [0.0]
 
     def K(U):
-        S, bound = alg._doubling_sum(H1, H1 @ U @ P2.T, P2.T, tail, tol)
+        pairs, H1n, P2n = [], H1, P2.T
+        while not (bound := scale * float((H1 @ (H1n @ G1)).max())) < 1e-10:
+            pairs.append((H1n, P2n))
+            H1n, P2n = H1n @ H1n, P2n @ P2n
         bounds.append(bound)
-        return S
+        return alg._fold(H1 @ U @ P2.T, pairs)
 
     u = alg._binomial_moments(np.outer(gX, gW), K, m)
     return alg.SeriesValue(float(x_model.pi @ u @ w_model.pi), bounds[-1])
@@ -828,26 +829,24 @@ class TestTailsThroughG:
         rng = np.random.default_rng(9)
         A = random_model(rng, d=3).H
         B = random_model(rng, d=2).P
-        for Q in (rng.normal(size=(3, 2)), rng.normal(size=(3, 4, 2))):
-            for n in (1, 2, 8, 1024, 4096 + 5):
-                seen = []
+        for n in (1, 2, 8, 1024, 4096 + 5):
+            seen = []
 
-                def tail(k, Ak):
-                    seen.append(k)
-                    np.testing.assert_allclose(Ak, np.linalg.matrix_power(A, k),
-                                               rtol=1e-12, atol=1e-300)
-                    return 0.0 if k >= n else 1.0
-
-                got, bound = alg._doubling_sum(A, Q, B, tail, 0.5)
-                stop = 2 ** math.ceil(math.log2(n))
-                assert bound == 0.0 and seen == [2 ** k for k in range(len(seen))]
-                assert seen[-1] == stop
-                np.testing.assert_allclose(got, reference_power_sum(A, Q, B, stop),
+            def tail(Ak):
+                k = 2 ** len(seen)
+                seen.append(k)
+                np.testing.assert_allclose(Ak, np.linalg.matrix_power(A, k),
                                            rtol=1e-12, atol=1e-300)
-        seen = []
-        with pytest.raises(TruncationInsufficient):
-            alg._doubling_sum(A, Q, B, lambda k, _Ak: seen.append(k) or 1.0, 0.5)
-        assert seen == [2 ** k for k in range(54)]
+                return 0.0 if k >= n else 1.0
+
+            pairs, bound = alg._power_ladder(A, B, tail)
+            stop = 2 ** math.ceil(math.log2(n))
+            assert bound == 0.0 and seen[-1] == stop and len(pairs) == len(seen) - 1
+            for k, (_Ak, Bk) in enumerate(pairs):
+                np.testing.assert_allclose(Bk, np.linalg.matrix_power(B, 2 ** k), rtol=1e-12)
+            for Q in (rng.normal(size=(3, 2)), rng.normal(size=(3, 4, 2))):
+                np.testing.assert_allclose(alg._fold(Q, pairs), reference_power_sum(A, Q, B, stop),
+                                           rtol=1e-12, atol=1e-300)
 
     def test_spectral_radius_near_one(self):
         x_model = near_singular_two_state()
@@ -1029,14 +1028,97 @@ class TestDoubledSeries:
     def test_series_that_never_meet_tol_stop_after_53_doublings(self):
         import time
 
+        class Squarings(np.ndarray):
+            count = 0
+
+            def __matmul__(self, other):
+                Squarings.count += 1
+                return super().__matmul__(other)
+
         three = alg.load_model("configs/threestate.json")
-        g = [1.0, -1.0, 2.0]
-        for call in (lambda: alg.embedded_transition(three, three, tol=0.0),
-                     lambda: alg.compound_block_moment(three, three, g, g, 3, tol=0.0)):
+        for bound in (1.0, math.nan):  # a tail that never falls below 1e-10
+            Squarings.count = 0
             start = time.perf_counter()
             with pytest.raises(TruncationInsufficient):
-                call()
+                alg._power_ladder(three.H.view(Squarings), three.P, lambda _An: bound)
             assert time.perf_counter() - start < 0.25
+            assert Squarings.count == 53
+
+
+# --- an exact rational oracle -------------------------------------------------
+# The float entries of H1, P2, s1 and nu1 are exact binary fractions, so
+# Fraction arithmetic gives the exact value of the series that
+# embedded_transition and compound_block_moment truncate and round: it checks
+# the truncation and the rounding at once.
+
+def fractions(arr):
+    """A float array as nested lists of exact Fractions."""
+    return [fractions(v) for v in arr] if np.ndim(arr) else Fraction(float(arr))
+
+
+def exact_solve(A, B):
+    """X with A X = B by Gauss-Jordan elimination over Fractions; A and B are
+    lists of rows, and zero entries are skipped."""
+    n = len(A)
+    M = [list(a) + list(b) for a, b in zip(A, B)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if M[r][c])
+        M[c], M[p] = M[p], M[c]
+        M[c] = [v / M[c][c] for v in M[c]]
+        for r in range(n):
+            f = M[r][c]
+            if r != c and f:
+                M[r] = [a - f * b if b else a for a, b in zip(M[r], M[c])]
+    return [row[n:] for row in M]
+
+
+def exact_invariant_measure(model):
+    """pi = nu (I - H)^-1, exactly."""
+    H = fractions(model.H)
+    At = [[int(i == j) - H[j][i] for j in range(model.d)] for i in range(model.d)]
+    return [row[0] for row in exact_solve(At, [[v] for v in fractions(model.nu)])]
+
+
+def exact_embedded_and_compound(x_model, w_model, gX, gW):
+    """(P2 Phi, pi1 u_2 pi2) from one solve of (I - H1 (x) P2), whose inverse
+    is sum_l H1^l (x) P2^l, on the states (x, w) in row-major order:
+    Phi[w, v] = sum_x nu1[x] [(I - H1 (x) P2)^-1 (s1 (x) e_v)][(x, w)], and
+    u_2 = g^2 + 2 g K g with K g = (I - H1 (x) P2)^-1 g - g, g = gX (x) gW."""
+    d1, d2 = x_model.d, w_model.d
+    H1, P2 = fractions(x_model.H), fractions(w_model.P)
+    s1, nu1 = fractions(x_model.s), fractions(x_model.nu)
+    pairs = [(x, w) for x in range(d1) for w in range(d2)]
+    A = [[int(i == j) - H1[x][y] * P2[w][v] for j, (y, v) in enumerate(pairs)]
+         for i, (x, w) in enumerate(pairs)]
+    g = [Fraction(float(gX[x])) * Fraction(float(gW[w])) for x, w in pairs]
+    X = exact_solve(A, [[s1[x] * (w == v) for v in range(d2)] + [g[i]]
+                        for i, (x, w) in enumerate(pairs)])
+    Phi = [[sum(nu1[x] * X[x * d2 + w][v] for x in range(d1)) for v in range(d2)]
+           for w in range(d2)]
+    embedded = np.array([[float(sum(P2[w][k] * Phi[k][v] for k in range(d2)))
+                          for v in range(d2)] for w in range(d2)])
+    u2 = [g[i] ** 2 + 2 * g[i] * (X[i][d2] - g[i]) for i in range(len(pairs))]
+    pi1, pi2 = exact_invariant_measure(x_model), exact_invariant_measure(w_model)
+    return embedded, float(sum(pi1[x] * u2[i] * pi2[w] for i, (x, w) in enumerate(pairs)))
+
+
+class TestExactRationalOracle:
+    @pytest.mark.parametrize("x_name, w_name", [
+        ("twostate", "threestate"), ("threestate", "twostate"),
+        ("bd5", "threestate"), ("bd11", "threestate")])
+    def test_embedded_and_compound_match_the_exact_values(self, x_name, w_name):
+        chains = {"bd5": birth_death(5), "bd11": birth_death(11)}
+        x_model, w_model = (chains.get(name) or alg.load_model(f"configs/{name}.json")
+                            for name in (x_name, w_name))
+        gX = np.linspace(-1.0, 1.0, x_model.d) if x_model.d > 3 else [1.0, -0.5, 2.0][:x_model.d]
+        gW = np.array([1.0, -0.5, 2.0][:w_model.d])
+        embedded, second = exact_embedded_and_compound(x_model, w_model, gX, gW)
+        got = alg.embedded_transition(x_model, w_model)
+        assert np.abs(got.entries - embedded).max() <= got.tail_bound + 1e-15
+        # the compound value is built from the rounded pi1 and pi2, hence the
+        # relative allowance (the error measured up to d1 = 11 is 2e-16)
+        res = alg.compound_block_moment(x_model, w_model, gX, gW, 2)
+        assert abs(res.value - second) <= res.tail_bound + 1e-14 * abs(second)
 
 
 class TestChainFiles:

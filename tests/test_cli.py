@@ -249,6 +249,21 @@ class TestClt:
         monkeypatch.setenv("NULLREC_THREADS", "lots")
         assert main(["clt", "--protocol", str(proto), "--out", str(tmp_path / "x")]) == 2
 
+    # Only counts below 1: a large count would start that many processes.
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-1", None), (None, "0")])
+    def test_thread_counts_below_one_exit_4(self, flag, env, tmp_path, monkeypatch, capsys):
+        import nullrec.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("run_clt was called")
+
+        monkeypatch.setattr(cli, "run_clt", never)
+        monkeypatch.delenv("NULLREC_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("NULLREC_THREADS", env)
+        argv = ["clt", "--protocol", str(self._protocol_file(tmp_path))]
+        assert_invalid_spec_exit(argv + (["--threads", flag] if flag else []), tmp_path, capsys)
+
     @pytest.mark.parametrize("bandwidth", [{"h": 0}, {"c0": -1}])
     def test_bad_bandwidth_exit_4(self, bandwidth, tmp_path, capsys):
         proto = self._protocol_file(tmp_path)
@@ -323,6 +338,10 @@ class TestAlgebraCommands:
         lines = (out / "embedded.csv").read_text().strip().splitlines()
         assert lines[0] == "from_state,lo,hi"
         assert (out / "gap_coefficients.csv").exists()
+        assert "tol" not in json.loads((out / "metadata.json").read_text())["config"]
+        with pytest.raises(SystemExit) as exc:  # the series stops at 1e-10: there is no --tol
+            main(["embedded", "--chain", str(chain_path), "--wchain", str(wpath), "--tol", "1e-8"])
+        assert exc.value.code == 2
 
 
 def assert_invalid_spec_exit(argv, tmp_path, capsys):
@@ -351,8 +370,6 @@ class TestAlgebraArgumentValidation:
         ["autocov", "--g", "1,inf"],
         ["autocov", "--g", "1,0", "--f", "nan,0"],
         ["embedded", "--coeffs", "-1"],
-        ["embedded", "--tol", "nan"],
-        ["embedded", "--tol", "0"],
     ])
     def test_out_of_range_argument_exit_4(self, argv, chain_path, tmp_path, capsys):
         chains = ["--chain", str(chain_path)]
