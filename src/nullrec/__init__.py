@@ -35,6 +35,7 @@ from .montecarlo import (
 )
 from .processes import (
     GeneratedPath,
+    IndepDisturbance,
     ProcessSpec,
     Transfer,
     empirical_corr_decay,

@@ -484,6 +484,12 @@ def regeneration_gap_coefficients(model: FiniteMarkovModel, count: int) -> np.nd
     return X[:, 0] @ model.s
 
 
+def gap_law_mass(model: FiniteMarkovModel) -> float:
+    """nu G s, the total mass of the gap law b[l] = nu H^{l-1} s over all
+    l >= 1: 1 when the chain regenerates with probability one."""
+    return float(model.nu @ (model.G @ model.s))
+
+
 def embedded_transition(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel) -> KernelMatrix:
     """Transition matrix of the W-chain observed at the X-chain's
     regeneration times:  P2 . Phi  with  Phi = sum_l {nu1 H1^l s1} P2^l.
@@ -494,7 +500,7 @@ def embedded_transition(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel) 
     (:func:`_fold`) to the first power of two n at which the remaining
     coefficient mass nu1 H1^n 1 is below 1e-10, so the result is
     row-stochastic within that mass."""
-    total_mass = float(x_model.nu @ (x_model.G @ x_model.s))
+    total_mass = gap_law_mass(x_model)
     if total_mass < 1.0 - 1e-9:
         raise CoefficientMassDeficit(total_mass, 1e-9)
 

@@ -30,6 +30,7 @@ from .algebra import (
     block_moment,
     embedded_transition,
     enumerated_block_moments,
+    gap_law_mass,
     generalized_autocov,
     load_model,
     regeneration_gap_coefficients,
@@ -271,7 +272,8 @@ def _cmd_embedded(args) -> int:
     _require(args.coeffs >= 0, f"--coeffs must be >= 0, got {args.coeffs}")
     result = embedded_transition(x_model, w_model)
     coeffs = regeneration_gap_coefficients(x_model, args.coeffs)
-    print(f"coefficient_mass={_fmt(float(coeffs.sum()))} tail_bound={_fmt(result.tail_bound)}")
+    mass = gap_law_mass(x_model)  # of every coefficient, not only the --coeffs printed
+    print(f"coefficient_mass={_fmt(mass)} tail_bound={_fmt(result.tail_bound)}")
     for i, row in enumerate(result.entries):
         print(f"row {w_model.states[i]}: " + " ".join(_fmt(v) for v in row))
     if args.out:
@@ -283,7 +285,7 @@ def _cmd_embedded(args) -> int:
                    ([i, _fmt(float(b))] for i, b in enumerate(coeffs, start=1)))
         _write_metadata(out, "embedded", {
             "chain": args.chain, "wchain": args.wchain,
-            "coefficient_mass": float(coeffs.sum()), "tail_bound": result.tail_bound,
+            "coefficient_mass": mass, "tail_bound": result.tail_bound,
         })
     return 0
 

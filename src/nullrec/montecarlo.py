@@ -50,7 +50,7 @@ from .errors import (
     TooFewValues,
 )
 from .estimator import EPANECHNIKOV, Kernel, local_bandwidth, modal_value, nw_estimate
-from .processes import ProcessSpec, generate, spec_from_dict, stream
+from .processes import IndepDisturbance, ProcessSpec, generate, spec_from_dict, stream
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -165,14 +165,16 @@ def _fixed_point_path(protocol: CltProtocol, seed: int, band: tuple[float, float
     `local_count` observations have fallen in the window; None when
     T > max_path_length.  The path is streamed block by block, no row after
     T's block is drawn, and the window and z = f(x) + w are evaluated on the
-    band rows only."""
+    band rows only.  An INDEP block leaves w out: it is read only in the
+    blocks that hold band rows, up to the last of them."""
     lo, hi = protocol.window
     b_lo, b_hi = band
     limit = protocol.max_path_length + 1
     missing = protocol.local_count
-    f = protocol.process.f
+    spec = protocol.process
+    disturbance = IndepDisturbance(spec, seed)
     xs, zs, rows = [], [], 0
-    for block in stream(protocol.process, seed, responses=False):
+    for block in stream(spec, seed, responses=False):
         x = block.x[:limit - rows]
         keep = x >= b_lo
         keep &= x <= b_hi
@@ -184,8 +186,11 @@ def _fixed_point_path(protocol: CltProtocol, seed: int, band: tuple[float, float
             if stop:
                 keep = keep[:inside[missing - 1] + 1]
                 band_x = band_x[:len(keep)]
+            w = block.w
+            if w is None:
+                w = disturbance(rows, rows + int(keep[-1]) + 1)
             xs.append(band_x)
-            zs.append(f(band_x) + block.w[keep])
+            zs.append(spec.f(band_x) + w[keep])
             if stop:
                 return np.concatenate(xs), np.concatenate(zs), rows + int(keep[-1]) + 1
             missing -= len(inside)

@@ -17,7 +17,9 @@ of a longer run with the same seed coincide with a shorter one (draws are
 consumed in time-major order).  stream(spec, seed) yields the run as
 consecutive row blocks that carry the linking state between them, so a
 caller that stops at a data-dependent time draws each row once, and at most
-one block past it; generate is its first block.
+one block past it; generate is its first block.  The INDEP disturbance has
+its own keyed draws (IndepDisturbance), so a caller may read it on only the
+rows it keeps.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ _SQ5 = math.sqrt(0.5)
 _SQ3 = math.sqrt(3.0)
 _STEP_CHUNK = 1 << 16  # rows per Python-list slice of step_chain and the AR1 loop
 _STREAM_BLOCK = 1 << 13  # rows per block of stream: small blocks reuse freed heap memory
+_W_BLOCK = 1 << 13  # rows per W-block of the INDEP disturbance; part of the draw contract
 
 
 @dataclass(frozen=True)
@@ -99,11 +102,11 @@ class ProcessSpec:
 class GeneratedPath:
     """Arrays over t = 0..n (or over one block of :func:`stream`); e holds
     the walk innovations (e[0] is unused by the walk and only feeds
-    disturbance start-up terms), and z is None in the blocks of a stream
-    with responses=False."""
+    disturbance start-up terms).  In the blocks of a stream with
+    responses=False, z and e are None, and so is w for INDEP."""
 
     x: np.ndarray
-    w: np.ndarray
+    w: Optional[np.ndarray]
     z: Optional[np.ndarray]
     e: Optional[np.ndarray] = None
 
@@ -126,8 +129,10 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> GeneratedPath:
 def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK, responses: bool = True):
     """Endless run of the system as consecutive `chunk`-row blocks: rows
     0..chunk-1, then chunk..2 chunk-1, and so on, each a GeneratedPath.
-    With responses=False each block's z is None, for a caller that forms
-    z = f(x) + w, elementwise, on only the rows it keeps.
+    With responses=False each block's z and e are None, for a caller that
+    forms z = f(x) + w, elementwise, on only the rows it keeps; an INDEP
+    block then leaves w out as well, for the caller to read from
+    IndepDisturbance(spec, seed) on those rows.
 
     The state that links rows (the walk's running sum, w_{t-1}, e_{t-1} and
     eps_{t-1}, the chain states) is carried from block to block, and the
@@ -154,24 +159,22 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK, responses: 
             paths = [step_chain(c, int(p[-1]), U[:, j])[1:]
                      for j, (c, p) in enumerate(zip(chains, paths))]
 
-    ncols = 3 if fam == "MA_LINKED" else 2
     a, b = spec.a, spec.b
     first = True
     walk = w_prev = e_prev = eps_prev = 0.0
-    E = np.empty((chunk, ncols))
+    if fam == "INDEP":
+        # One normal per row for the walk; w has its own keyed draws.
+        E = np.empty(chunk)
+        disturbance = IndepDisturbance(spec, seed)
+    else:
+        E = np.empty((chunk, 3 if fam == "MA_LINKED" else 2))
+    start = 0
     while True:
         rng.standard_normal(out=E)
-        e = spec.sigma_e * E[:, 0]
-        # The running sum of e_1..e_t, as one sequential cumsum over all
-        # blocks (e_0 is not a walk increment); x0 is added afterwards.
-        x = e.copy()
-        x[0] = 0.0 if first else walk + e[0]
-        np.cumsum(x, out=x)
-        walk = x[-1]
-        x += spec.x0
+        e = spec.sigma_e * (E if fam == "INDEP" else E[:, 0])
 
         if fam == "INDEP":
-            w = spec.sigma_w * E[:, 1]
+            w = disturbance(start, start + chunk) if responses else None
         elif fam == "SHARED_INNOVATION":
             w = _SQ5 * E[:, 0] + _SQ5 * E[:, 1]
         elif fam == "AR1_LINKED":
@@ -189,8 +192,54 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK, responses: 
             w[0] = E[0, 2] if first else (E[0, 0] + e_prev + eps_prev) / _SQ3
             w[1:] = (E[1:, 0] + E[:-1, 0] + E[:-1, 1]) / _SQ3
             e_prev, eps_prev = E[-1, 0], E[-1, 1]
+
+        # The running sum of e_1..e_t, as one sequential cumsum over all
+        # blocks (e_0 is not a walk increment); x0 is added afterwards.  A
+        # block that does not keep e forms it in x's place.
+        x = e.copy() if responses else e
+        x[0] = 0.0 if first else walk + e[0]
+        np.cumsum(x, out=x)
+        walk = x[-1]
+        x += spec.x0
         first = False
-        yield GeneratedPath(x, w, spec.f(x) + w if responses else None, e)
+        start += chunk
+        if responses:
+            yield GeneratedPath(x, w, spec.f(x) + w, e)
+        else:
+            yield GeneratedPath(x, w, None, None)
+
+
+class IndepDisturbance:
+    """The INDEP disturbance w_t = sigma_w eps_t of the run with `seed`, read
+    by rows: w[start:stop] is self(start, stop).
+
+    eps is drawn in _W_BLOCK-row W-blocks, block k from its own generator
+    default_rng([seed, 2, k]) in row order ([seed, 1] keys the split flags
+    of splitting.simulate_split), so w_t is a function of (seed, t) alone
+    and a reader draws only the W-blocks it reads, up to the last row read.
+    The generator of the W-block read last is kept where it stopped, so
+    reads in ascending row order draw each normal once."""
+
+    def __init__(self, spec: ProcessSpec, seed: int):
+        self.sigma_w, self.seed = spec.sigma_w, seed
+        self._block, self._next, self._rng = -1, 0, None  # W-block, its next row, its generator
+
+    def __call__(self, start: int, stop: int) -> np.ndarray:
+        out = np.empty(stop - start)
+        t = start
+        while t < stop:
+            k, i = divmod(t, _W_BLOCK)
+            if k != self._block or i < self._next:
+                self._block, self._next = k, 0
+                self._rng = np.random.default_rng([self.seed, 2, k])
+            if i > self._next:
+                self._rng.standard_normal(i - self._next)  # the rows not read
+            n = min(stop - t, _W_BLOCK - i)
+            self._rng.standard_normal(out=out[t - start:t - start + n])
+            self._next = i + n
+            t += n
+        out *= self.sigma_w
+        return out
 
 
 def step_chain(model: FiniteMarkovModel, start: int, u: np.ndarray) -> np.ndarray:

@@ -343,6 +343,27 @@ class TestAlgebraCommands:
             main(["embedded", "--chain", str(chain_path), "--wchain", str(wpath), "--tol", "1e-8"])
         assert exc.value.code == 2
 
+    def test_embedded_reports_the_total_gap_mass(self, tmp_path, capsys):
+        # The reflected walk on 0..100 regenerating at its middle state: its
+        # first 32 gap coefficients hold only about 0.86 of the mass, which
+        # is 1 in total.
+        d, c = 101, 50
+        P = 0.5 * (np.eye(d, k=1) + np.eye(d, k=-1))
+        P[0, 0] = P[-1, -1] = 0.5
+        chain = tmp_path / "bd101.json"
+        chain.write_text(json.dumps({"states": list(range(d)), "P": P.tolist(),
+                                     "s": P[:, c].tolist(), "nu": np.eye(d)[c].tolist()}))
+        out = tmp_path / "emb"
+        assert main(["embedded", "--chain", str(chain), "--wchain",
+                     str(CONFIGS / "threestate.json"), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.split()[0]
+        assert printed.startswith("coefficient_mass=")
+        mass = float(printed.split("=")[1])
+        assert mass == pytest.approx(1.0, abs=1e-9)
+        assert json.loads((out / "metadata.json").read_text())["config"]["coefficient_mass"] == mass
+        coeffs = np.loadtxt(out / "gap_coefficients.csv", delimiter=",", skiprows=1)[:, 1]
+        assert len(coeffs) == 32 and coeffs.sum() < 0.9
+
 
 def assert_invalid_spec_exit(argv, tmp_path, capsys):
     """argv exits 4 with one InvalidSpec JSON line on stderr and no output."""

@@ -279,8 +279,9 @@ class TestFixedPointStream:
 
     def test_guard_rep_memory_is_small(self):
         # A guard rep at the shipped protocol's guard holds its stream block
-        # and the band, not the million rows it draws.
-        spec = ProcessSpec(family="INDEP", f=linear())
+        # and the band, not the million rows it draws.  With sigma_e = 0 the
+        # walk stays at 0, so the window is never reached: a guard rep.
+        spec = ProcessSpec(family="INDEP", f=linear(), sigma_e=0.0)
         protocol = mc.CltProtocol(process=spec, mode="fixed_point", reps=1, base_seed=271828,
                                   x_eval=7.5, window=(5.0, 10.0), local_count=800,
                                   max_path_length=1_000_000)

@@ -132,9 +132,11 @@ class TestGenerate:
 
 class TestStream:
     """Blocks of stream() concatenated are bit-identical to one generate()
-    call, across block boundaries, for every family."""
+    call, across block boundaries, for every family.  N + 1 rows span more
+    than two W-blocks of the INDEP disturbance, so the chunks below cross
+    W-block boundaries inside blocks and at their edges."""
 
-    N = 2500
+    N = 2 * pr._W_BLOCK + 700
 
     def _specs(self):
         rng = np.random.default_rng(4)
@@ -142,14 +144,16 @@ class TestStream:
             chains = {}
             if family == "FINITE_PRODUCT":
                 chains = dict(x_chain=random_model(rng, d=3), w_chain=random_model(rng, d=5))
-            yield pr.ProcessSpec(family=family, f=pr.linear(1.5, -0.25), x0=-2.75, **chains)
+            yield pr.ProcessSpec(family=family, f=pr.linear(1.5, -0.25), x0=-2.75,
+                                 sigma_w=0.8, **chains)
 
     def test_blocks_match_one_shot(self):
         rows = self.N + 1
+        W = pr._W_BLOCK
         for spec in self._specs():
             for seed in (0, 21):
                 whole = pr.generate(spec, self.N, seed)
-                for chunk in (1, 2, 997, rows):
+                for chunk in (1, 997, W - 1, W, W + 1, rows):
                     blocks = list(islice(pr.stream(spec, seed, chunk=chunk), -(-rows // chunk)))
                     assert all(len(b.x) == chunk for b in blocks)
                     # Each block's draws refill one buffer: no array of a block
@@ -167,9 +171,47 @@ class TestStream:
                         np.testing.assert_array_equal(np.concatenate(got)[:rows], want,
                                                       err_msg=f"{spec.family} {name} {chunk}")
                 bare = next(pr.stream(spec, seed, chunk=rows, responses=False))
-                assert bare.z is None
-                for name in ("x", "w"):
-                    assert np.array_equal(getattr(bare, name), getattr(whole, name))
+                assert bare.z is None and bare.e is None
+                assert np.array_equal(bare.x, whole.x)
+                if spec.family == "INDEP":  # w is read apart, from its own draws
+                    assert bare.w is None
+                else:
+                    assert np.array_equal(bare.w, whole.w)
+
+    def test_bare_indep_blocks_read_the_disturbance(self):
+        # Blocks without w, each read on a sub-range of its rows, as a
+        # fixed-point replication reads the band rows.
+        spec = next(self._specs())
+        rows = self.N + 1
+        whole = pr.generate(spec, self.N, 5)
+        for chunk in (1, 997, pr._W_BLOCK, pr._W_BLOCK + 1):
+            read = pr.IndepDisturbance(spec, 5)
+            blocks = islice(pr.stream(spec, 5, chunk=chunk, responses=False), -(-rows // chunk))
+            for k, block in enumerate(blocks):
+                assert block.w is None
+                a, b = k * chunk, min((k + 1) * chunk, rows)
+                np.testing.assert_array_equal(block.x[:b - a], whole.x[a:b])
+                if k % 3:  # some blocks are left unread
+                    cut = a + (b - a) // 2 + 1
+                    np.testing.assert_array_equal(read(a, cut), whole.w[a:cut])
+
+    def test_disturbance_rows_are_a_function_of_seed_and_row(self):
+        spec = next(self._specs())
+        W = pr._W_BLOCK
+        whole = pr.generate(spec, self.N, 8).w
+        rows = len(whole)
+        # From the middle of a W-block, across one or two boundaries, after
+        # a read further on (a fresh generator), and ascending in steps.
+        read = pr.IndepDisturbance(spec, 8)
+        for a, b in ((W // 2 + 3, W // 2 + 9), (W // 2 + 9, W + 17), (3, 5),
+                     (W - 1, 2 * W + 1), (2 * W + 1, rows), (W + 5, W + 6)):
+            np.testing.assert_array_equal(read(a, b), whole[a:b], err_msg=f"{a}:{b}")
+        np.testing.assert_array_equal(pr.IndepDisturbance(spec, 8)(W + 100, W + 200),
+                                      whole[W + 100:W + 200])
+        assert pr.IndepDisturbance(spec, 8)(7, 7).size == 0
+        # Row t of W-block k is the t-th normal of default_rng([seed, 2, k]).
+        eps = np.random.default_rng([8, 2, 1]).standard_normal(W)
+        np.testing.assert_array_equal(whole[W:2 * W], spec.sigma_w * eps)
 
     def test_invalid_chunk(self, indep):
         with pytest.raises(InvalidSpec):
