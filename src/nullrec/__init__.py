@@ -35,11 +35,11 @@ from .montecarlo import (
 )
 from .processes import (
     GeneratedPath,
-    IndepDisturbance,
     ProcessSpec,
     Transfer,
     empirical_corr_decay,
     generate,
+    indep_disturbance,
     linear,
     stream,
     theoretical_cross_moment,

@@ -21,10 +21,10 @@ reaches past it; the replication is then streamed again from its seed and
 estimated on the whole path.  Either way the results are those of the whole
 path, bit for bit.
 
-Each admitted replication contributes one studentized statistic; the
+Each admitted replication contributes one studentized statistic, which is
+asymptotically standard normal when the disturbance has unit variance; the
 empirical law is summarized by its Kolmogorov-Smirnov distance to the
-standard normal (the statistic is already normalized by the known limit
-variance, so no normal is fitted).
+standard normal, so no normal is fitted.
 
 Per-replication seeds come from a splitmix64 mix of (base_seed, index), so
 serial and parallel execution produce bit-identical results and aggregation
@@ -50,7 +50,7 @@ from .errors import (
     TooFewValues,
 )
 from .estimator import EPANECHNIKOV, Kernel, local_bandwidth, modal_value, nw_estimate
-from .processes import IndepDisturbance, ProcessSpec, generate, spec_from_dict, stream
+from .processes import ProcessSpec, generate, indep_disturbance, spec_from_dict, stream
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -95,6 +95,8 @@ class CltProtocol:
             raise InvalidSpec(f"unknown mode {self.mode!r}")
         if self.reps < 1:
             raise InvalidSpec("reps must be >= 1")
+        if not 0 <= self.base_seed < 1 << 64:
+            raise InvalidSpec(f"base_seed must lie in [0, 2**64), got {self.base_seed!r}")
         if self.fixed_h is None and self.c0 is None:
             raise InvalidSpec("need either a fixed bandwidth or a local-rule constant")
         if not all(v is None or (math.isfinite(v) and v > 0.0) for v in (self.fixed_h, self.c0)):
@@ -172,7 +174,6 @@ def _fixed_point_path(protocol: CltProtocol, seed: int, band: tuple[float, float
     limit = protocol.max_path_length + 1
     missing = protocol.local_count
     spec = protocol.process
-    disturbance = IndepDisturbance(spec, seed)
     xs, zs, rows = [], [], 0
     for block in stream(spec, seed, responses=False):
         x = block.x[:limit - rows]
@@ -188,7 +189,7 @@ def _fixed_point_path(protocol: CltProtocol, seed: int, band: tuple[float, float
                 band_x = band_x[:len(keep)]
             w = block.w
             if w is None:
-                w = disturbance(rows, rows + int(keep[-1]) + 1)
+                w = indep_disturbance(spec, seed, rows, rows + int(keep[-1]) + 1)
             xs.append(band_x)
             zs.append(spec.f(band_x) + w[keep])
             if stop:

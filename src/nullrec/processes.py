@@ -18,8 +18,8 @@ consumed in time-major order).  stream(spec, seed) yields the run as
 consecutive row blocks that carry the linking state between them, so a
 caller that stops at a data-dependent time draws each row once, and at most
 one block past it; generate is its first block.  The INDEP disturbance has
-its own keyed draws (IndepDisturbance), so a caller may read it on only the
-rows it keeps.
+its own keyed draws (indep_disturbance), so a caller may read it on only the
+rows it keeps.  Every generator in the package comes from keyed_rng.
 """
 
 from __future__ import annotations
@@ -42,6 +42,21 @@ _SQ3 = math.sqrt(3.0)
 _STEP_CHUNK = 1 << 16  # rows per Python-list slice of step_chain and the AR1 loop
 _STREAM_BLOCK = 1 << 13  # rows per block of stream: small blocks reuse freed heap memory
 _W_BLOCK = 1 << 13  # rows per W-block of the INDEP disturbance; part of the draw contract
+
+# Stream keys of keyed_rng; none starts with 0.
+KEY_SPLIT_FLAGS = 1  # the split flags of splitting.simulate_split on a walk
+KEY_INDEP_W = 2  # (KEY_INDEP_W, k): W-block k of the INDEP disturbance
+
+
+def keyed_rng(seed: int, *key: int) -> np.random.Generator:
+    """Stream `key` of the run with `seed` (0 <= seed < 2**64): PCG64 seeded
+    with the words [seed mod 2**32, seed div 2**32, *key].  The seed fills
+    two words and no key starts with 0, so no two (seed, key) pairs share a
+    stream; SeedSequence pads with zero words, so the empty key is the
+    generator numpy builds from the int seed itself."""
+    if not 0 <= seed < 1 << 64:
+        raise InvalidSpec(f"seed must lie in [0, 2**64), got {seed!r}")
+    return np.random.default_rng([seed & 0xFFFFFFFF, seed >> 32, *key])
 
 
 @dataclass(frozen=True)
@@ -131,8 +146,8 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK, responses: 
     0..chunk-1, then chunk..2 chunk-1, and so on, each a GeneratedPath.
     With responses=False each block's z and e are None, for a caller that
     forms z = f(x) + w, elementwise, on only the rows it keeps; an INDEP
-    block then leaves w out as well, for the caller to read from
-    IndepDisturbance(spec, seed) on those rows.
+    block then leaves w out as well, for the caller to read with
+    indep_disturbance on those rows.
 
     The state that links rows (the walk's running sum, w_{t-1}, e_{t-1} and
     eps_{t-1}, the chain states) is carried from block to block, and the
@@ -142,7 +157,7 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK, responses: 
     keep every block."""
     if chunk < 1:
         raise InvalidSpec("chunk must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = keyed_rng(seed)
     fam = spec.family
 
     if fam == "FINITE_PRODUCT":
@@ -160,12 +175,10 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK, responses: 
                      for j, (c, p) in enumerate(zip(chains, paths))]
 
     a, b = spec.a, spec.b
-    first = True
     walk = w_prev = e_prev = eps_prev = 0.0
     if fam == "INDEP":
         # One normal per row for the walk; w has its own keyed draws.
         E = np.empty(chunk)
-        disturbance = IndepDisturbance(spec, seed)
     else:
         E = np.empty((chunk, 3 if fam == "MA_LINKED" else 2))
     start = 0
@@ -174,14 +187,14 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK, responses: 
         e = spec.sigma_e * (E if fam == "INDEP" else E[:, 0])
 
         if fam == "INDEP":
-            w = disturbance(start, start + chunk) if responses else None
+            w = indep_disturbance(spec, seed, start, start + chunk) if responses else None
         elif fam == "SHARED_INNOVATION":
             w = _SQ5 * E[:, 0] + _SQ5 * E[:, 1]
         elif fam == "AR1_LINKED":
             # w_t = (a w_{t-1} + b e_t) + u_t over Python floats, a slice at a time.
             be, u = b * e, spec.sigma_u * E[:, 1]
             w = np.empty(chunk)
-            w[0] = w_prev = float(_ar1_stationary_sd(spec) * E[0, 1] if first
+            w[0] = w_prev = float(_ar1_stationary_sd(spec) * E[0, 1] if start == 0
                                   else a * w_prev + be[0] + u[0])
             for i0 in range(1, chunk, _STEP_CHUNK):
                 rows = slice(i0, i0 + _STEP_CHUNK)
@@ -189,7 +202,7 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK, responses: 
                            for be_t, u_t in zip(be[rows].tolist(), u[rows].tolist())]
         else:  # MA_LINKED
             w = np.empty(chunk)
-            w[0] = E[0, 2] if first else (E[0, 0] + e_prev + eps_prev) / _SQ3
+            w[0] = E[0, 2] if start == 0 else (E[0, 0] + e_prev + eps_prev) / _SQ3
             w[1:] = (E[1:, 0] + E[:-1, 0] + E[:-1, 1]) / _SQ3
             e_prev, eps_prev = E[-1, 0], E[-1, 1]
 
@@ -197,11 +210,10 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK, responses: 
         # blocks (e_0 is not a walk increment); x0 is added afterwards.  A
         # block that does not keep e forms it in x's place.
         x = e.copy() if responses else e
-        x[0] = 0.0 if first else walk + e[0]
+        x[0] = 0.0 if start == 0 else walk + e[0]
         np.cumsum(x, out=x)
         walk = x[-1]
         x += spec.x0
-        first = False
         start += chunk
         if responses:
             yield GeneratedPath(x, w, spec.f(x) + w, e)
@@ -209,37 +221,22 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK, responses: 
             yield GeneratedPath(x, w, None, None)
 
 
-class IndepDisturbance:
-    """The INDEP disturbance w_t = sigma_w eps_t of the run with `seed`, read
-    by rows: w[start:stop] is self(start, stop).
+def indep_disturbance(spec: ProcessSpec, seed: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the INDEP disturbance w_t = sigma_w eps_t of the
+    run with `seed`.
 
-    eps is drawn in _W_BLOCK-row W-blocks, block k from its own generator
-    default_rng([seed, 2, k]) in row order ([seed, 1] keys the split flags
-    of splitting.simulate_split), so w_t is a function of (seed, t) alone
-    and a reader draws only the W-blocks it reads, up to the last row read.
-    The generator of the W-block read last is kept where it stopped, so
-    reads in ascending row order draw each normal once."""
-
-    def __init__(self, spec: ProcessSpec, seed: int):
-        self.sigma_w, self.seed = spec.sigma_w, seed
-        self._block, self._next, self._rng = -1, 0, None  # W-block, its next row, its generator
-
-    def __call__(self, start: int, stop: int) -> np.ndarray:
-        out = np.empty(stop - start)
-        t = start
-        while t < stop:
-            k, i = divmod(t, _W_BLOCK)
-            if k != self._block or i < self._next:
-                self._block, self._next = k, 0
-                self._rng = np.random.default_rng([self.seed, 2, k])
-            if i > self._next:
-                self._rng.standard_normal(i - self._next)  # the rows not read
-            n = min(stop - t, _W_BLOCK - i)
-            self._rng.standard_normal(out=out[t - start:t - start + n])
-            self._next = i + n
-            t += n
-        out *= self.sigma_w
-        return out
+    eps is drawn in _W_BLOCK-row W-blocks, block k in row order from
+    keyed_rng(seed, KEY_INDEP_W, k), so w_t is a function of (seed, t) alone
+    and a read draws only the W-blocks it covers, up to row stop - 1.  A
+    read that starts inside a W-block draws the block's rows before it too."""
+    out = np.empty(stop - start)
+    for k in range(start // _W_BLOCK, -(-stop // _W_BLOCK)):
+        lo = max(start, k * _W_BLOCK)
+        rng = keyed_rng(seed, KEY_INDEP_W, k)
+        rng.standard_normal(lo - k * _W_BLOCK)  # the block's rows before start
+        rng.standard_normal(out=out[lo - start:min(stop, (k + 1) * _W_BLOCK) - start])
+    out *= spec.sigma_w
+    return out
 
 
 def step_chain(model: FiniteMarkovModel, start: int, u: np.ndarray) -> np.ndarray:
@@ -285,7 +282,7 @@ def ar1_snapshots(spec: ProcessSpec, ts, reps: int, seed: int = 0):
     ts = sorted(set(int(t) for t in ts))
     if ts and ts[0] < 0:
         raise ValueError("t must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = keyed_rng(seed)
     x = np.full(reps, spec.x0)
     w = _ar1_stationary_sd(spec) * rng.standard_normal(reps)
     out = {}

@@ -30,7 +30,7 @@ import numpy as np
 
 from .algebra import FiniteMarkovModel
 from .errors import InvalidHalfwidth, InvalidSpec, SamplingStalled, UnknownProcessFamily
-from .processes import ProcessSpec, draw_start, generate, step_chain
+from .processes import KEY_SPLIT_FLAGS, ProcessSpec, draw_start, generate, keyed_rng, step_chain
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MAX_BLOCK_ROUNDS = 1_000_000  # lockstep steps before a block sampler gives up
@@ -126,7 +126,7 @@ def simulate_split(process, n: int, seed: int) -> SplitTrajectory:
     if n < 0:
         raise InvalidSpec("n must be >= 0")
     if isinstance(process, FiniteMarkovModel):
-        x, y = _split_chain(process, n, np.random.default_rng(seed))
+        x, y = _split_chain(process, n, keyed_rng(seed))
         return SplitTrajectory(x=x, y=y, tau=np.flatnonzero(y), seed=seed,
                                states=process.states)
 
@@ -134,7 +134,7 @@ def simulate_split(process, n: int, seed: int) -> SplitTrajectory:
         raise UnknownProcessFamily(f"cannot split-simulate {type(process).__name__}")
 
     if process.family == "FINITE_PRODUCT":
-        rng = np.random.default_rng(seed)
+        rng = keyed_rng(seed)
         x, y1 = _split_chain(process.x_chain, n, rng)
         w, y2 = _split_chain(process.w_chain, n, rng)
         y = (y1 & y2).astype(np.uint8)
@@ -148,7 +148,7 @@ def simulate_split(process, n: int, seed: int) -> SplitTrajectory:
     atom = gaussian_rw_atom(process.halfwidth)
     path = generate(process, n + 1, seed)
     x_ext = path.x
-    u = np.random.default_rng([seed, 1]).random(n + 1)
+    u = keyed_rng(seed, KEY_SPLIT_FLAGS).random(n + 1)
     in_c = (x_ext >= atom.lo) & (x_ext <= atom.hi)
     # The ratio is zero unless both ends of the step lie in the atom.
     both = np.flatnonzero(in_c[:-1] & in_c[1:])
@@ -257,7 +257,7 @@ def sample_blocks(model: FiniteMarkovModel, g, n_blocks: int,
     lockstep; each stops at its first regeneration.  Live replicas are kept
     compacted in block order: a round's k-th uniform goes to the k-th one."""
     g = np.asarray(g, dtype=float)
-    rng = np.random.default_rng(seed)
+    rng = keyed_rng(seed)
 
     x = draw_start(model, rng.random(n_blocks))
     U = np.empty(n_blocks)
@@ -286,7 +286,7 @@ def sample_compound_block_sums(x_model: FiniteMarkovModel, w_model: FiniteMarkov
     gX = np.asarray(gX, dtype=float)
     gW = np.asarray(gW, dtype=float)
     orders = tuple(orders)
-    rng = np.random.default_rng(seed)
+    rng = keyed_rng(seed)
 
     x = draw_start(x_model, rng.random(n_blocks))
     w = draw_start(w_model, rng.random(n_blocks))
@@ -318,7 +318,7 @@ def sample_embedded_counts(x_model: FiniteMarkovModel, w_model: FiniteMarkovMode
     """Transition counts of the W-chain observed at X-regeneration times,
     pooled over _EMBEDDED_REPLICAS independently evolving replicas, until at
     least n_pairs embedded steps have been recorded."""
-    rng = np.random.default_rng(seed)
+    rng = keyed_rng(seed)
 
     x = draw_start(x_model, rng.random(_EMBEDDED_REPLICAS))
     w = draw_start(w_model, rng.random(_EMBEDDED_REPLICAS))

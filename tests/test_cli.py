@@ -236,6 +236,16 @@ class TestClt:
         c = (out_c / "summary.csv").read_bytes()
         assert a != b and b == c
 
+    @pytest.mark.parametrize("seed", ["-3", str(2 ** 64)])
+    def test_seed_out_of_range_exit_4(self, seed, tmp_path, capsys):
+        proto = self._protocol_file(tmp_path)
+        assert_invalid_spec_exit(["clt", "--protocol", str(proto), "--seed", seed],
+                                 tmp_path, capsys)
+
+    def test_base_seed_out_of_range_exit_4(self, tmp_path, capsys):
+        proto = self._protocol_file(tmp_path, base_seed=-1)
+        assert_invalid_spec_exit(["clt", "--protocol", str(proto)], tmp_path, capsys)
+
     def test_threads_flag_and_env(self, tmp_path, monkeypatch):
         proto = self._protocol_file(tmp_path)
         out_a, out_b = tmp_path / "t1", tmp_path / "t2"
@@ -411,6 +421,12 @@ class TestSimulateEstimateArgumentValidation:
         *(["estimate", "--spec", str(CONFIGS / "rw_indep.json"), "--n", "500", *rest]
           for rest in [["--x-eval", "0", "--kernel", "gaussian_truncated", "--kernel-c", c]
                        for c in ("nan", "inf", "0")] + [["--x-eval", "nan"], ["--x-eval", "0", "inf"]]),
+        *([*cmd, "--seed", seed]
+          for cmd in (["simulate", "--chain", str(CONFIGS / "twostate.json"), "--n", "20"],
+                      ["simulate", "--spec", str(CONFIGS / "rw_indep.json"), "--n", "20"],
+                      ["estimate", "--spec", str(CONFIGS / "rw_indep.json"), "--n", "500",
+                       "--x-eval", "0"])
+          for seed in ("-1", str(2 ** 64))),
     ])
     def test_out_of_range_argument_exit_4(self, argv, tmp_path, capsys):
         assert_invalid_spec_exit(argv, tmp_path, capsys)

@@ -185,7 +185,6 @@ class TestStream:
         rows = self.N + 1
         whole = pr.generate(spec, self.N, 5)
         for chunk in (1, 997, pr._W_BLOCK, pr._W_BLOCK + 1):
-            read = pr.IndepDisturbance(spec, 5)
             blocks = islice(pr.stream(spec, 5, chunk=chunk, responses=False), -(-rows // chunk))
             for k, block in enumerate(blocks):
                 assert block.w is None
@@ -193,7 +192,8 @@ class TestStream:
                 np.testing.assert_array_equal(block.x[:b - a], whole.x[a:b])
                 if k % 3:  # some blocks are left unread
                     cut = a + (b - a) // 2 + 1
-                    np.testing.assert_array_equal(read(a, cut), whole.w[a:cut])
+                    np.testing.assert_array_equal(pr.indep_disturbance(spec, 5, a, cut),
+                                                  whole.w[a:cut])
 
     def test_disturbance_rows_are_a_function_of_seed_and_row(self):
         spec = next(self._specs())
@@ -201,21 +201,64 @@ class TestStream:
         whole = pr.generate(spec, self.N, 8).w
         rows = len(whole)
         # From the middle of a W-block, across one or two boundaries, after
-        # a read further on (a fresh generator), and ascending in steps.
-        read = pr.IndepDisturbance(spec, 8)
+        # a read further on, and ascending in steps.
         for a, b in ((W // 2 + 3, W // 2 + 9), (W // 2 + 9, W + 17), (3, 5),
-                     (W - 1, 2 * W + 1), (2 * W + 1, rows), (W + 5, W + 6)):
-            np.testing.assert_array_equal(read(a, b), whole[a:b], err_msg=f"{a}:{b}")
-        np.testing.assert_array_equal(pr.IndepDisturbance(spec, 8)(W + 100, W + 200),
-                                      whole[W + 100:W + 200])
-        assert pr.IndepDisturbance(spec, 8)(7, 7).size == 0
-        # Row t of W-block k is the t-th normal of default_rng([seed, 2, k]).
-        eps = np.random.default_rng([8, 2, 1]).standard_normal(W)
+                     (W - 1, 2 * W + 1), (2 * W + 1, rows), (W + 5, W + 6),
+                     (W + 100, W + 200)):
+            np.testing.assert_array_equal(pr.indep_disturbance(spec, 8, a, b), whole[a:b],
+                                          err_msg=f"{a}:{b}")
+        for a in (0, 7, W):
+            assert pr.indep_disturbance(spec, 8, a, a).size == 0
+        # Row t of W-block k is the t-th normal of the PCG64 stream seeded
+        # with the words [seed mod 2**32, seed div 2**32, 2, k].
+        eps = np.random.default_rng([8, 0, 2, 1]).standard_normal(W)
         np.testing.assert_array_equal(whole[W:2 * W], spec.sigma_w * eps)
 
     def test_invalid_chunk(self, indep):
         with pytest.raises(InvalidSpec):
             next(pr.stream(indep, 0, chunk=0))
+
+
+class TestKeyedRng:
+    """One seed contract: the seed fills two 32-bit words and the key
+    follows, so streams of different seeds or keys never share draws."""
+
+    BIG = (2 ** 32, 2 ** 32 + 7, 2 ** 33 + 5, 2 ** 63 + 11, 2 ** 64 - 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, -(2 ** 63)])
+    def test_seed_out_of_range(self, seed, indep):
+        with pytest.raises(InvalidSpec):
+            pr.keyed_rng(seed)
+        with pytest.raises(InvalidSpec):
+            pr.generate(indep, 5, seed)
+        with pytest.raises(InvalidSpec):
+            pr.indep_disturbance(indep, seed, 0, 5)
+
+    def test_empty_key_is_the_int_seed(self):
+        for seed in (0, 1, 5, 2 ** 32 - 1, *self.BIG):
+            np.testing.assert_array_equal(pr.keyed_rng(seed).random(8),
+                                          np.random.default_rng(seed).random(8))
+
+    def test_keyed_streams_of_big_seeds_are_the_list_keys(self):
+        # A seed of at least 2**32 already fills two words as a list entry.
+        for seed in self.BIG:
+            for key in ((pr.KEY_SPLIT_FLAGS,), (pr.KEY_INDEP_W, 0), (pr.KEY_INDEP_W, 3)):
+                np.testing.assert_array_equal(
+                    pr.keyed_rng(seed, *key).random(8),
+                    np.random.default_rng([seed, *key]).random(8))
+
+    def test_streams_of_neighbouring_seeds_differ(self, indep):
+        # Keyed by [seed, *key] alone, both pairs below drew the same numbers.
+        for seed in (0, 5, 2 ** 32 - 1):
+            assert not np.array_equal(pr.indep_disturbance(indep, seed, 0, 6),
+                                      pr.generate(indep, 5, seed + 2 ** 33).e)
+            assert not np.array_equal(pr.keyed_rng(seed, pr.KEY_SPLIT_FLAGS).random(8),
+                                      pr.keyed_rng(seed + 2 ** 32).random(8))
+
+    def test_stream_blocks_hold_whole_w_blocks(self):
+        # A default stream block starts on a W-block boundary, so reading
+        # its disturbance draws no row twice.
+        assert pr._STREAM_BLOCK % pr._W_BLOCK == 0
 
 
 def reference_ar1(spec, rows, seed):

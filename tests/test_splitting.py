@@ -579,7 +579,8 @@ class TestSamplersAgainstSlowReference:
         spec = ProcessSpec(family="AR1_LINKED", a=0.3, halfwidth=halfwidth)
         traj = sp.simulate_split(spec, 50_000, seed)
         x_ext = generate(spec, 50_001, seed).x
-        u = np.random.default_rng([seed, 1]).random(50_001)
+        # The flags read stream [seed mod 2**32, seed div 2**32, 1].
+        u = np.random.default_rng([seed, 0, 1]).random(50_001)
         want = reference_walk_flags(x_ext, u, sp.gaussian_rw_atom(halfwidth))
         assert want.any()
         assert np.array_equal(traj.y, want) and traj.y.dtype == want.dtype
