@@ -167,7 +167,7 @@ def _fixed_point_path(protocol: CltProtocol, seed: int, band: tuple[float, float
     `local_count` observations have fallen in the window; None when
     T > max_path_length.  The path is streamed block by block, no row after
     T's block is drawn, and the window and z = f(x) + w are evaluated on the
-    band rows only.  An INDEP block leaves w out: it is read only in the
+    band rows only.  An INDEP block carries no w: it is read only in the
     blocks that hold band rows, up to the last of them."""
     lo, hi = protocol.window
     b_lo, b_hi = band
@@ -175,8 +175,8 @@ def _fixed_point_path(protocol: CltProtocol, seed: int, band: tuple[float, float
     missing = protocol.local_count
     spec = protocol.process
     xs, zs, rows = [], [], 0
-    for block in stream(spec, seed, responses=False):
-        x = block.x[:limit - rows]
+    for x, w in stream(spec, seed):
+        x = x[:limit - rows]
         keep = x >= b_lo
         keep &= x <= b_hi
         keep = keep.nonzero()[0]
@@ -187,7 +187,6 @@ def _fixed_point_path(protocol: CltProtocol, seed: int, band: tuple[float, float
             if stop:
                 keep = keep[:inside[missing - 1] + 1]
                 band_x = band_x[:len(keep)]
-            w = block.w
             if w is None:
                 w = indep_disturbance(spec, seed, rows, rows + int(keep[-1]) + 1)
             xs.append(band_x)
@@ -295,7 +294,9 @@ def _comparability_key(p: CltProtocol):
 
 def trend_report(results) -> TrendReport:
     """Order results by size and flag the run when the largest size does not
-    minimize the KS distance.  Results must agree in everything but size."""
+    minimize the KS distance.  Results must agree in everything but size.  A
+    size with fewer than 10 admitted replications has a NaN distance: it is
+    left out of the minimum, and flags the run when it is the largest."""
     results = list(results)
     if len(results) < 2:
         raise IncomparableProtocols("need at least two results to compare")
@@ -304,8 +305,8 @@ def trend_report(results) -> TrendReport:
         raise IncomparableProtocols("results differ in more than the size")
     rows = tuple(sorted((TrendRow(r.protocol.size, r.ks_distance, r.sd) for r in results),
                         key=lambda row: row.size))
-    best = min(row.ks_distance for row in rows)
-    violation = rows[-1].ks_distance > best
+    last = rows[-1].ks_distance
+    violation = math.isnan(last) or any(row.ks_distance < last for row in rows)
     return TrendReport(rows=rows, violation=violation)
 
 

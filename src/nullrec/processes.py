@@ -14,12 +14,14 @@ response z = f(x) + w, driven by standard-normal innovations:
 
 Generation is deterministic given (spec, n, seed), and the first n+1 points
 of a longer run with the same seed coincide with a shorter one (draws are
-consumed in time-major order).  stream(spec, seed) yields the run as
-consecutive row blocks that carry the linking state between them, so a
-caller that stops at a data-dependent time draws each row once, and at most
-one block past it; generate is its first block.  The INDEP disturbance has
-its own keyed draws (indep_disturbance), so a caller may read it on only the
-rows it keeps.  Every generator in the package comes from keyed_rng.
+consumed in time-major order).  stream(spec, seed) yields the driving pair
+(x, w) as consecutive row blocks that carry the linking state between them,
+so a caller that stops at a data-dependent time draws each row once, and at
+most one block past it.  The INDEP disturbance has its own keyed draws
+(indep_disturbance), so a caller may read it on only the rows it keeps.
+generate, the one place that forms z = f(x) + w on a whole path, is the
+first block of the stream.  Every generator in the package comes from
+keyed_rng.
 """
 
 from __future__ import annotations
@@ -115,15 +117,12 @@ class ProcessSpec:
 
 @dataclass(frozen=True)
 class GeneratedPath:
-    """Arrays over t = 0..n (or over one block of :func:`stream`); e holds
-    the walk innovations (e[0] is unused by the walk and only feeds
-    disturbance start-up terms).  In the blocks of a stream with
-    responses=False, z and e are None, and so is w for INDEP."""
+    """The regressor x, the disturbance w and the response z = f(x) + w over
+    t = 0..n."""
 
     x: np.ndarray
-    w: Optional[np.ndarray]
-    z: Optional[np.ndarray]
-    e: Optional[np.ndarray] = None
+    w: np.ndarray
+    z: np.ndarray
 
 
 def _ar1_stationary_sd(spec: ProcessSpec) -> float:
@@ -132,22 +131,25 @@ def _ar1_stationary_sd(spec: ProcessSpec) -> float:
 
 
 def generate(spec: ProcessSpec, n: int, seed: int) -> GeneratedPath:
-    """Simulate the system for t = 0..n.
+    """Simulate the system for t = 0..n: the first block of stream(), the
+    INDEP disturbance on the same rows, and z = f(x) + w.
 
     The walk starts at x0 exactly; its increments are e_1..e_n.  z - f(x)
     reproduces w identically."""
     if n < 0:
         raise InvalidSpec("n must be >= 0")
-    return next(stream(spec, seed, chunk=n + 1))
+    x, w = next(stream(spec, seed, chunk=n + 1))
+    if w is None:
+        w = indep_disturbance(spec, seed, 0, n + 1)
+    return GeneratedPath(x, w, spec.f(x) + w)
 
 
-def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK, responses: bool = True):
-    """Endless run of the system as consecutive `chunk`-row blocks: rows
-    0..chunk-1, then chunk..2 chunk-1, and so on, each a GeneratedPath.
-    With responses=False each block's z and e are None, for a caller that
-    forms z = f(x) + w, elementwise, on only the rows it keeps; an INDEP
-    block then leaves w out as well, for the caller to read with
-    indep_disturbance on those rows.
+def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK):
+    """Endless run of the driving pair as consecutive `chunk`-row blocks:
+    rows 0..chunk-1, then chunk..2 chunk-1, and so on, each an (x, w) pair.
+    w is None for INDEP, whose disturbance has its own keyed draws, for the
+    caller to read with indep_disturbance on only the rows it keeps; the
+    caller forms z = f(x) + w.
 
     The state that links rows (the walk's running sum, w_{t-1}, e_{t-1} and
     eps_{t-1}, the chain states) is carried from block to block, and the
@@ -168,8 +170,7 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK, responses: 
         paths = [step_chain(c, int(draw_start(c, U[0, j])), U[1:, j])
                  for j, c in enumerate(chains)]
         while True:
-            x, w = (v[p] for v, p in zip(values, paths))
-            yield GeneratedPath(x, w, spec.f(x) + w if responses else None, None)
+            yield tuple(v[p] for v, p in zip(values, paths))
             rng.random(out=U)
             paths = [step_chain(c, int(p[-1]), U[:, j])[1:]
                      for j, (c, p) in enumerate(zip(chains, paths))]
@@ -178,7 +179,7 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK, responses: 
     walk = w_prev = e_prev = eps_prev = 0.0
     if fam == "INDEP":
         # One normal per row for the walk; w has its own keyed draws.
-        E = np.empty(chunk)
+        E, w = np.empty(chunk), None
     else:
         E = np.empty((chunk, 3 if fam == "MA_LINKED" else 2))
     start = 0
@@ -186,9 +187,7 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK, responses: 
         rng.standard_normal(out=E)
         e = spec.sigma_e * (E if fam == "INDEP" else E[:, 0])
 
-        if fam == "INDEP":
-            w = indep_disturbance(spec, seed, start, start + chunk) if responses else None
-        elif fam == "SHARED_INNOVATION":
+        if fam == "SHARED_INNOVATION":
             w = _SQ5 * E[:, 0] + _SQ5 * E[:, 1]
         elif fam == "AR1_LINKED":
             # w_t = (a w_{t-1} + b e_t) + u_t over Python floats, a slice at a time.
@@ -200,25 +199,22 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK, responses: 
                 rows = slice(i0, i0 + _STEP_CHUNK)
                 w[rows] = [w_prev := a * w_prev + be_t + u_t
                            for be_t, u_t in zip(be[rows].tolist(), u[rows].tolist())]
-        else:  # MA_LINKED
+        elif fam == "MA_LINKED":
             w = np.empty(chunk)
             w[0] = E[0, 2] if start == 0 else (E[0, 0] + e_prev + eps_prev) / _SQ3
             w[1:] = (E[1:, 0] + E[:-1, 0] + E[:-1, 1]) / _SQ3
             e_prev, eps_prev = E[-1, 0], E[-1, 1]
 
         # The running sum of e_1..e_t, as one sequential cumsum over all
-        # blocks (e_0 is not a walk increment); x0 is added afterwards.  A
-        # block that does not keep e forms it in x's place.
-        x = e.copy() if responses else e
+        # blocks (e_0 is not a walk increment), formed in e's place; x0 is
+        # added afterwards.
+        x = e
         x[0] = 0.0 if start == 0 else walk + e[0]
         np.cumsum(x, out=x)
         walk = x[-1]
         x += spec.x0
         start += chunk
-        if responses:
-            yield GeneratedPath(x, w, spec.f(x) + w, e)
-        else:
-            yield GeneratedPath(x, w, None, None)
+        yield x, w
 
 
 def indep_disturbance(spec: ProcessSpec, seed: int, start: int, stop: int) -> np.ndarray:

@@ -156,7 +156,7 @@ def simulate_split(process, n: int, seed: int) -> SplitTrajectory:
     y = np.zeros(n + 1, dtype=np.uint8)
     y[both] = u[both] < atom.s_level * atom.nu_density / _norm_pdf(dx)
     return SplitTrajectory(x=x_ext[:n + 1], y=y, tau=np.flatnonzero(y), seed=seed,
-                           w=path.w[:n + 1] if path.w is not None else None)
+                           w=path.w[:n + 1])
 
 
 def regeneration_stats(traj: SplitTrajectory) -> RegenStats:

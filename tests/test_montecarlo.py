@@ -196,6 +196,16 @@ class TestFixedPointStream:
             monkeypatch.setattr(mc, "stream", partial(stream, chunk=chunk))
             assert [mc._run_rep(protocol, r) for r in range(protocol.reps)] == reference
 
+    @pytest.mark.parametrize("family", ["SHARED_INNOVATION", "AR1_LINKED", "MA_LINKED"])
+    def test_linked_families_equal_reference(self, protocol, monkeypatch, family):
+        # The stream carries these families' w from block to block.
+        protocol = replace(protocol, process=replace(protocol.process, family=family))
+        reference = [reference_fixed_point_rep(protocol, r) for r in range(protocol.reps)]
+        assert {r.status for r in reference} == {mc.ADMITTED, mc.EMPTY, mc.GUARD}
+        for chunk in (1, 97, processes._STREAM_BLOCK):
+            monkeypatch.setattr(mc, "stream", partial(stream, chunk=chunk))
+            assert [mc._run_rep(protocol, r) for r in range(protocol.reps)] == reference
+
     def test_block_boundary_at_stopping_index(self, protocol, reference, monkeypatch):
         for r, rec in enumerate(reference):
             if rec.status == mc.GUARD:
@@ -361,6 +371,17 @@ class TestTrendReport:
         assert [row.size for row in mc.trend_report([b, a]).rows] == [500, 1000]
         with pytest.raises(IncomparableProtocols):
             mc.trend_report([a, self._result(product(two, three, 1000), 0.02)])
+
+    @pytest.mark.parametrize("ks, violation", [
+        ((math.nan, 0.05, 0.09), True),  # a NaN first does not hide the minimum
+        ((0.05, math.nan, 0.09), True),
+        ((0.05, 0.09, math.nan), True),  # the largest size cannot be shown to minimize
+        ((math.nan, 0.09, 0.05), False),
+    ])
+    def test_sizes_without_ks(self, ks, violation):
+        protos = [modal_protocol(n=n, reps=40, seed=1) for n in (100, 200, 300)]
+        report = mc.trend_report([self._result(p, k) for p, k in zip(protos, ks)])
+        assert report.violation is violation
 
     def test_incomparable(self):
         a = self._result(modal_protocol(n=500, reps=40, seed=1), 0.03)

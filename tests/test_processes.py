@@ -89,7 +89,8 @@ class TestGenerate:
         spec = pr.ProcessSpec(family="INDEP", f=pr.linear(), x0=3.5)
         path = pr.generate(spec, 100, seed=0)
         assert path.x[0] == 3.5
-        np.testing.assert_allclose(np.diff(path.x), path.e[1:], atol=1e-15)
+        e = pr.keyed_rng(0).standard_normal(101)  # the walk's draws at sigma_e = 1
+        np.testing.assert_allclose(np.diff(path.x), e[1:], atol=1e-15)
 
     def test_degenerate_walk_noise(self):
         spec = pr.ProcessSpec(family="INDEP", f=pr.linear(2.0, 1.0), sigma_e=0.0)
@@ -100,7 +101,7 @@ class TestGenerate:
     def test_shared_innovation_correlation(self):
         spec = pr.ProcessSpec(family="SHARED_INNOVATION", f=pr.linear())
         path = pr.generate(spec, 100_000, seed=7)
-        r = np.corrcoef(path.e[1:], path.w[1:])[0, 1]
+        r = np.corrcoef(np.diff(path.x), path.w[1:])[0, 1]
         assert abs(r - math.sqrt(0.5)) < 0.02
 
     def test_unit_disturbance_variance(self):
@@ -114,10 +115,10 @@ class TestGenerate:
     def test_ma_linked_uses_lagged_innovations(self):
         spec = pr.ProcessSpec(family="MA_LINKED", f=pr.linear())
         path = pr.generate(spec, 50_000, seed=13)
-        w, e = path.w, path.e
+        w, e = path.w, np.diff(path.x)  # e[t - 1] = e_t
         # contemporaneous and one-step-lag loadings are both 1/sqrt(3)
-        r0 = np.corrcoef(e[1:], w[1:])[0, 1]
-        r1 = np.corrcoef(e[1:-1], w[2:])[0, 1]
+        r0 = np.corrcoef(e, w[1:])[0, 1]
+        r1 = np.corrcoef(e[:-1], w[2:])[0, 1]
         assert abs(r0 - 1 / math.sqrt(3)) < 0.02
         assert abs(r1 - 1 / math.sqrt(3)) < 0.02
 
@@ -131,10 +132,10 @@ class TestGenerate:
 
 
 class TestStream:
-    """Blocks of stream() concatenated are bit-identical to one generate()
-    call, across block boundaries, for every family.  N + 1 rows span more
-    than two W-blocks of the INDEP disturbance, so the chunks below cross
-    W-block boundaries inside blocks and at their edges."""
+    """The (x, w) blocks of stream() concatenated are bit-identical to one
+    generate() call, across block boundaries, for every family.  N + 1 rows
+    span more than two W-blocks of the INDEP disturbance, so the chunks below
+    cross W-block boundaries inside blocks and at their edges."""
 
     N = 2 * pr._W_BLOCK + 700
 
@@ -155,28 +156,21 @@ class TestStream:
                 whole = pr.generate(spec, self.N, seed)
                 for chunk in (1, 997, W - 1, W, W + 1, rows):
                     blocks = list(islice(pr.stream(spec, seed, chunk=chunk), -(-rows // chunk)))
-                    assert all(len(b.x) == chunk for b in blocks)
+                    assert all(len(x) == chunk for x, _ in blocks)
                     # Each block's draws refill one buffer: no array of a block
                     # may share it with the next block's arrays.
                     for b0, b1 in zip(blocks[:3], blocks[1:4]):
-                        assert not any(np.shares_memory(u, v) for u in vars(b0).values()
-                                       for v in vars(b1).values() if u is not None
-                                       and v is not None)
-                    for name in ("x", "w", "z", "e"):
-                        want = getattr(whole, name)
-                        got = [getattr(b, name) for b in blocks]
-                        if want is None:
-                            assert all(g is None for g in got)
-                            continue
-                        np.testing.assert_array_equal(np.concatenate(got)[:rows], want,
-                                                      err_msg=f"{spec.family} {name} {chunk}")
-                bare = next(pr.stream(spec, seed, chunk=rows, responses=False))
-                assert bare.z is None and bare.e is None
-                assert np.array_equal(bare.x, whole.x)
-                if spec.family == "INDEP":  # w is read apart, from its own draws
-                    assert bare.w is None
-                else:
-                    assert np.array_equal(bare.w, whole.w)
+                        assert not any(np.shares_memory(u, v) for u in b0 for v in b1
+                                       if u is not None and v is not None)
+                    x = np.concatenate([x for x, _ in blocks])[:rows]
+                    np.testing.assert_array_equal(x, whole.x, err_msg=f"{spec.family} x {chunk}")
+                    if spec.family == "INDEP":  # w is read apart, from its own draws
+                        assert all(w is None for _, w in blocks)
+                        w = pr.indep_disturbance(spec, seed, 0, rows)
+                    else:
+                        w = np.concatenate([w for _, w in blocks])[:rows]
+                    np.testing.assert_array_equal(w, whole.w, err_msg=f"{spec.family} w {chunk}")
+                    np.testing.assert_array_equal(spec.f(x) + w, whole.z)
 
     def test_bare_indep_blocks_read_the_disturbance(self):
         # Blocks without w, each read on a sub-range of its rows, as a
@@ -185,11 +179,11 @@ class TestStream:
         rows = self.N + 1
         whole = pr.generate(spec, self.N, 5)
         for chunk in (1, 997, pr._W_BLOCK, pr._W_BLOCK + 1):
-            blocks = islice(pr.stream(spec, 5, chunk=chunk, responses=False), -(-rows // chunk))
-            for k, block in enumerate(blocks):
-                assert block.w is None
+            blocks = islice(pr.stream(spec, 5, chunk=chunk), -(-rows // chunk))
+            for k, (x, w) in enumerate(blocks):
+                assert w is None
                 a, b = k * chunk, min((k + 1) * chunk, rows)
-                np.testing.assert_array_equal(block.x[:b - a], whole.x[a:b])
+                np.testing.assert_array_equal(x[:b - a], whole.x[a:b])
                 if k % 3:  # some blocks are left unread
                     cut = a + (b - a) // 2 + 1
                     np.testing.assert_array_equal(pr.indep_disturbance(spec, 5, a, cut),
@@ -251,7 +245,7 @@ class TestKeyedRng:
         # Keyed by [seed, *key] alone, both pairs below drew the same numbers.
         for seed in (0, 5, 2 ** 32 - 1):
             assert not np.array_equal(pr.indep_disturbance(indep, seed, 0, 6),
-                                      pr.generate(indep, 5, seed + 2 ** 33).e)
+                                      pr.keyed_rng(seed + 2 ** 33).standard_normal(6))
             assert not np.array_equal(pr.keyed_rng(seed, pr.KEY_SPLIT_FLAGS).random(8),
                                       pr.keyed_rng(seed + 2 ** 32).random(8))
 
@@ -282,7 +276,7 @@ class TestAr1AgainstSlowReference:
     def test_stream_blocks(self, chunk):
         rows = max(3 * chunk, 3000)
         blocks = list(islice(pr.stream(self.SPEC, 13, chunk=chunk), -(-rows // chunk)))
-        w = np.concatenate([b.w for b in blocks])[:rows]
+        w = np.concatenate([w for _, w in blocks])[:rows]
         assert np.array_equal(w, reference_ar1(self.SPEC, rows, 13))
 
     def test_generate_spans_several_slices(self):
