@@ -62,7 +62,7 @@ STOCHASTIC_TOL = 1e-12
 _G_RESIDUAL_TOL = 1e-6
 MOMENT_ORDER_CAP = 6
 _MAX_DOUBLINGS = 53  # past 2^53 terms a double no longer counts the index exactly
-_SERIES_TOL = 1e-10  # the doubled series stop once their omitted tail is below this
+_SERIES_TOL = 1e-10  # the largest omitted tail a truncated series returns
 
 
 class SeriesValue(NamedTuple):
@@ -386,7 +386,7 @@ def enumerated_block_moments(model: FiniteMarkovModel, g, orders,
 
 
 def weighted_block_moment(model: FiniteMarkovModel, a, g, m: int,
-                          tol: float = 1e-10, start: int | str = "nu") -> SeriesValue:
+                          start: int | str = "nu") -> SeriesValue:
     """E U0^m of the time-weighted block sum sum_k a_k g(X_k), m in {1, 2}.
 
     The coefficient sequence is supplied as a finite prefix a_0..a_L, and the
@@ -399,7 +399,7 @@ def weighted_block_moment(model: FiniteMarkovModel, a, g, m: int,
     unseen coefficients) times the survival masses mass_j = start H^j 1,
     summed exactly through G: with u = start H^(L+1),
     sum_{j>L} mass_j = u G 1 and sum_{j>L} j mass_j = u ((L+1) G 1 + H G G 1).
-    Raises when that bound exceeds tol."""
+    Raises TruncationInsufficient when that bound exceeds 1e-10."""
     if m not in (1, 2):
         raise OrderTooLarge(m, 2)
     a = np.asarray(a, dtype=float)
@@ -425,8 +425,8 @@ def weighted_block_moment(model: FiniteMarkovModel, a, g, m: int,
         # and k pairs (j, l) have j + l = k
         k_weighted = float(u @ ((L + 1) * G1 + H @ (model.G @ G1)))  # sum_{j > L} j mass_j
         tail = (a_sup ** 2) * (gmax ** 2) * (mass_tail + 2.0 * k_weighted)
-    if not (tail <= tol):
-        raise TruncationInsufficient(tail, tol)
+    if not (tail <= _SERIES_TOL):
+        raise TruncationInsufficient(tail, _SERIES_TOL)
     return SeriesValue(value, tail)
 
 

@@ -26,28 +26,28 @@ cross-validation.
 
 The estimate at one point is a direct O(n) sum over the rows of positive
 weight, in time order, so any subset of the sample that keeps those rows
-gives the same sums bit for bit.  Cross-validation needs sums at every
-sample point, unweighted and weighted by the response, and gets both from
-one pass of _kernel_sums, in O(n) memory.  Sums at many
-points come from one routine, _centred_sums: prefix-sum differences of
-offsets to one middle point (locally re-centred, as in Seifert, Brockmann,
-Engel & Gasser 1994 and Fan & Marron 1994).  For the Epanechnikov kernel
-these are the window sums of 1, d and d^2; _kernel_sums sums blocks of the
-sorted sample 5 max(h) wide, each about its own middle point, so the sums do
-not change when the sample is shifted.  For the truncated Gaussian they are
-the window sums of exp(-d^2/2h^2) d^k, the terms of the Taylor series of
-exp(d_i d_j / h^2) (Greengard & Strain 1991), taken about the middle of
-blocks one h wide so that the series is short, with an explicit remainder.
-Truncated-Gaussian cross-validation stays on the direct window-by-window
-sums: its bandwidths differ from point to point, and exp(-d_j^2/2h_i^2) does
-not separate into a factor of j alone.
+gives the same sums bit for bit; _window gives each sample point the range
+of exactly those rows.  Cross-validation needs sums at every sample point,
+unweighted and weighted by the response, and gets both from one pass of
+_kernel_sums, in O(n) memory.  Sums at many points come from one routine,
+_centred_sums: prefix-sum differences of offsets to one middle point
+(locally re-centred, as in Seifert, Brockmann, Engel & Gasser 1994 and Fan
+& Marron 1994).  For the Epanechnikov kernel these are the window sums of
+1, d and d^2; _kernel_sums sums blocks of the sorted sample 5 max(h) wide,
+each about its own middle point, so the sums do not change when the sample
+is shifted.  For the truncated Gaussian they are the window sums of
+exp(-d^2/2h^2) d^k, the terms of the Taylor series of exp(d_i d_j / h^2)
+(Greengard & Strain 1991), taken about the middle of blocks one h wide so
+that the series is short, with an explicit remainder.  Truncated-Gaussian
+cross-validation stays on the direct window-by-window sums: its bandwidths
+differ from point to point, and exp(-d_j^2/2h_i^2) does not separate into a
+factor of j alone.
 
 The modal point needs only the largest density, so it screens and then
 verifies: _centred_sums bounds every point's sum, with an explicit bound on
-the rounding, the Taylor remainder and, for the truncated Gaussian, the
-window edge, where the kernel jumps by exp(-c^2/2).  Only the points whose
-upper bound reaches the largest lower bound get the direct window sum, so
-the pick is the one direct sums at every point would give.
+the rounding and the Taylor remainder.  Only the points whose upper bound
+reaches the largest lower bound get the direct window sum, so the pick is
+the one direct sums at every point would give.
 """
 
 from __future__ import annotations
@@ -229,36 +229,34 @@ def _occupation(x: np.ndarray, window: tuple[float, float]) -> int:
 
 
 def cv_constant(x, z, grid, kernel: Kernel = EPANECHNIKOV) -> float:
-    """Pick the bandwidth constant c0 from `grid` minimizing the leave-one-out
-    squared prediction error under the local bandwidth rule, skipping points
-    whose leave-one-out neighborhood is empty."""
+    """Pick the bandwidth constant c0 from `grid` (each finite and > 0)
+    minimizing the leave-one-out squared prediction error under the local
+    bandwidth rule, skipping points whose leave-one-out neighborhood is empty."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    n = len(x)
-    if n < 20:
+    if len(x) < 20:
         raise ValueError("cross-validation needs at least 20 observations")
     grid = list(grid)
-    if not grid:
-        raise ValueError("empty candidate grid")
+    if not grid or not all(math.isfinite(c0) and c0 > 0.0 for c0 in grid):
+        raise ValueError(f"the grid must be nonempty with every c0 finite and > 0, got {grid!r}")
 
     order = np.argsort(x, kind="stable")
     xs, zs = x[order], z[order]
     h_ref = 2.0 * DEFAULT_WINDOW_HALFWIDTH / 10.0
-    pilot = _kernel_sums(xs, h_ref, kernel)[0] / h_ref  # T_C p_hat at each point
+    pilot = _kernel_sums(xs, h_ref, kernel, *_window(xs, h_ref, kernel))[0] / h_ref  # T_C p_hat
     k0 = float(kernel.weights(0.0))
 
     best_c0, best_err = None, math.inf
     for c0 in grid:
         h = c0 * pilot ** (-0.2)
         # Leaving a point out removes its own K(0) term.  Its neighborhood is
-        # empty when no other point has positive weight (K(+-1) = 0 for the
-        # Epanechnikov kernel, so its window is open); the difference of the
+        # empty when its window holds no other point; the difference of the
         # sums below is rounding noise then, so it is not compared with 0.
-        lo, hi = _window(xs, kernel.support_radius * h, open_=kernel.kind == "epanechnikov")
+        lo, hi = _window(xs, h, kernel)
         usable = hi - lo > 1
         if not usable.any():
             continue
-        wsum, wz = _kernel_sums(xs, h, kernel, zs)
+        wsum, wz = _kernel_sums(xs, h, kernel, lo, hi, zs)
         wsum -= k0
         wz -= k0 * zs
         pred = wz[usable] / wsum[usable]
@@ -300,7 +298,7 @@ def modal_value(x, kernel: Kernel = EPANECHNIKOV, pilot_h: Optional[float] = Non
         pilot_h = 1.06 * sd * x.size ** (-0.2) if sd > 0 else 1.0
 
     xs = np.sort(x)
-    lo, hi = _window(xs, kernel.support_radius * pilot_h)
+    lo, hi = _window(xs, pilot_h, kernel)
     points = np.flatnonzero(_screen(xs, pilot_h, kernel, xs, lo, hi))
     if points.size > 1:
         points = points[_screen(xs, pilot_h, kernel, xs[points], lo[points], hi[points])]
@@ -337,7 +335,7 @@ def _screen(xs: np.ndarray, h: float, kernel: Kernel, at: np.ndarray, lo: np.nda
             return np.ones(at.size, dtype=bool)
         parts = [_centred_sums(xs, h, kernel, at[a:b], lo[a:b], hi[a:b]) for a, b in blocks]
         est = np.concatenate([e for e, _, _ in parts])
-        bound = np.concatenate([b for _, _, b in parts])
+        bound = np.repeat([b for _, _, b in parts], [b - a for a, b in blocks])
         top = float((est - bound).max())
     floor = _tie_floor(top)
     est += bound
@@ -352,7 +350,7 @@ def _centred_sums(xs: np.ndarray, h, kernel: Kernel, at: np.ndarray, lo: np.ndar
     [lo_i, hi_i) of the points at_i, with offsets d = xs[a:b] - c.  No term
     grows with |x|, so the sums do not change when the sample is shifted.
     Returns the sums, the sums weighted by v (None when v is None) and, for
-    one bandwidth, a bound on the distance of the sums from the direct
+    one bandwidth, one bound on the distance of the sums from the direct
     window sums of the shape (None for one bandwidth per point).
 
     Epanechnikov, for one bandwidth h (a scalar) or an array of one per point
@@ -366,8 +364,7 @@ def _centred_sums(xs: np.ndarray, h, kernel: Kernel, at: np.ndarray, lo: np.ndar
 
     of the direct sum / 0.75: twice the rounding of the prefix sums and of
     the expansion (recursive summation in any order, |S1| <= sum |d| <=
-    sqrt(m sum d^2)), of the direct sum itself, of the offsets, and of the
-    window members up to a rounding past h, whose terms the kernel clips at 0.
+    sqrt(m sum d^2)), of the direct sum itself and of the offsets.
 
     Truncated Gaussian, for one bandwidth h and no weights: G_i, the window
     sum of exp(-u^2/2), the direct sum times sqrt(2 pi) erf(c/sqrt 2).  With
@@ -382,12 +379,10 @@ def _centred_sums(xs: np.ndarray, h, kernel: Kernel, at: np.ndarray, lo: np.ndar
     2 max t_i^2), up to _MAX_TERMS terms; when the remainder is then still at
     least m, which 0 <= G_i <= m already gives, the estimate is skipped and
     the bound is infinite.  Otherwise the bound is twice the sum of those
-    two, of the rounding of the direct sum and of the offsets, eps m (m + c^2 + c + 6 + r + rho)
-    with r = max |t_i| and rho = max |t_j|, and of the window edge.  The
-    kernel jumps by exp(-c^2/2) at |u| = c, so a point within a few roundings
-    of c h from at_i, which the window may hold and the kernel's rounded
-    |u| <= c drop, or the reverse, moves the direct sum by a full term: each
-    such point adds its largest term."""
+    two and of the rounding of the direct sum and of the offsets,
+    eps m (m + c^2 + c + 6 + r + rho) with r = max |t_i| and rho = max |t_j|.
+    The windows hold exactly the points the kernel weights, so the Taylor
+    and the direct sums read the same terms."""
     one_h = np.isscalar(h)  # then the windows of the ascending `at` ascend too
     a, b = (int(lo[0]), int(hi[-1])) if one_h else (int(lo.min()), int(hi.max()))
     m, c = b - a, at[at.size // 2]
@@ -405,7 +400,7 @@ def _centred_sums(xs: np.ndarray, h, kernel: Kernel, at: np.ndarray, lo: np.ndar
             p += 1
             rem *= r * rho / p
         if rem >= m:  # no better than 0 <= G_i <= m: skip the prefix passes
-            return np.zeros(at.size), None, np.full(at.size, math.inf)
+            return np.zeros(at.size), None, math.inf
         w, pk = np.exp(-0.5 * t * t), np.zeros(m + 1)
         i, j = lo - a, hi - a
         est, coef = np.zeros(at.size), np.ones(at.size)  # coef = t_i^k / k!
@@ -415,19 +410,8 @@ def _centred_sums(xs: np.ndarray, h, kernel: Kernel, at: np.ndarray, lo: np.ndar
             w *= t
             coef *= ti / (k + 1)
         est *= np.exp(-0.5 * ti * ti)
-        # The edge: the points within `slack` of c h from at_i.  The nearer
-        # ones are in the window and pass the kernel's rounded |u| <= c, the
-        # further ones neither.
         kc = kernel.c
-        ch = kc * h
-        slack = 4.0 * eps * (np.abs(at) + ch)
-        near = (np.searchsorted(xs, at - (ch - slack)) - np.searchsorted(xs, at - (ch + slack))
-                + np.searchsorted(xs, at + (ch + slack), side="right")
-                - np.searchsorted(xs, at + (ch - slack), side="right"))
-        u_edge = np.maximum(kc - 2.0 * slack / h, 0.0)
-        edge = near * np.exp(-0.5 * u_edge * u_edge)
-        direct = eps * m * (m + kc * kc + kc + 6.0 + r + rho)
-        return est, None, 2.0 * (rounding(p) + rem + direct + edge)
+        return est, None, 2.0 * (rounding(p) + rem + eps * m * (m + kc * kc + kc + 6.0 + r + rho))
 
     p1 = np.zeros(m + 1)
     np.cumsum(d, out=p1[1:])
@@ -486,16 +470,34 @@ def _direct_sums(xs: np.ndarray, h, kernel: Kernel, lo: np.ndarray, hi: np.ndarr
     return sums, sums_v
 
 
-def _window(xs: np.ndarray, r, open_: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Index bounds [lo, hi) at each point xs_i of the sorted sample xs of the
-    points with |xs_j - xs_i| <= r_i (< r_i when open_), for one radius r or
-    one per point."""
-    lo = np.searchsorted(xs, xs - r, side="right" if open_ else "left")
-    if np.ndim(r) == 0:
-        # With one radius, x_j reaches x_i iff x_i reaches x_j (up to rounding
-        # at the edge), so hi_i is the number of points j with lo_j <= i.
+def _window(xs: np.ndarray, h, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """Index bounds [lo, hi) at each point xs_i of the sorted sample xs of
+    exactly the points j of positive weight K((xs_j - xs_i)/h_i), for one
+    bandwidth h or one per point: a run through i, as K never grows with |u|.
+    The padded Kernel.support bounds a superset; _trim moves its ends in.
+    With one h, u_ji = -u_ij exactly, so hi_i counts the j with lo_j <= i."""
+    pad = kernel.support(0.0, h)[1]
+    lo = _trim(xs, h, kernel, np.searchsorted(xs, xs - pad))
+    if np.ndim(h) == 0:
         return lo, np.cumsum(np.bincount(lo, minlength=xs.size))[:xs.size]
-    return lo, np.searchsorted(xs, xs + r, side="left" if open_ else "right")
+    return lo, _trim(xs, h, kernel, np.searchsorted(xs, xs + pad, side="right") - 1) + 1
+
+
+def _trim(xs: np.ndarray, h, kernel: Kernel, end: np.ndarray) -> np.ndarray:
+    """The window ends end_i (on either side of i) each moved towards i to the
+    nearest point of positive weight K((xs_j - xs_i)/h_i), by bisection: the
+    weight does not fall from end_i to i, which has weight."""
+    zero = np.flatnonzero(kernel.weights((xs[end] - xs) / h) == 0.0)
+    if zero.size == 0:  # the common case
+        return end
+    at, hz = xs[zero], (h if np.ndim(h) == 0 else h[zero])
+    out, inner = end[zero], zero  # weight 0 at out, positive at inner
+    while (np.abs(out - inner) > 1).any():
+        mid = (out + inner) // 2  # out or inner itself once they are adjacent
+        kept = kernel.weights((xs[mid] - at) / hz) > 0.0
+        inner, out = np.where(kept, mid, inner), np.where(kept, out, mid)
+    end[zero] = inner
+    return end
 
 
 def _blocks(x: np.ndarray, width: float) -> list[tuple[int, int]]:
@@ -505,19 +507,17 @@ def _blocks(x: np.ndarray, width: float) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _kernel_sums(xs: np.ndarray, h, kernel: Kernel, v: Optional[np.ndarray] = None
-                 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """sum_j K((xs_j - xs_i)/h_i) at every point xs_i of the sorted sample xs,
-    for one bandwidth h or one per point, and the same sums weighted by v_j
-    (None when v is None).  Truncated-Gaussian sums are summed window by
-    window; Epanechnikov sums come from _centred_sums on blocks of the sample
-    5 max(h) wide, each about its own middle point."""
-    h = np.asarray(h, dtype=float)
-    lo, hi = _window(xs, kernel.support_radius * h)
+def _kernel_sums(xs: np.ndarray, h, kernel: Kernel, lo: np.ndarray, hi: np.ndarray,
+                 v: Optional[np.ndarray] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """sum_j K((xs_j - xs_i)/h_i) over the windows [lo, hi) of _window at
+    every point xs_i of the sorted sample xs, for one bandwidth h or one per
+    point, and the same sums weighted by v_j (None when v is None).
+    Truncated-Gaussian sums are summed window by window; Epanechnikov sums
+    come from _centred_sums on blocks of the sample 5 max(h) wide."""
     if kernel.kind != "epanechnikov":
         return _direct_sums(xs, h, kernel, lo, hi, slice(None), v)
     hs = np.broadcast_to(h, xs.shape)
     parts = [_centred_sums(xs, hs[a:b], kernel, xs[a:b], lo[a:b], hi[a:b], v)
-             for a, b in _blocks(xs, 5.0 * float(h.max()))]
+             for a, b in _blocks(xs, 5.0 * float(np.max(h)))]
     est_v = None if v is None else 0.75 * np.concatenate([e for _, e, _ in parts])
     return 0.75 * np.concatenate([e for e, _, _ in parts]), est_v  # K(u) = 0.75 (1 - u^2)

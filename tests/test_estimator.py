@@ -383,6 +383,15 @@ class TestCvConstant:
         with pytest.raises(AllNeighborhoodsEmpty):
             est.cv_constant(x, z, [1e-6])
 
+    @pytest.mark.parametrize("c0", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_constants_local_bandwidth_rejects(self, c0):
+        rng = np.random.default_rng(8)
+        x = np.cumsum(rng.normal(size=200))
+        with pytest.raises(ValueError):
+            est.local_bandwidth(x, float(np.median(x)), c0=c0)
+        with pytest.raises(ValueError):
+            est.cv_constant(x, x.copy(), [c0, 1.0])
+
 
 class TestModalValue:
     def test_single_point(self):
@@ -447,7 +456,7 @@ def reference_modal_value(x, kernel=est.EPANECHNIKOV, pilot_h=None):
         sd = float(x.std())
         pilot_h = 1.06 * sd * x.size ** (-0.2) if sd > 0 else 1.0
     xs = np.sort(x)
-    dens = est._kernel_sums(xs, pilot_h, kernel)[0]
+    dens = est._kernel_sums(xs, pilot_h, kernel, *est._window(xs, pilot_h, kernel))[0]
     dmax = float(dens.max())
     return float(xs[dens >= dmax - abs(dmax) * 1e-12][0])
 
@@ -483,7 +492,7 @@ class TestModalScreen:
         rng = np.random.default_rng(14)
         x = np.cumsum(rng.normal(size=500))
         xs, h = np.sort(x), 1e-9
-        lo, hi = est._window(xs, h)
+        lo, hi = est._window(xs, h, est.EPANECHNIKOV)
         assert est._screen(xs, h, est.EPANECHNIKOV, xs, lo, hi).all()
         assert est.modal_value(x, pilot_h=h) == reference_modal_value(x, pilot_h=h)
 
@@ -495,7 +504,7 @@ class TestModalScreen:
             y = np.abs(rng.normal(3.0, 1.0, size=int(rng.integers(20, 400))))
             xs = np.sort(np.concatenate([-y, y]))
             h = float(rng.uniform(0.2, 2.0))
-            lo, hi = est._window(xs, h)
+            lo, hi = est._window(xs, h, est.EPANECHNIKOV)
             dens = est._direct_sums(xs, h, est.EPANECHNIKOV, lo, hi, slice(None))[0]
             ties = dens >= est._tie_floor(float(dens.max()))
             assert ties.sum() >= 2
@@ -507,7 +516,7 @@ class TestModalScreen:
         x = generate(ProcessSpec(family="INDEP", f=linear()), 3000, seed=2).x
         xs = np.sort(x)
         h = 1.06 * float(x.std()) * x.size ** (-0.2)
-        lo, hi = est._window(xs, h)
+        lo, hi = est._window(xs, h, est.EPANECHNIKOV)
         keep = est._screen(xs, h, est.EPANECHNIKOV, xs, lo, hi)
         assert 1 <= keep.sum() < 10
         assert est.modal_value(x) in xs[keep]
@@ -533,10 +542,11 @@ GAUSS = est.gaussian_truncated(2.5)
 
 def gaussian_screen_sums(xs, h, kernel=GAUSS):
     """_screen's estimates and bounds at every point of the sorted sample xs."""
-    lo, hi = est._window(xs, kernel.c * h)
+    lo, hi = est._window(xs, h, kernel)
     parts = [est._centred_sums(xs, h, kernel, xs[a:b], lo[a:b], hi[a:b])
              for a, b in est._blocks(xs, h)]
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[2] for p in parts])
+    return (np.concatenate([p[0] for p in parts]),
+            np.concatenate([np.broadcast_to(p[2], p[0].shape) for p in parts]))
 
 
 def slow_gaussian_sums(xs, h, kernel=GAUSS):
@@ -578,9 +588,9 @@ class TestGaussianScreen:
 
     @pytest.mark.parametrize("shift", [0.0, 1e6])
     def test_bound_covers_the_window_edge(self, shift):
-        # Points exactly c h apart: rounding puts some of them just inside
-        # the window but outside the kernel's |u| <= c, where the kernel
-        # jumps by exp(-c^2/2).
+        # Points exactly c h apart, where the kernel jumps by exp(-c^2/2):
+        # rounding puts some of them within c h but outside the kernel's
+        # rounded |u| <= c, and the windows must leave those out.
         scale = est._SQRT_2PI * math.erf(GAUSS.c / math.sqrt(2.0))
         dropped = 0  # windows that hold a point the kernel drops
         for h in np.linspace(0.3, 0.7, 9):
@@ -589,13 +599,13 @@ class TestGaussianScreen:
                                                np.arange(-3, 4)])
             xs = np.sort(x)
             assert_bound_covers_direct_sums(x, h)
-            lo, hi = est._window(xs, step)
+            lo, hi = est._window(xs, h, GAUSS)
             dens = est._direct_sums(xs, h, GAUSS, lo, hi, slice(None))[0]
             shape = np.array([np.exp(-0.5 * ((xs[a:b] - v) / h) ** 2).sum()
                               for v, a, b in zip(xs, lo, hi)])
             dropped += int((shape - scale * dens > 1e-3).sum())
             assert est.modal_value(x, GAUSS, h) == reference_modal_value(x, GAUSS, h)
-        assert dropped > 0
+        assert dropped == 0
 
     def test_screen_keeps_every_tie(self):
         # A sample symmetric about 0 has mirrored modes whose direct sums tie
@@ -605,7 +615,7 @@ class TestGaussianScreen:
             y = np.abs(rng.normal(3.0, 1.0, size=int(rng.integers(200, 400))))
             xs = np.sort(np.concatenate([-y, y]))
             h = float(rng.uniform(0.4, 2.0))
-            lo, hi = est._window(xs, GAUSS.c * h)
+            lo, hi = est._window(xs, h, GAUSS)
             dens = est._direct_sums(xs, h, GAUSS, lo, hi, slice(None))[0]
             ties = dens >= est._tie_floor(float(dens.max()))
             assert ties.sum() >= 2
@@ -618,7 +628,7 @@ class TestGaussianScreen:
         x = generate(ProcessSpec(family="INDEP", f=linear()), 3000, seed=2).x
         xs = np.sort(x)
         h = 1.06 * float(x.std()) * x.size ** (-0.2)
-        lo, hi = est._window(xs, GAUSS.c * h)
+        lo, hi = est._window(xs, h, GAUSS)
         keep = est._screen(xs, h, GAUSS, xs, lo, hi)
         assert 1 <= keep.sum() < 10
         assert est.modal_value(x, GAUSS) in xs[keep]
@@ -636,7 +646,7 @@ class TestGaussianScreen:
 
         x = generate(ProcessSpec(family="INDEP", f=linear()), 1499, seed=0).x
         xs, h, kernel = np.sort(x), 0.5, est.gaussian_truncated(c)
-        lo, hi = est._window(xs, kernel.support_radius * h)
+        lo, hi = est._window(xs, h, kernel)
         p = est._MAX_TERMS
         vacuous = []
         for a, b in est._blocks(xs, h):
@@ -681,8 +691,9 @@ class TestKernelSums:
             h_wide = h0 * rng.uniform(0.25, 1.5, xs.size)
             assert h_wide.max() > 4.0 * h_wide.min()
             for h in (h0, h0 * rng.uniform(0.5, 1.5, xs.size), h_cv, h_wide):
-                got, none = est._kernel_sums(xs, h, kernel)
-                got_z = est._kernel_sums(xs, h, kernel, zs)
+                lo, hi = est._window(xs, h, kernel)
+                got, none = est._kernel_sums(xs, h, kernel, lo, hi)
+                got_z = est._kernel_sums(xs, h, kernel, lo, hi, zs)
                 # One pass gives the weighted sums and the same unweighted ones.
                 assert none is None and np.array_equal(got_z[0], got)
                 for v, got in ((None, got), (zs, got_z[1])):
@@ -690,13 +701,58 @@ class TestKernelSums:
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_window_edges(self):
+        # The Epanechnikov weight is 0 at |u| = 1, so its windows are open
+        # there; the truncated Gaussian weights |u| = c, so its are closed.
         xs = np.array([0.0, 1.0, 2.0, 2.0, 5.0])
-        lo, hi = est._window(xs, 1.0)
-        np.testing.assert_array_equal(lo, [0, 0, 1, 1, 4])
-        np.testing.assert_array_equal(hi, [2, 4, 4, 4, 5])
-        lo, hi = est._window(xs, np.full(5, 1.0), open_=True)
-        np.testing.assert_array_equal(lo, [0, 1, 2, 2, 4])
-        np.testing.assert_array_equal(hi, [1, 2, 4, 4, 5])
+        for h in (1.0, np.full(5, 1.0)):
+            lo, hi = est._window(xs, h, est.EPANECHNIKOV)
+            np.testing.assert_array_equal(lo, [0, 1, 2, 2, 4])
+            np.testing.assert_array_equal(hi, [1, 2, 4, 4, 5])
+            lo, hi = est._window(xs, h, est.gaussian_truncated(1.0))
+            np.testing.assert_array_equal(lo, [0, 0, 1, 1, 4])
+            np.testing.assert_array_equal(hi, [2, 4, 4, 4, 5])
+
+
+def brute_force_window(xs, h, kernel):
+    """[lo_i, hi_i) at each point of the sorted xs from the positive
+    Kernel.weights over the whole sample, checked to be one run."""
+    h = np.broadcast_to(h, xs.shape)
+    bounds = []
+    for i in range(xs.size):
+        rows = np.flatnonzero(kernel.weights((xs - xs[i]) / h[i]) > 0.0)
+        np.testing.assert_array_equal(rows, np.arange(rows[0], rows[-1] + 1))
+        bounds.append((rows[0], rows[-1] + 1))
+    return np.array(bounds).T
+
+
+def window_test_samples():
+    """Sorted samples with a bandwidth each: walks, duplicates and lattices
+    whose spacing is a multiple of c h (c = 2.5) or of h, each also shifted by 1e6."""
+    from nullrec.processes import ProcessSpec, generate, linear
+
+    rng = np.random.default_rng(21)
+    samples = []
+    for seed in range(2):
+        x = generate(ProcessSpec(family="INDEP", f=linear()), 399, seed=seed).x
+        samples.append((x, 1.06 * float(x.std()) * x.size ** (-0.2)))
+    samples += [(np.round(rng.normal(size=500), 1), 0.1), (np.repeat(rng.normal(size=20), 20), 0.3),
+                (np.cumsum(rng.choice([-1.0, 1.0], size=500)), 1.0)]
+    k = np.concatenate([np.arange(-20, 21), np.arange(-20, 21) + 0.5, np.arange(-3, 4)])
+    for h in (0.34, 0.39, 0.51, 0.68):
+        samples += [(2.5 * h * k, h), (h * k, h)]
+    return [(np.sort(x + shift), h) for x, h in samples for shift in (0.0, 1e6)]
+
+
+class TestWindow:
+    @pytest.mark.parametrize("kernel", [est.EPANECHNIKOV, est.gaussian_truncated(2.5)])
+    def test_holds_exactly_the_rows_of_positive_weight(self, kernel):
+        rng = np.random.default_rng(22)
+        for xs, h in window_test_samples():
+            for hh in (h, h * rng.uniform(0.5, 1.5, xs.size)):
+                lo, hi = est._window(xs, hh, kernel)
+                want_lo, want_hi = brute_force_window(xs, hh, kernel)
+                np.testing.assert_array_equal(lo, want_lo)
+                np.testing.assert_array_equal(hi, want_hi)
 
 
 class TestCvMemory:
