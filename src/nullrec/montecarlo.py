@@ -12,14 +12,18 @@ Two admission protocols:
 
 Every replication records the path length it used: n + 1 for modal, and
 T + 1 for fixed_point, T the stopping time (max_path_length + 1 for a guard
-rejection, a right-censored value).  Fixed-point paths are streamed and cut
-at T, so no row beyond T's block is drawn.  A fixed-point replication keeps
-only the band of its path: the rows in the closed window, widened to the
-pilot's kernel support.  The estimator weights only the rows of positive
-weight, and the band holds every one of them unless the local bandwidth
-reaches past it; the replication is then streamed again from its seed and
-estimated on the whole path.  Either way the results are those of the whole
-path, bit for bit.
+rejection, a right-censored value).  A fixed-point replication keeps only the
+band of its path: the rows in the closed window, widened to the pilot's
+kernel support.  The linked families stream their path and cut it at T, so
+no row beyond T's block is drawn.  An INDEP walk comes from band_walk, which
+steps it only near the band and jumps over its far excursions by the exact
+first-passage law: its band rows and T are those of an exact Gaussian walk,
+but not of generate's path for the seed.  The estimator weights only the
+rows of positive weight, and the band holds every one of them unless the
+local bandwidth reaches past it; the replication is then read again from
+its seed and estimated on the whole path, with band_walk's skipped
+excursions filled in.  Either way the results are those of the whole path,
+bit for bit.
 
 Each admitted replication contributes one studentized statistic, which is
 asymptotically standard normal when the disturbance has unit variance; the
@@ -50,7 +54,8 @@ from .errors import (
     TooFewValues,
 )
 from .estimator import EPANECHNIKOV, Kernel, local_bandwidth, modal_value, nw_estimate
-from .processes import ProcessSpec, generate, indep_disturbance, spec_from_dict, stream
+from .processes import (ProcessSpec, band_walk, generate, indep_disturbance_at, spec_from_dict,
+                        stream)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -161,42 +166,60 @@ def _band(protocol: CltProtocol) -> tuple[float, float]:
     return min(lo, s_lo), max(hi, s_hi)
 
 
+def _rows(protocol: CltProtocol, seed: int, band: tuple[float, float]):
+    """Rows 0..max_path_length of a replication's path as (start, x, w)
+    blocks of consecutive rows in time order; a row left out lies outside
+    `band`.  INDEP paths come from band_walk, with jumps set by the
+    protocol's band and every row filled in for the whole path, and carry no
+    w; the other families are streamed whole."""
+    spec = protocol.process
+    limit = protocol.max_path_length + 1
+    if spec.family == "INDEP":
+        for start, x in band_walk(spec, seed, _band(protocol), limit, fill=band == _WHOLE_PATH):
+            yield start, x, None
+        return
+    start = 0
+    for x, w in stream(spec, seed):
+        yield start, x[:limit - start], w
+        start += len(x)
+        if start >= limit:
+            return
+
+
 def _fixed_point_path(protocol: CltProtocol, seed: int, band: tuple[float, float]):
     """(x, z, T + 1): the rows t <= T whose x lies in the closed band, which
     holds the closed window, in time order, with T the first time
     `local_count` observations have fallen in the window; None when
-    T > max_path_length.  The path is streamed block by block, no row after
-    T's block is drawn, and the window and z = f(x) + w are evaluated on the
-    band rows only.  An INDEP block carries no w: it is read only in the
-    blocks that hold band rows, up to the last of them."""
+    T > max_path_length.  No row after T's block is drawn, and the window
+    and z = f(x) + w are evaluated on the band rows only; INDEP's w is read
+    on those rows alone, once T is found."""
     lo, hi = protocol.window
     b_lo, b_hi = band
-    limit = protocol.max_path_length + 1
     missing = protocol.local_count
     spec = protocol.process
-    xs, zs, rows = [], [], 0
-    for x, w in stream(spec, seed):
-        x = x[:limit - rows]
+    xs, ws, ts = [], [], []
+    for start, x, w in _rows(protocol, seed, band):
         keep = x >= b_lo
         keep &= x <= b_hi
         keep = keep.nonzero()[0]
-        if len(keep):
-            band_x = x[keep]
-            inside = ((band_x >= lo) & (band_x <= hi)).nonzero()[0]
-            stop = len(inside) >= missing
-            if stop:
-                keep = keep[:inside[missing - 1] + 1]
-                band_x = band_x[:len(keep)]
-            if w is None:
-                w = indep_disturbance(spec, seed, rows, rows + int(keep[-1]) + 1)
-            xs.append(band_x)
-            zs.append(spec.f(band_x) + w[keep])
-            if stop:
-                return np.concatenate(xs), np.concatenate(zs), rows + int(keep[-1]) + 1
-            missing -= len(inside)
-        rows += len(x)
-        if rows == limit:
-            return None
+        if not len(keep):
+            continue
+        band_x = x[keep]
+        inside = ((band_x >= lo) & (band_x <= hi)).nonzero()[0]
+        stop = len(inside) >= missing
+        if stop:
+            keep = keep[:inside[missing - 1] + 1]
+            band_x = band_x[:len(keep)]
+        xs.append(band_x)
+        ts.append(keep + start)
+        if w is not None:
+            ws.append(w[keep])
+        if stop:
+            x, t = np.concatenate(xs), np.concatenate(ts)
+            w = np.concatenate(ws) if ws else indep_disturbance_at(spec, seed, t)
+            return x, spec.f(x) + w, int(t[-1]) + 1
+        missing -= len(inside)
+    return None
 
 
 def _run_rep(protocol: CltProtocol, rep: int) -> RepRecord:
@@ -224,7 +247,7 @@ def _run_rep(protocol: CltProtocol, rep: int) -> RepRecord:
             h = local_bandwidth(x, x_eval, window, protocol.c0, protocol.kernel)
             s_lo, s_hi = protocol.kernel.support(x_eval, h)
             if not band[0] <= s_lo <= s_hi <= band[1]:
-                # h reaches past the band: stream the path again, whole.
+                # h reaches past the band: read the path again, whole.
                 x, z, _ = _fixed_point_path(protocol, seed, _WHOLE_PATH)
         report = nw_estimate(x, z, x_eval, h, protocol.kernel, window=window,
                              f_true_at_x=float(spec.f(x_eval)))

@@ -20,8 +20,10 @@ so a caller that stops at a data-dependent time draws each row once, and at
 most one block past it.  The INDEP disturbance has its own keyed draws
 (indep_disturbance), so a caller may read it on only the rows it keeps.
 generate, the one place that forms z = f(x) + w on a whole path, is the
-first block of the stream.  Every generator in the package comes from
-keyed_rng.
+first block of the stream.  band_walk draws an INDEP walk only near a band,
+jumping over its far excursions by the exact first-passage law, so it is a
+walk in law but not generate's path for the seed.  Every generator in the
+package comes from keyed_rng.
 """
 
 from __future__ import annotations
@@ -44,10 +46,14 @@ _SQ3 = math.sqrt(3.0)
 _STEP_CHUNK = 1 << 16  # rows per Python-list slice of step_chain and the AR1 loop
 _STREAM_BLOCK = 1 << 13  # rows per block of stream: small blocks reuse freed heap memory
 _W_BLOCK = 1 << 13  # rows per W-block of the INDEP disturbance; part of the draw contract
+_MARGIN = 8.0  # band_walk steps within this many sigma_e of the band; part of its draws
+_WALK_BLOCK = 1 << 9  # normals per stepped block of band_walk; part of its draws
 
 # Stream keys of keyed_rng; none starts with 0.
 KEY_SPLIT_FLAGS = 1  # the split flags of splitting.simulate_split on a walk
 KEY_INDEP_W = 2  # (KEY_INDEP_W, k): W-block k of the INDEP disturbance
+KEY_PASSAGE = 3  # the first-passage draws of band_walk
+KEY_EXCURSION = 4  # (KEY_EXCURSION, j): the fill of band_walk's skipped excursion j
 
 
 def keyed_rng(seed: int, *key: int) -> np.random.Generator:
@@ -233,6 +239,88 @@ def indep_disturbance(spec: ProcessSpec, seed: int, start: int, stop: int) -> np
         rng.standard_normal(out=out[lo - start:min(stop, (k + 1) * _W_BLOCK) - start])
     out *= spec.sigma_w
     return out
+
+
+def indep_disturbance_at(spec: ProcessSpec, seed: int, rows: np.ndarray) -> np.ndarray:
+    """The INDEP disturbance on the ascending rows `rows`: each W-block that
+    holds one of them is read once, up to the last of them."""
+    out = np.empty(len(rows))
+    ends = np.flatnonzero(np.diff(rows // _W_BLOCK)).tolist() + [len(rows) - 1]
+    i = 0
+    for e in ends if len(rows) else ():
+        lo = int(rows[i]) // _W_BLOCK * _W_BLOCK
+        out[i:e + 1] = indep_disturbance(spec, seed, lo, int(rows[e]) + 1)[rows[i:e + 1] - lo]
+        i = e + 1
+    return out
+
+
+def band_walk(spec: ProcessSpec, seed: int, band: tuple[float, float], limit: int,
+              fill: bool = False):
+    """Rows 0..limit-1 of an INDEP walk as (start, x) blocks of consecutive
+    rows in time order, drawn only near `band` = (b_lo, b_hi): every row left
+    out lies outside the band, and with `fill` no row is left out.
+
+    Within the zone [b_lo - m, b_hi + m], m = _MARGIN sigma_e, the walk steps
+    by blocks of _WALK_BLOCK normals from keyed_rng(seed).  From a row t at x
+    beyond the zone it jumps to its first passage of the level l = b_hi + m/2
+    (b_lo - m/2 below).  A Gaussian walk is Brownian motion read at integer
+    times, so the passage comes after tau = ((l - x) / (sigma_e Z))^2 (Levy),
+    and the next row is t + ceil(tau), at l + sigma_e sqrt(ceil(tau) - tau) Z'
+    (strong Markov), with Z, Z' the next two normals of
+    keyed_rng(seed, KEY_PASSAGE).  The rows skipped come before the passage,
+    so they lie beyond l.  With `fill` they are yielded too: given tau, |x - l|
+    along them is a BES(3) bridge from |x - l| to 0 over [0, tau] (Williams),
+    drawn for the j-th jump from keyed_rng(seed, KEY_EXCURSION, j).  No other
+    draw depends on `fill`, so the band rows are the same either way.  Where
+    tau is infinite (sigma_e Z = 0) the walk stays at x."""
+    b_lo, b_hi = band
+    sigma = spec.sigma_e
+    m = _MARGIN * sigma
+    steps, passage = keyed_rng(seed), keyed_rng(seed, KEY_PASSAGE)
+    t, x, j = 0, spec.x0, 0  # row t is x, not yet yielded
+    while t < limit:
+        if b_lo - m <= x <= b_hi + m:
+            n = min(_WALK_BLOCK, limit - t)
+            c = np.empty(n + 1)
+            steps.standard_normal(out=c[1:])
+            c[1:] *= sigma
+            c[0] = x
+            c.cumsum(out=c)
+            yield t, c[:-1]
+            t, x = t + n, float(c[-1])
+            continue
+        level = b_hi + m / 2 if x > b_hi else b_lo - m / 2
+        d = x - level
+        z, z_after = passage.standard_normal(2).tolist()
+        s2 = sigma * z * sigma * z
+        tau = d * d / s2 if s2 > 0 else math.inf
+        rest = limit - t - 1  # rows after t below the limit
+        k = max(math.ceil(tau), 1) if tau <= rest else rest + 1
+        if fill:
+            if tau == math.inf:
+                skipped = np.full(k - 1, x)
+            else:
+                skipped = level + math.copysign(1.0, d) * _bes3_bridge(
+                    abs(d), sigma, tau, k - 1, keyed_rng(seed, KEY_EXCURSION, j))
+            yield t, np.concatenate(([x], skipped))
+        t, j = t + k, j + 1
+        x = level + sigma * math.sqrt(k - tau) * z_after if t < limit else x
+
+
+def _bes3_bridge(a: float, sigma: float, tau: float, n: int, rng) -> np.ndarray:
+    """|b_1|..|b_n|, n < tau, of the 3-d Brownian bridge b from (a, 0, 0) at
+    time 0 to 0 at time tau, with sigma^2 variance per unit time:
+    b_s = (tau - s) (b_0 / tau + sigma sum_{i <= s} xi_i / sqrt((tau - i)(tau - i + 1))),
+    whose prefix is drawn by the first rows of xi alone."""
+    if n == 0:
+        return np.empty(0)
+    rest = tau - np.arange(1, n + 1)
+    b = rng.standard_normal((n, 3))
+    b *= (sigma / np.sqrt(rest * (rest + 1.0)))[:, None]
+    np.cumsum(b, axis=0, out=b)
+    b[:, 0] += a / tau
+    b *= rest[:, None]
+    return np.sqrt(np.einsum("ij,ij->i", b, b))
 
 
 def step_chain(model: FiniteMarkovModel, start: int, u: np.ndarray) -> np.ndarray:

@@ -17,11 +17,23 @@ import nullrec.estimator as est
 import nullrec.montecarlo as mc
 import nullrec.processes as pr
 import nullrec.splitting as sp
-from tests.conftest import random_model
+from tests.conftest import ks_critical, random_model
 from tests.test_algebra import fundamental_kernel_series
 
 TWO_STATE = alg.FiniteMarkovModel(states=(0, 1), P=[[0.5, 0.5], [0.5, 0.5]],
                                   s=[0.5, 0.5], nu=[0.5, 0.5])
+
+
+# A size comparison: the larger size's KS distance D_large may exceed the
+# smaller size's D_small by at most the Kolmogorov critical value of its own
+# m values at this level.  Under the N(0, 1) limit at both sizes the clause
+# fails with probability P(D_large - D_small > c) <= P(D_large > c) = ALPHA,
+# whatever the dependence between the sizes (they share replication seeds).
+ALPHA = 1e-3
+
+
+def no_worse(ks_large: float, ks_small: float, m: int) -> bool:
+    return ks_large - ks_small <= ks_critical(m, ALPHA)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -182,9 +194,10 @@ def test_criterion_7_fixed_point_replication():
         if target == 800:
             var800 = float(values.var(ddof=1))
     elapsed = time.perf_counter() - start
-    ok = ks[800] < ks[100] and ks[800] <= 0.08 and abs(var800 - 1.0) <= 0.15
+    ok = no_worse(ks[800], ks[100], 1000) and ks[800] <= 0.08 and abs(var800 - 1.0) <= 0.15
     _report(7, ok,
-            f"ks(100) = {ks[100]:.4f}, ks(800) = {ks[800]:.4f}, var(800) = {var800:.3f}, "
+            f"ks(100) = {ks[100]:.4f}, ks(800) = {ks[800]:.4f} (at most ks(100) + "
+            f"{ks_critical(1000, ALPHA):.4f}), var(800) = {var800:.3f}, "
             f"guard rejections = {guard}, {elapsed:.0f}s")
 
 
@@ -218,15 +231,16 @@ def test_criterion_8_modal_replication_both_wirings():
     ok = True
     for name, spec in systems.items():
         ks = {}
-        sd3000 = None
+        sd3000 = m3000 = None
         for n in (500, 1000, 3000):
             proto = mc.CltProtocol(process=spec, mode="modal", reps=1000,
                                    base_seed=271828, n=n)
             res = mc.run_clt(proto, threads=2)
             ks[n] = res.ks_distance
             if n == 3000:
-                sd3000 = res.sd
-        ok = ok and ks[3000] <= 0.06 and ks[3000] < ks[500] and 0.8 <= sd3000 <= 1.2
+                sd3000, m3000 = res.sd, res.admitted
+        ok = ok and ks[3000] <= 0.06 and no_worse(ks[3000], ks[500], m3000) and \
+            0.8 <= sd3000 <= 1.2
         details.append(f"{name}: ks500={ks[500]:.4f} ks1000={ks[1000]:.4f} "
                        f"ks3000={ks[3000]:.4f} sd3000={sd3000:.3f}")
 

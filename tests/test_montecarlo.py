@@ -23,6 +23,7 @@ from nullrec.cli import write_replication_csv, write_summary_csv
 from nullrec.estimator import _occupation, local_bandwidth, nw_estimate
 from nullrec import processes
 from nullrec.processes import ProcessSpec, generate, linear, stream
+from tests.conftest import ks_two_sample, ks_two_sample_critical
 
 
 def modal_protocol(n=300, reps=40, seed=123, family="INDEP", f=None, **kw):
@@ -118,10 +119,10 @@ class TestRunClt:
         for rec in res.records:
             if rec.status != mc.ADMITTED:
                 continue
-            path = generate(spec, proto.max_path_length, rec.seed)
-            counts = np.cumsum((path.x >= lo) & (path.x <= hi))
+            x = filled_path(proto, rec.seed)[0]
+            counts = np.cumsum((x >= lo) & (x <= hi))
             stop = int(np.argmax(counts >= proto.local_count))
-            assert counts[stop] == proto.local_count
+            assert counts[stop] == proto.local_count and rec.path_length == stop + 1
 
     def test_degenerate_noise_gives_zero_statistic(self):
         spec = ProcessSpec(family="INDEP", f=linear(0.0, 2.0), sigma_w=0.0)
@@ -138,18 +139,36 @@ class TestRunClt:
             mc.run_clt(proto)
 
 
+def filled_path(protocol, seed):
+    """The INDEP path of a fixed-point replication on rows 0..max_path_length,
+    every excursion that band_walk jumps over filled in, with its z."""
+    spec = protocol.process
+    blocks = list(processes.band_walk(spec, seed, mc._band(protocol),
+                                      protocol.max_path_length + 1, fill=True))
+    starts = [start for start, _ in blocks]
+    assert starts == np.cumsum([0] + [len(x) for _, x in blocks[:-1]]).tolist()
+    x = np.concatenate([x for _, x in blocks])
+    assert len(x) == protocol.max_path_length + 1
+    return x, spec.f(x) + processes.indep_disturbance(spec, seed, 0, len(x))
+
+
 def reference_fixed_point_rep(protocol, rep):
-    """Slow reference for a fixed-point replication: regenerate the whole
-    path from scratch at 4096, 8192, ... rows (capped at the guard) until
+    """Slow reference for a fixed-point replication: cut the whole path where
     local_count observations have accumulated in the closed window, and
-    estimate on the whole path."""
+    estimate on it.  An INDEP path is band_walk's, filled in; any other is
+    regenerated whole at 4096, 8192, ... rows (capped at the guard)."""
     seed = mc.derive_seed(protocol.base_seed, rep)
     lo, hi = protocol.window
     n_len = 4096
     while True:
         n_len = min(n_len, protocol.max_path_length)
-        path = generate(protocol.process, n_len, seed)
-        counts = np.cumsum((path.x >= lo) & (path.x <= hi))
+        if protocol.process.family == "INDEP":
+            n_len = protocol.max_path_length
+            x, z = filled_path(protocol, seed)
+        else:
+            path = generate(protocol.process, n_len, seed)
+            x, z = path.x, path.z
+        counts = np.cumsum((x >= lo) & (x <= hi))
         if counts[-1] >= protocol.local_count:
             stop = int(np.argmax(counts >= protocol.local_count))
             break
@@ -157,7 +176,7 @@ def reference_fixed_point_rep(protocol, rep):
             return mc.RepRecord(rep, seed, None, None, None, None, None, None, mc.GUARD,
                                 protocol.max_path_length + 1)
         n_len *= 2
-    x, z = path.x[:stop + 1], path.z[:stop + 1]
+    x, z = x[:stop + 1], z[:stop + 1]
     x_eval, size = protocol.x_eval, protocol.local_count
     try:
         h = protocol.fixed_h
@@ -172,8 +191,8 @@ def reference_fixed_point_rep(protocol, rep):
 
 
 class TestFixedPointStream:
-    """The streamed fixed-point replication against the regrow-by-doubling
-    reference, on a tight guard that yields admitted, guard and empty reps."""
+    """The fixed-point replication against the whole-path reference, on a
+    tight guard that yields admitted, guard and empty reps."""
 
     @pytest.fixture
     def protocol(self):
@@ -189,12 +208,20 @@ class TestFixedPointStream:
     def test_reference_covers_every_status(self, reference):
         assert {r.status for r in reference} == {mc.ADMITTED, mc.EMPTY, mc.GUARD}
 
-    def test_records_equal_reference(self, protocol, reference, monkeypatch):
+    def test_records_equal_reference(self, protocol, reference):
         assert list(mc.run_clt(protocol).records) == reference
-        # Small blocks: the stopping index and the guard fall blocks deep.
-        for chunk in (1, 97, 4096, processes._STREAM_BLOCK, protocol.max_path_length + 1):
-            monkeypatch.setattr(mc, "stream", partial(stream, chunk=chunk))
-            assert [mc._run_rep(protocol, r) for r in range(protocol.reps)] == reference
+        # The band is the whole path's band rows, bit for bit.
+        for rec in reference:
+            band = mc._fixed_point_path(protocol, rec.seed, mc._band(protocol))
+            whole = mc._fixed_point_path(protocol, rec.seed, mc._WHOLE_PATH)
+            if rec.status == mc.GUARD:
+                assert band is None and whole is None
+                continue
+            b_lo, b_hi = mc._band(protocol)
+            rows = (whole[0] >= b_lo) & (whole[0] <= b_hi)
+            assert band[2] == whole[2] == rec.path_length
+            assert band[0].tobytes() == whole[0][rows].tobytes()
+            assert band[1].tobytes() == whole[1][rows].tobytes()
 
     @pytest.mark.parametrize("family", ["SHARED_INNOVATION", "AR1_LINKED", "MA_LINKED"])
     def test_linked_families_equal_reference(self, protocol, monkeypatch, family):
@@ -206,7 +233,12 @@ class TestFixedPointStream:
             monkeypatch.setattr(mc, "stream", partial(stream, chunk=chunk))
             assert [mc._run_rep(protocol, r) for r in range(protocol.reps)] == reference
 
-    def test_block_boundary_at_stopping_index(self, protocol, reference, monkeypatch):
+    def test_block_boundary_at_stopping_index(self, protocol, monkeypatch):
+        # Stream blocks cut the linked families' paths; band_walk's INDEP
+        # blocks are part of its draws.
+        protocol = replace(protocol, process=replace(protocol.process,
+                                                     family="SHARED_INNOVATION"))
+        reference = [reference_fixed_point_rep(protocol, r) for r in range(protocol.reps)]
         for r, rec in enumerate(reference):
             if rec.status == mc.GUARD:
                 continue
@@ -254,7 +286,7 @@ class TestFixedPointStream:
         for rec in reference:
             if rec.status == mc.GUARD:
                 continue
-            x = generate(protocol.process, rec.path_length - 1, rec.seed).x
+            x = filled_path(protocol, rec.seed)[0][:rec.path_length]
             inside = (x >= lo) & (x <= hi)
             assert inside.sum() == protocol.local_count and inside[-1]
 
@@ -288,9 +320,10 @@ class TestFixedPointStream:
             assert sum(whole) == 0
 
     def test_guard_rep_memory_is_small(self):
-        # A guard rep at the shipped protocol's guard holds its stream block
-        # and the band, not the million rows it draws.  With sigma_e = 0 the
-        # walk stays at 0, so the window is never reached: a guard rep.
+        # A guard rep at the shipped protocol's guard holds one stepped block
+        # and the band, not the million rows of its path.  With sigma_e = 0
+        # the walk stays at 0, so the window is never reached: band_walk
+        # finds the first passage infinite and stops at once, a guard rep.
         spec = ProcessSpec(family="INDEP", f=linear(), sigma_e=0.0)
         protocol = mc.CltProtocol(process=spec, mode="fixed_point", reps=1, base_seed=271828,
                                   x_eval=7.5, window=(5.0, 10.0), local_count=800,
@@ -304,6 +337,87 @@ class TestFixedPointStream:
             tracemalloc.stop()
         assert record.status == mc.GUARD
         assert peak < 2_000_000
+
+
+class TestFixedPointEdges:
+    """Starts inside the band, on a jump level and far away; a frozen walk;
+    a stop on the guard row."""
+
+    def protocol(self, **process):
+        spec = ProcessSpec(family="INDEP", f=linear(0.5, 1.0), **process)
+        return mc.CltProtocol(process=spec, mode="fixed_point", reps=12, base_seed=21,
+                              x_eval=7.5, window=(5.0, 10.0), local_count=40, fixed_h=0.3,
+                              max_path_length=20_000)
+
+    @pytest.mark.parametrize("where", ["window", "band edge", "upper level", "lower level",
+                                       "zone edge", "past the zone"])
+    def test_records_equal_reference(self, where):
+        proto = self.protocol()
+        b_lo, b_hi = mc._band(proto)
+        m = processes._MARGIN * proto.process.sigma_e
+        x0 = {"window": 7.5, "band edge": b_hi, "upper level": b_hi + m / 2,
+              "lower level": b_lo - m / 2, "zone edge": b_lo - m,
+              "past the zone": np.nextafter(b_lo - m, -math.inf)}[where]
+        proto = replace(proto, process=replace(proto.process, x0=x0))
+        records = [mc._run_rep(proto, r) for r in range(proto.reps)]
+        assert records == [reference_fixed_point_rep(proto, r) for r in range(proto.reps)]
+        assert any(r.status == mc.ADMITTED for r in records)
+
+    @pytest.mark.parametrize("x0", [1e6, -1e6])
+    def test_far_start_is_a_guard(self, x0, monkeypatch):
+        proto = replace(self.protocol(x0=x0), max_path_length=1_000_000)
+        walks = []
+
+        def band_walk(*args, **kw):
+            walks.append(list(processes.band_walk(*args, **kw)))
+            return iter(walks[-1])
+
+        monkeypatch.setattr(mc, "band_walk", band_walk)
+        assert mc._run_rep(proto, 0) == mc._rejection(0, mc.derive_seed(21, 0), None, mc.GUARD,
+                                                      1_000_001)
+        assert walks == [[]]
+
+    def test_zero_sigma_is_a_guard(self):
+        proto = self.protocol(sigma_e=0.0)
+        assert all(mc._run_rep(proto, r).status == mc.GUARD for r in range(proto.reps))
+
+    def test_stop_on_the_guard_row(self):
+        proto = self.protocol()
+        records = [mc._run_rep(proto, r) for r in range(proto.reps)]
+        rec = max((r for r in records if r.status == mc.ADMITTED), key=lambda r: r.path_length)
+        stop = rec.path_length - 1
+        assert mc._run_rep(replace(proto, max_path_length=stop), rec.rep) == rec
+        assert mc._run_rep(replace(proto, max_path_length=stop - 1), rec.rep) == \
+            mc._rejection(rec.rep, rec.seed, None, mc.GUARD, stop)
+
+    def test_threads_keep_records(self):
+        proto = replace(self.protocol(), reps=40, fixed_h=None, c0=4.0)
+        assert mc.run_clt(proto, threads=2).records == mc.run_clt(proto, threads=1).records
+
+
+def streamed_rows(protocol, seed, band):
+    """The rows of a fixed-point replication streamed whole, as before band_walk."""
+    start, limit = 0, protocol.max_path_length + 1
+    for x, w in stream(protocol.process, seed):
+        yield start, x[:limit - start], w
+        start += len(x)
+        if start >= limit:
+            return
+
+
+def test_band_walk_has_the_law_of_the_stream_sampler(monkeypatch):
+    # Independent base seeds for the two samplers; each comparison fails
+    # with probability about 1e-3 when the laws agree.
+    proto = mc.CltProtocol(process=ProcessSpec(family="INDEP", f=linear()), mode="fixed_point",
+                           reps=1000, base_seed=99, x_eval=7.5, window=(5.0, 10.0),
+                           local_count=100, max_path_length=100_000)
+    jumped = mc.run_clt(proto).records
+    monkeypatch.setattr(mc, "_rows", streamed_rows)
+    streamed = mc.run_clt(replace(proto, base_seed=100)).records
+    for name, admitted_only in (("path_length", False), ("h", True), ("studentized", True)):
+        a, b = ([getattr(r, name) for r in records if r.status == mc.ADMITTED or not admitted_only]
+                for records in (jumped, streamed))
+        assert ks_two_sample(a, b) <= ks_two_sample_critical(len(a), len(b), 1e-3), name
 
 
 class TestClosedWindowOnStateValues:

@@ -9,7 +9,7 @@ import nullrec.processes as pr
 from nullrec.algebra import load_model
 from nullrec.errors import InvalidSpec, UnknownProcessFamily, WrongFamily
 from nullrec.montecarlo import ks_normal
-from tests.conftest import random_model
+from tests.conftest import ks_critical, ks_two_sample, ks_two_sample_critical, random_model
 
 
 @pytest.fixture
@@ -236,7 +236,8 @@ class TestKeyedRng:
     def test_keyed_streams_of_big_seeds_are_the_list_keys(self):
         # A seed of at least 2**32 already fills two words as a list entry.
         for seed in self.BIG:
-            for key in ((pr.KEY_SPLIT_FLAGS,), (pr.KEY_INDEP_W, 0), (pr.KEY_INDEP_W, 3)):
+            for key in ((pr.KEY_SPLIT_FLAGS,), (pr.KEY_INDEP_W, 0), (pr.KEY_INDEP_W, 3),
+                        (pr.KEY_PASSAGE,), (pr.KEY_EXCURSION, 2)):
                 np.testing.assert_array_equal(
                     pr.keyed_rng(seed, *key).random(8),
                     np.random.default_rng([seed, *key]).random(8))
@@ -253,6 +254,97 @@ class TestKeyedRng:
         # A default stream block starts on a W-block boundary, so reading
         # its disturbance draws no row twice.
         assert pr._STREAM_BLOCK % pr._W_BLOCK == 0
+
+
+def walk_rows(spec, seed, band, limit, fill):
+    """band_walk's rows as one array, and their row numbers."""
+    blocks = list(pr.band_walk(spec, seed, band, limit, fill=fill))
+    if not blocks:
+        return np.empty(0), np.empty(0, dtype=int)
+    return (np.concatenate([x for _, x in blocks]),
+            np.concatenate([start + np.arange(len(x)) for start, x in blocks]))
+
+
+class TestBandWalk:
+    """band_walk steps an INDEP walk near a band and jumps over its far
+    excursions; filled in, its paths are plain walks in law, and its band
+    rows are those of the filled path."""
+
+    BAND = (5.0, 10.0)
+
+    def assert_band_rows_of_the_filled_path(self, spec, seed, limit):
+        x, rows = walk_rows(spec, seed, self.BAND, limit, fill=False)
+        whole, whole_rows = walk_rows(spec, seed, self.BAND, limit, fill=True)
+        np.testing.assert_array_equal(whole_rows, np.arange(limit))
+        in_band = (whole >= self.BAND[0]) & (whole <= self.BAND[1])
+        assert np.isin(whole_rows[in_band], rows).all()
+        kept = np.isin(whole_rows, rows)
+        assert x.tobytes() == whole[kept].tobytes()
+        return int(len(rows))
+
+    @pytest.mark.parametrize("sigma_e", [1.0, 0.3])
+    def test_band_rows_are_those_of_the_filled_path(self, sigma_e):
+        m = pr._MARGIN * sigma_e
+        starts = (7.5, 0.0, 10.0 + m / 2, 5.0 - m / 2, 10.0 + m, np.nextafter(10.0 + m, 99.0),
+                  -40.0 * m)
+        drawn = 0
+        for seed, x0 in enumerate(starts):
+            spec = pr.ProcessSpec(family="INDEP", sigma_e=sigma_e, x0=float(x0))
+            drawn += self.assert_band_rows_of_the_filled_path(spec, seed, 20_000)
+        assert drawn < 0.8 * 20_000 * len(starts)  # the walks were jumped over
+
+    def test_rows_are_a_prefix_of_a_longer_run(self):
+        spec = pr.ProcessSpec(family="INDEP")
+        for fill in (False, True):
+            x, rows = walk_rows(spec, 3, self.BAND, 50_000, fill)
+            for limit in (1, 2, 511, 512, 513, 20_001):
+                short, short_rows = walk_rows(spec, 3, self.BAND, limit, fill)
+                np.testing.assert_array_equal(short_rows, rows[rows < limit])
+                assert short.tobytes() == x[rows < limit].tobytes()
+
+    @pytest.mark.parametrize("x0", [1e6, -1e6])
+    def test_far_start_draws_no_row(self, x0):
+        # Its first passage lies far beyond the guard: one jump, no stepped block.
+        spec = pr.ProcessSpec(family="INDEP", x0=x0)
+        assert list(pr.band_walk(spec, 1, self.BAND, 1_000_001)) == []
+
+    @pytest.mark.parametrize("x0", [0.0, 7.5])
+    def test_zero_sigma_stays_put(self, x0):
+        spec = pr.ProcessSpec(family="INDEP", sigma_e=0.0, x0=x0)
+        x, rows = walk_rows(spec, 1, self.BAND, 10_000, fill=False)
+        assert len(x) == (10_000 if x0 == 7.5 else 0)
+        whole, _ = walk_rows(spec, 1, self.BAND, 10_000, fill=True)
+        np.testing.assert_array_equal(whole, np.full(10_000, x0))
+
+    def test_filled_paths_are_walks_in_law(self):
+        # sigma_e 0.25 from x0 = 2, below the band: by t = 3000 the walk's sd
+        # is 13.7, so about half of the rows are jumped over and filled in.
+        spec = pr.ProcessSpec(family="INDEP", sigma_e=0.25, x0=2.0)
+        n, reps = 3000, 1000
+        filled = np.array([walk_rows(spec, seed, self.BAND, n + 1, fill=True)[0]
+                           for seed in range(reps)])
+        drawn = sum(len(walk_rows(spec, seed, self.BAND, n + 1, fill=False)[0])
+                    for seed in range(reps))
+        assert drawn < 0.67 * reps * (n + 1)
+        crit = ks_critical(reps, 1e-3)
+        for t in (1, 10, 300, 3000):
+            assert ks_normal((filled[:, t] - 2.0) / (0.25 * math.sqrt(t))) <= crit, t
+        plain = np.array([pr.generate(spec, n, seed).x for seed in range(reps, 2 * reps)])
+        crit2 = ks_two_sample_critical(reps, reps, 1e-3)
+        for name, stat in (("max", lambda x: x.max(axis=1)),
+                           ("min", lambda x: x.min(axis=1)),
+                           ("band occupation", lambda x: ((x >= 5) & (x <= 10)).sum(axis=1)),
+                           ("far occupation", lambda x: ((x >= 18) & (x <= 30)).sum(axis=1)),
+                           ("below occupation", lambda x: (x <= -3).sum(axis=1))):
+            assert ks_two_sample(stat(filled), stat(plain)) <= crit2, name
+
+    def test_disturbance_at_rows(self, indep):
+        W = pr._W_BLOCK
+        whole = pr.indep_disturbance(indep, 4, 0, 3 * W + 10)
+        for rows in ([0], [5, 6, W - 1, W, 3 * W + 9], [W + 3], list(range(2 * W - 4, 2 * W + 4)),
+                     []):
+            rows = np.array(rows, dtype=np.int64)
+            np.testing.assert_array_equal(pr.indep_disturbance_at(indep, 4, rows), whole[rows])
 
 
 def reference_ar1(spec, rows, seed):
