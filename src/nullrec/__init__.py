@@ -39,7 +39,6 @@ from .processes import (
     Transfer,
     empirical_corr_decay,
     generate,
-    indep_disturbance,
     linear,
     stream,
     theoretical_cross_moment,

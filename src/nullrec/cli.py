@@ -37,7 +37,8 @@ from .algebra import (
     sigma2_from_series,
 )
 from .estimator import EPANECHNIKOV, Kernel, local_bandwidth, nw_estimate
-from .montecarlo import CltExperimentResult, protocols_from_dict, run_clt, trend_report
+from .montecarlo import (TREND_ALPHA, CltExperimentResult, ks_pvalue, protocols_from_dict,
+                         run_clt, trend_report)
 from .processes import generate, load_spec
 from .splitting import SplitTrajectory, simulate_split
 
@@ -203,13 +204,14 @@ def _cmd_clt(args) -> int:
     for res in results:
         print(f"{res.protocol.protocol_id}: admitted={res.admitted} "
               f"empty={res.rejected_empty} guard={res.guard_exceeded} "
-              f"ks={_fmt(res.ks_distance)} mean={_fmt(res.mean)} sd={_fmt(res.sd)}")
+              f"ks={_fmt(res.ks_distance)} ks_p={ks_pvalue(res.ks_distance, res.admitted):.3g} "
+              f"mean={_fmt(res.mean)} sd={_fmt(res.sd)}")
     if len(results) >= 2:
         trend = trend_report(results)
         for row in trend.rows:
             print(f"trend: size={row.size} ks={_fmt(row.ks_distance)} sd={_fmt(row.sd)}")
         if trend.violation:
-            print("trend: violation (largest size does not minimize the KS distance)")
+            print(f"trend: violation (largest size rejects N(0, 1) at {TREND_ALPHA:g})")
     return 0
 
 

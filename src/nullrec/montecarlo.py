@@ -18,12 +18,12 @@ kernel support.  The linked families stream their path and cut it at T, so
 no row beyond T's block is drawn.  An INDEP walk comes from band_walk, which
 steps it only near the band and jumps over its far excursions by the exact
 first-passage law: its band rows and T are those of an exact Gaussian walk,
-but not of generate's path for the seed.  The estimator weights only the
-rows of positive weight, and the band holds every one of them unless the
-local bandwidth reaches past it; the replication is then read again from
-its seed and estimated on the whole path, with band_walk's skipped
-excursions filled in.  Either way the results are those of the whole path,
-bit for bit.
+but not of generate's path for the seed; its band rows draw their w from
+one generator once T is found.  The estimator weights only the rows of
+positive weight, and the band holds every one of them unless the local
+bandwidth reaches past it; the replication is then read again from its
+seed and estimated on the whole path, with band_walk's skipped excursions
+filled in.  Either way the results are those of the whole path, bit for bit.
 
 Each admitted replication contributes one studentized statistic, which is
 asymptotically standard normal when the disturbance has unit variance; the
@@ -54,8 +54,8 @@ from .errors import (
     TooFewValues,
 )
 from .estimator import EPANECHNIKOV, Kernel, local_bandwidth, modal_value, nw_estimate
-from .processes import (ProcessSpec, band_walk, generate, indep_disturbance_at, spec_from_dict,
-                        stream)
+from .processes import (KEY_INDEP_W, KEY_OFF_BAND_W, ProcessSpec, band_walk, generate,
+                        keyed_rng, spec_from_dict, stream)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -191,13 +191,13 @@ def _fixed_point_path(protocol: CltProtocol, seed: int, band: tuple[float, float
     holds the closed window, in time order, with T the first time
     `local_count` observations have fallen in the window; None when
     T > max_path_length.  No row after T's block is drawn, and the window
-    and z = f(x) + w are evaluated on the band rows only; INDEP's w is read
-    on those rows alone, once T is found."""
+    and z = f(x) + w are evaluated on the band rows only; INDEP's w is drawn
+    for those rows alone, once T is found."""
     lo, hi = protocol.window
     b_lo, b_hi = band
     missing = protocol.local_count
     spec = protocol.process
-    xs, ws, ts = [], [], []
+    xs, ws = [], []
     for start, x, w in _rows(protocol, seed, band):
         keep = x >= b_lo
         keep &= x <= b_hi
@@ -211,15 +211,30 @@ def _fixed_point_path(protocol: CltProtocol, seed: int, band: tuple[float, float
             keep = keep[:inside[missing - 1] + 1]
             band_x = band_x[:len(keep)]
         xs.append(band_x)
-        ts.append(keep + start)
         if w is not None:
             ws.append(w[keep])
         if stop:
-            x, t = np.concatenate(xs), np.concatenate(ts)
-            w = np.concatenate(ws) if ws else indep_disturbance_at(spec, seed, t)
-            return x, spec.f(x) + w, int(t[-1]) + 1
+            x = np.concatenate(xs)
+            w = np.concatenate(ws) if ws else _indep_w(protocol, seed, x)
+            return x, spec.f(x) + w, start + int(keep[-1]) + 1
         missing -= len(inside)
     return None
+
+
+def _indep_w(protocol: CltProtocol, seed: int, x: np.ndarray) -> np.ndarray:
+    """INDEP's w = sigma_w eps on the rows x of a replication.  eps is i.i.d.
+    and independent of x, so a rule that looks at x alone may hand it out:
+    the rows in _band(protocol) take stream (KEY_INDEP_W, 0) by band rank,
+    the others (on a whole path) (KEY_OFF_BAND_W,), in time order.  A band
+    thus gets the whole path's w, bit for bit."""
+    b_lo, b_hi = _band(protocol)
+    in_band = (x >= b_lo) & (x <= b_hi)
+    w = np.empty(len(x))
+    for rows, key in ((in_band, (KEY_INDEP_W, 0)), (~in_band, (KEY_OFF_BAND_W,))):
+        if rows.any():
+            w[rows] = keyed_rng(seed, *key).standard_normal(np.count_nonzero(rows))
+    w *= protocol.process.sigma_w
+    return w
 
 
 def _run_rep(protocol: CltProtocol, rep: int) -> RepRecord:
@@ -297,11 +312,43 @@ def ks_normal(values) -> float:
     return float(max((i / m - cdf).max(), (cdf - (i - 1) / m).max()))
 
 
+def kolmogorov_sf(x: float) -> float:
+    """P(K > x) for K = sup |B| of a Brownian bridge B, the limit law of
+    sqrt(m) times a KS distance; 1 to double precision at x <= 0.2."""
+    if x <= 0.2:
+        return 1.0
+    return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * x * x) for k in range(1, 101))
+
+
+def kolmogorov_isf(alpha: float) -> float:
+    """The x with P(K > x) = alpha, by bisection."""
+    lo, hi = 0.0, 10.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if kolmogorov_sf(mid) > alpha else (lo, mid)
+    return hi
+
+
+def ks_pvalue(distance: float, m: int) -> float:
+    """P(D >= distance) for the KS distance D of m draws from the hypothesized
+    law, by the Kolmogorov law of (sqrt(m) + 0.12 + 0.11 / sqrt(m)) D (Stephens)."""
+    return kolmogorov_sf((math.sqrt(m) + 0.12 + 0.11 / math.sqrt(m)) * distance)
+
+
+def ks_critical(m: int, alpha: float) -> float:
+    """The distance d with ks_pvalue(d, m) = alpha."""
+    return kolmogorov_isf(alpha) / (math.sqrt(m) + 0.12 + 0.11 / math.sqrt(m))
+
+
+TREND_ALPHA = 1e-3  # trend_report's false-alarm rate under the N(0, 1) limit
+
+
 @dataclass(frozen=True)
 class TrendRow:
     size: int
     ks_distance: float
     sd: float
+    ks_pvalue: float
 
 
 @dataclass(frozen=True)
@@ -316,21 +363,22 @@ def _comparability_key(p: CltProtocol):
 
 
 def trend_report(results) -> TrendReport:
-    """Order results by size and flag the run when the largest size does not
-    minimize the KS distance.  Results must agree in everything but size.  A
-    size with fewer than 10 admitted replications has a NaN distance: it is
-    left out of the minimum, and flags the run when it is the largest."""
+    """Order results by size, and flag the run when the largest size's KS
+    distance rejects N(0, 1) at TREND_ALPHA, which covers its exceeding a
+    smaller size's by more than ks_critical(m, TREND_ALPHA), m its admitted
+    count.  Results must agree in everything but size.  A size with fewer
+    than 10 admitted replications has a NaN distance and p-value, and flags
+    the run when it is the largest."""
     results = list(results)
     if len(results) < 2:
         raise IncomparableProtocols("need at least two results to compare")
     keys = {_comparability_key(r.protocol) for r in results}
     if len(keys) > 1:
         raise IncomparableProtocols("results differ in more than the size")
-    rows = tuple(sorted((TrendRow(r.protocol.size, r.ks_distance, r.sd) for r in results),
+    rows = tuple(sorted((TrendRow(r.protocol.size, r.ks_distance, r.sd,
+                                  ks_pvalue(r.ks_distance, r.admitted)) for r in results),
                         key=lambda row: row.size))
-    last = rows[-1].ks_distance
-    violation = math.isnan(last) or any(row.ks_distance < last for row in rows)
-    return TrendReport(rows=rows, violation=violation)
+    return TrendReport(rows=rows, violation=not rows[-1].ks_pvalue >= TREND_ALPHA)
 
 
 # --- protocol files ---------------------------------------------------------

@@ -17,13 +17,13 @@ of a longer run with the same seed coincide with a shorter one (draws are
 consumed in time-major order).  stream(spec, seed) yields the driving pair
 (x, w) as consecutive row blocks that carry the linking state between them,
 so a caller that stops at a data-dependent time draws each row once, and at
-most one block past it.  The INDEP disturbance has its own keyed draws
-(indep_disturbance), so a caller may read it on only the rows it keeps.
-generate, the one place that forms z = f(x) + w on a whole path, is the
-first block of the stream.  band_walk draws an INDEP walk only near a band,
-jumping over its far excursions by the exact first-passage law, so it is a
-walk in law but not generate's path for the seed.  Every generator in the
-package comes from keyed_rng.
+most one block past it.  The INDEP disturbance, i.i.d. and independent of
+x, has its own keyed draws, handed out in time order to the rows a caller
+keeps.  generate, the one place that forms z = f(x) + w on a whole path, is
+the first block of the stream.  band_walk draws an INDEP walk only near a
+band, jumping over its far excursions by the exact first-passage law, so it
+is a walk in law but not generate's path for the seed.  Every generator in
+the package comes from keyed_rng.
 """
 
 from __future__ import annotations
@@ -45,15 +45,15 @@ _SQ5 = math.sqrt(0.5)
 _SQ3 = math.sqrt(3.0)
 _STEP_CHUNK = 1 << 16  # rows per Python-list slice of step_chain and the AR1 loop
 _STREAM_BLOCK = 1 << 13  # rows per block of stream: small blocks reuse freed heap memory
-_W_BLOCK = 1 << 13  # rows per W-block of the INDEP disturbance; part of the draw contract
 _MARGIN = 8.0  # band_walk steps within this many sigma_e of the band; part of its draws
 _WALK_BLOCK = 1 << 9  # normals per stepped block of band_walk; part of its draws
 
 # Stream keys of keyed_rng; none starts with 0.
 KEY_SPLIT_FLAGS = 1  # the split flags of splitting.simulate_split on a walk
-KEY_INDEP_W = 2  # (KEY_INDEP_W, k): W-block k of the INDEP disturbance
+KEY_INDEP_W = 2  # (KEY_INDEP_W, 0): the INDEP disturbance, one normal per row it serves
 KEY_PASSAGE = 3  # the first-passage draws of band_walk
 KEY_EXCURSION = 4  # (KEY_EXCURSION, j): the fill of band_walk's skipped excursion j
+KEY_OFF_BAND_W = 5  # the INDEP disturbance of a whole fixed-point path's rows outside its band
 
 
 def keyed_rng(seed: int, *key: int) -> np.random.Generator:
@@ -61,10 +61,11 @@ def keyed_rng(seed: int, *key: int) -> np.random.Generator:
     with the words [seed mod 2**32, seed div 2**32, *key].  The seed fills
     two words and no key starts with 0, so no two (seed, key) pairs share a
     stream; SeedSequence pads with zero words, so the empty key is the
-    generator numpy builds from the int seed itself."""
+    generator numpy builds from the int seed itself.  A uint32 array of the
+    words gives the stream of their list, built faster."""
     if not 0 <= seed < 1 << 64:
         raise InvalidSpec(f"seed must lie in [0, 2**64), got {seed!r}")
-    return np.random.default_rng([seed & 0xFFFFFFFF, seed >> 32, *key])
+    return np.random.default_rng(np.array([seed & 0xFFFFFFFF, seed >> 32, *key], dtype=np.uint32))
 
 
 @dataclass(frozen=True)
@@ -137,8 +138,9 @@ def _ar1_stationary_sd(spec: ProcessSpec) -> float:
 
 
 def generate(spec: ProcessSpec, n: int, seed: int) -> GeneratedPath:
-    """Simulate the system for t = 0..n: the first block of stream(), the
-    INDEP disturbance on the same rows, and z = f(x) + w.
+    """Simulate the system for t = 0..n: the first block of stream() and
+    z = f(x) + w, with the INDEP disturbance w_t = sigma_w eps_t taken from
+    the first n + 1 normals of keyed_rng(seed, KEY_INDEP_W, 0), in time order.
 
     The walk starts at x0 exactly; its increments are e_1..e_n.  z - f(x)
     reproduces w identically."""
@@ -146,16 +148,16 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> GeneratedPath:
         raise InvalidSpec("n must be >= 0")
     x, w = next(stream(spec, seed, chunk=n + 1))
     if w is None:
-        w = indep_disturbance(spec, seed, 0, n + 1)
+        w = spec.sigma_w * keyed_rng(seed, KEY_INDEP_W, 0).standard_normal(n + 1)
     return GeneratedPath(x, w, spec.f(x) + w)
 
 
 def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK):
     """Endless run of the driving pair as consecutive `chunk`-row blocks:
     rows 0..chunk-1, then chunk..2 chunk-1, and so on, each an (x, w) pair.
-    w is None for INDEP, whose disturbance has its own keyed draws, for the
-    caller to read with indep_disturbance on only the rows it keeps; the
-    caller forms z = f(x) + w.
+    w is None for INDEP, whose disturbance has its own keyed draws
+    (KEY_INDEP_W), for the caller to hand to the rows it keeps; the caller
+    forms z = f(x) + w.
 
     The state that links rows (the walk's running sum, w_{t-1}, e_{t-1} and
     eps_{t-1}, the chain states) is carried from block to block, and the
@@ -221,37 +223,6 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK):
         x += spec.x0
         start += chunk
         yield x, w
-
-
-def indep_disturbance(spec: ProcessSpec, seed: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the INDEP disturbance w_t = sigma_w eps_t of the
-    run with `seed`.
-
-    eps is drawn in _W_BLOCK-row W-blocks, block k in row order from
-    keyed_rng(seed, KEY_INDEP_W, k), so w_t is a function of (seed, t) alone
-    and a read draws only the W-blocks it covers, up to row stop - 1.  A
-    read that starts inside a W-block draws the block's rows before it too."""
-    out = np.empty(stop - start)
-    for k in range(start // _W_BLOCK, -(-stop // _W_BLOCK)):
-        lo = max(start, k * _W_BLOCK)
-        rng = keyed_rng(seed, KEY_INDEP_W, k)
-        rng.standard_normal(lo - k * _W_BLOCK)  # the block's rows before start
-        rng.standard_normal(out=out[lo - start:min(stop, (k + 1) * _W_BLOCK) - start])
-    out *= spec.sigma_w
-    return out
-
-
-def indep_disturbance_at(spec: ProcessSpec, seed: int, rows: np.ndarray) -> np.ndarray:
-    """The INDEP disturbance on the ascending rows `rows`: each W-block that
-    holds one of them is read once, up to the last of them."""
-    out = np.empty(len(rows))
-    ends = np.flatnonzero(np.diff(rows // _W_BLOCK)).tolist() + [len(rows) - 1]
-    i = 0
-    for e in ends if len(rows) else ():
-        lo = int(rows[i]) // _W_BLOCK * _W_BLOCK
-        out[i:e + 1] = indep_disturbance(spec, seed, lo, int(rows[e]) + 1)[rows[i:e + 1] - lo]
-        i = e + 1
-    return out
 
 
 def band_walk(spec: ProcessSpec, seed: int, band: tuple[float, float], limit: int,

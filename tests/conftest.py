@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from nullrec.algebra import FiniteMarkovModel
+from nullrec.montecarlo import kolmogorov_isf
 
 settings.register_profile(
     "ci",
@@ -28,30 +29,6 @@ def random_model(rng, d=None, s_low=0.3, s_high=0.9) -> FiniteMarkovModel:
     theta = rng.uniform(s_low, s_high)
     s = np.minimum(theta * (P / nu).min(axis=1), 1.0)
     return FiniteMarkovModel(states=tuple(range(d)), P=P, s=s, nu=nu)
-
-
-def kolmogorov_sf(x: float) -> float:
-    """P(K > x) for K = sup |B| of a Brownian bridge B, the limit law of
-    sqrt(m) times a Kolmogorov-Smirnov distance."""
-    if x <= 0.0:
-        return 1.0
-    return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * x * x) for k in range(1, 101))
-
-
-def kolmogorov_isf(alpha: float) -> float:
-    """The x with P(K > x) = alpha, by bisection."""
-    lo, hi = 0.0, 10.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if kolmogorov_sf(mid) > alpha else (lo, mid)
-    return hi
-
-
-def ks_critical(m: int, alpha: float) -> float:
-    """The distance that m draws from the hypothesized law exceed with
-    probability alpha: the Kolmogorov quantile over Stephens' finite-m
-    factor sqrt(m) + 0.12 + 0.11 / sqrt(m)."""
-    return kolmogorov_isf(alpha) / (math.sqrt(m) + 0.12 + 0.11 / math.sqrt(m))
 
 
 def ks_two_sample(a, b) -> float:

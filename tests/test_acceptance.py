@@ -17,7 +17,7 @@ import nullrec.estimator as est
 import nullrec.montecarlo as mc
 import nullrec.processes as pr
 import nullrec.splitting as sp
-from tests.conftest import ks_critical, random_model
+from tests.conftest import random_model
 from tests.test_algebra import fundamental_kernel_series
 
 TWO_STATE = alg.FiniteMarkovModel(states=(0, 1), P=[[0.5, 0.5], [0.5, 0.5]],
@@ -33,7 +33,7 @@ ALPHA = 1e-3
 
 
 def no_worse(ks_large: float, ks_small: float, m: int) -> bool:
-    return ks_large - ks_small <= ks_critical(m, ALPHA)
+    return ks_large - ks_small <= mc.ks_critical(m, ALPHA)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -197,7 +197,7 @@ def test_criterion_7_fixed_point_replication():
     ok = no_worse(ks[800], ks[100], 1000) and ks[800] <= 0.08 and abs(var800 - 1.0) <= 0.15
     _report(7, ok,
             f"ks(100) = {ks[100]:.4f}, ks(800) = {ks[800]:.4f} (at most ks(100) + "
-            f"{ks_critical(1000, ALPHA):.4f}), var(800) = {var800:.3f}, "
+            f"{mc.ks_critical(1000, ALPHA):.4f}), var(800) = {var800:.3f}, "
             f"guard rejections = {guard}, {elapsed:.0f}s")
 
 

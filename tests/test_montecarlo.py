@@ -139,17 +139,31 @@ class TestRunClt:
             mc.run_clt(proto)
 
 
+def seed_words(seed, *key):
+    """The PCG64 stream of keyed_rng(seed, *key), built from its words."""
+    return np.random.default_rng([seed % 2 ** 32, seed // 2 ** 32, *key])
+
+
 def filled_path(protocol, seed):
     """The INDEP path of a fixed-point replication on rows 0..max_path_length,
-    every excursion that band_walk jumps over filled in, with its z."""
+    every excursion that band_walk jumps over filled in, with its z.  Its
+    disturbance goes by band rank: the k-th row of the path in the band
+    takes the k-th normal of stream (2, 0), the k-th row outside it the k-th
+    normal of stream (5,)."""
     spec = protocol.process
-    blocks = list(processes.band_walk(spec, seed, mc._band(protocol),
-                                      protocol.max_path_length + 1, fill=True))
+    band = mc._band(protocol)
+    blocks = list(processes.band_walk(spec, seed, band, protocol.max_path_length + 1,
+                                      fill=True))
     starts = [start for start, _ in blocks]
     assert starts == np.cumsum([0] + [len(x) for _, x in blocks[:-1]]).tolist()
     x = np.concatenate([x for _, x in blocks])
     assert len(x) == protocol.max_path_length + 1
-    return x, spec.f(x) + processes.indep_disturbance(spec, seed, 0, len(x))
+    in_band = (x >= band[0]) & (x <= band[1])
+    band_eps = seed_words(seed, 2, 0).standard_normal(len(x))
+    off_eps = seed_words(seed, 5).standard_normal(len(x))
+    rank = np.cumsum(in_band) - 1
+    eps = np.where(in_band, band_eps[rank], off_eps[np.arange(len(x)) - rank - 1])
+    return x, spec.f(x) + spec.sigma_w * eps
 
 
 def reference_fixed_point_rep(protocol, rep):
@@ -420,6 +434,36 @@ def test_band_walk_has_the_law_of_the_stream_sampler(monkeypatch):
         assert ks_two_sample(a, b) <= ks_two_sample_critical(len(a), len(b), 1e-3), name
 
 
+def test_band_disturbance_is_normal_and_independent_of_the_walk():
+    # Whole, filled paths with f = 0, so that z is w.  Given the walk, the
+    # band rows' eps = w / sigma_w is i.i.d. N(0, 1), so eps . v / |v| is
+    # exactly N(0, 1) for any v that the walk fixes: its level x and its
+    # increment.  Each check fails with probability 1e-3 when the law holds.
+    spec = ProcessSpec(family="INDEP", f=linear(0.0, 0.0), sigma_w=0.7)
+    proto = mc.CltProtocol(process=spec, mode="fixed_point", reps=300, base_seed=17,
+                           x_eval=7.5, window=(5.0, 10.0), local_count=100, fixed_h=0.3,
+                           max_path_length=20_000)
+    b_lo, b_hi = mc._band(proto)
+    eps, level, step = [], [], []
+    for r in range(proto.reps):
+        cut = mc._fixed_point_path(proto, mc.derive_seed(proto.base_seed, r), mc._WHOLE_PATH)
+        if cut is None:
+            continue
+        x, w, _ = cut
+        rows = ((x >= b_lo) & (x <= b_hi))[1:]  # row 0 has no increment
+        eps.append(w[1:][rows] / spec.sigma_w)
+        level.append(x[1:][rows])
+        step.append(np.diff(x)[rows])
+    eps = np.concatenate(eps)
+    assert len(eps) > 20_000
+    assert mc.ks_normal(eps) <= mc.ks_critical(len(eps), 1e-3)
+    z = NormalDist().inv_cdf(1.0 - 5e-4)
+    for name, v in (("level", level), ("increment", step)):
+        v = np.concatenate(v)
+        v -= v.mean()
+        assert abs(eps @ v) / math.sqrt(v @ v) <= z, name
+
+
 class TestClosedWindowOnStateValues:
     """A FINITE_PRODUCT regressor takes the states 0, 1 and 2, and the window
     [1, 2] ends on two of them: the stop rule counts the closed window, like
@@ -449,9 +493,9 @@ class TestClosedWindowOnStateValues:
 
 
 class TestTrendReport:
-    def _result(self, proto, ks, sd=1.0):
+    def _result(self, proto, ks, sd=1.0, admitted=1000):
         return mc.CltExperimentResult(protocol=proto, records=(), values=np.zeros(10),
-                                      admitted=10, rejected_empty=0, guard_exceeded=0,
+                                      admitted=admitted, rejected_empty=0, guard_exceeded=0,
                                       ks_distance=ks, mean=0.0, sd=sd)
 
     def test_orders_and_flags(self):
@@ -463,9 +507,20 @@ class TestTrendReport:
         assert not report.violation
 
     def test_violation_when_largest_not_minimizer(self):
+        # The largest size may read a larger distance than a smaller one by
+        # up to the critical value of its own admitted count: sampling noise.
         protos = [modal_protocol(n=n, reps=40, seed=1) for n in (500, 1000)]
-        results = [self._result(protos[0], 0.02), self._result(protos[1], 0.04)]
-        assert mc.trend_report(results).violation
+        crit = mc.ks_critical(1000, mc.TREND_ALPHA)
+        assert crit == pytest.approx(0.0614, abs=1e-4)
+        for small, large, violation in ((0.02, 0.04, False), (0.0, crit * 0.999, False),
+                                        (0.0, crit * 1.001, True), (0.001, 0.07, True)):
+            report = mc.trend_report([self._result(protos[0], small),
+                                      self._result(protos[1], large)])
+            assert report.violation is violation, (small, large)
+        # Fewer admitted values at the largest size widen the margin.
+        report = mc.trend_report([self._result(protos[0], 0.001),
+                                  self._result(protos[1], 0.07, admitted=400)])
+        assert not report.violation
 
     def test_duplicate_sizes_no_flag(self):
         proto = modal_protocol(n=500, reps=40, seed=1)
@@ -487,15 +542,53 @@ class TestTrendReport:
             mc.trend_report([a, self._result(product(two, three, 1000), 0.02)])
 
     @pytest.mark.parametrize("ks, violation", [
-        ((math.nan, 0.05, 0.09), True),  # a NaN first does not hide the minimum
+        ((math.nan, 0.05, 0.09), True),  # a NaN at a smaller size hides no rejection
         ((0.05, math.nan, 0.09), True),
-        ((0.05, 0.09, math.nan), True),  # the largest size cannot be shown to minimize
+        ((0.05, 0.09, math.nan), True),  # the largest size cannot be tested
         ((math.nan, 0.09, 0.05), False),
     ])
     def test_sizes_without_ks(self, ks, violation):
         protos = [modal_protocol(n=n, reps=40, seed=1) for n in (100, 200, 300)]
         report = mc.trend_report([self._result(p, k) for p, k in zip(protos, ks)])
         assert report.violation is violation
+
+    def test_pvalues(self):
+        protos = [modal_protocol(n=n, reps=40, seed=1) for n in (500, 1000)]
+        report = mc.trend_report([self._result(protos[0], 0.05, admitted=500),
+                                  self._result(protos[1], 0.02)])
+        assert [row.ks_pvalue for row in report.rows] == [
+            mc.ks_pvalue(0.05, 500), mc.ks_pvalue(0.02, 1000)]
+        for m, alpha in ((40, 0.05), (1000, 1e-3), (5000, 1e-4)):
+            assert mc.ks_pvalue(mc.ks_critical(m, alpha), m) == pytest.approx(alpha, rel=1e-9)
+        assert mc.kolmogorov_sf(1.3581) == pytest.approx(0.05, abs=1e-4)
+        assert mc.ks_pvalue(0.0, 100) == 1.0 and math.isnan(mc.ks_pvalue(math.nan, 100))
+
+    def test_silent_on_normal_draws_at_the_stated_rate(self):
+        # 400 runs of two sizes of N(0, 1) draws: about 0.4 false alarms
+        # are expected, and 4 or more come with probability below 1e-3.
+        rng = np.random.default_rng(2024)
+        protos = [modal_protocol(n=n, reps=40, seed=1) for n in (500, 1000)]
+        alarms = 0
+        for _ in range(400):
+            results = [self._result(p, mc.ks_normal(rng.standard_normal(m)), admitted=m)
+                       for p, m in zip(protos, (500, 1000))]
+            alarms += mc.trend_report(results).violation
+        assert alarms <= 3
+
+    def test_fires_on_a_mutated_statistic(self, monkeypatch):
+        # The statistic without its 1/||K||^2 factor has sd sqrt(0.6) for
+        # the Epanechnikov kernel: the run that is silent on the true
+        # statistic is flagged.
+        protos = [modal_protocol(n=n, reps=2000, seed=5) for n in (30, 60)]
+        assert not mc.trend_report([mc.run_clt(p) for p in protos]).violation
+
+        def unnormalised(*args, **kw):
+            report = nw_estimate(*args, **kw)
+            scale = math.sqrt(mc.EPANECHNIKOV.l2_norm_sq)
+            return replace(report, studentized=report.studentized * scale)
+
+        monkeypatch.setattr(mc, "nw_estimate", unnormalised)
+        assert mc.trend_report([mc.run_clt(p) for p in protos]).violation
 
     def test_incomparable(self):
         a = self._result(modal_protocol(n=500, reps=40, seed=1), 0.03)

@@ -8,8 +8,8 @@ import pytest
 import nullrec.processes as pr
 from nullrec.algebra import load_model
 from nullrec.errors import InvalidSpec, UnknownProcessFamily, WrongFamily
-from nullrec.montecarlo import ks_normal
-from tests.conftest import ks_critical, ks_two_sample, ks_two_sample_critical, random_model
+from nullrec.montecarlo import ks_critical, ks_normal
+from tests.conftest import ks_two_sample, ks_two_sample_critical, random_model
 
 
 @pytest.fixture
@@ -134,10 +134,9 @@ class TestGenerate:
 class TestStream:
     """The (x, w) blocks of stream() concatenated are bit-identical to one
     generate() call, across block boundaries, for every family.  N + 1 rows
-    span more than two W-blocks of the INDEP disturbance, so the chunks below
-    cross W-block boundaries inside blocks and at their edges."""
+    span more than two default blocks."""
 
-    N = 2 * pr._W_BLOCK + 700
+    N = 2 * pr._STREAM_BLOCK + 700
 
     def _specs(self):
         rng = np.random.default_rng(4)
@@ -150,11 +149,10 @@ class TestStream:
 
     def test_blocks_match_one_shot(self):
         rows = self.N + 1
-        W = pr._W_BLOCK
         for spec in self._specs():
             for seed in (0, 21):
                 whole = pr.generate(spec, self.N, seed)
-                for chunk in (1, 997, W - 1, W, W + 1, rows):
+                for chunk in (1, 997, pr._STREAM_BLOCK, rows):
                     blocks = list(islice(pr.stream(spec, seed, chunk=chunk), -(-rows // chunk)))
                     assert all(len(x) == chunk for x, _ in blocks)
                     # Each block's draws refill one buffer: no array of a block
@@ -164,49 +162,34 @@ class TestStream:
                                        if u is not None and v is not None)
                     x = np.concatenate([x for x, _ in blocks])[:rows]
                     np.testing.assert_array_equal(x, whole.x, err_msg=f"{spec.family} x {chunk}")
-                    if spec.family == "INDEP":  # w is read apart, from its own draws
+                    if spec.family == "INDEP":  # w has its own draws, one per row
                         assert all(w is None for _, w in blocks)
-                        w = pr.indep_disturbance(spec, seed, 0, rows)
+                        eps = pr.keyed_rng(seed, pr.KEY_INDEP_W, 0).standard_normal(rows)
+                        w = spec.sigma_w * eps
                     else:
                         w = np.concatenate([w for _, w in blocks])[:rows]
                     np.testing.assert_array_equal(w, whole.w, err_msg=f"{spec.family} w {chunk}")
                     np.testing.assert_array_equal(spec.f(x) + w, whole.z)
 
     def test_bare_indep_blocks_read_the_disturbance(self):
-        # Blocks without w, each read on a sub-range of its rows, as a
-        # fixed-point replication reads the band rows.
+        # Blocks without w: generate's w is one draw over the whole path,
+        # the first rows of stream (2, 0) in time order, across the 8192-row
+        # boundary of the retired W-blocks.
         spec = next(self._specs())
         rows = self.N + 1
-        whole = pr.generate(spec, self.N, 5)
-        for chunk in (1, 997, pr._W_BLOCK, pr._W_BLOCK + 1):
-            blocks = islice(pr.stream(spec, 5, chunk=chunk), -(-rows // chunk))
-            for k, (x, w) in enumerate(blocks):
-                assert w is None
-                a, b = k * chunk, min((k + 1) * chunk, rows)
-                np.testing.assert_array_equal(x[:b - a], whole.x[a:b])
-                if k % 3:  # some blocks are left unread
-                    cut = a + (b - a) // 2 + 1
-                    np.testing.assert_array_equal(pr.indep_disturbance(spec, 5, a, cut),
-                                                  whole.w[a:cut])
-
-    def test_disturbance_rows_are_a_function_of_seed_and_row(self):
-        spec = next(self._specs())
-        W = pr._W_BLOCK
-        whole = pr.generate(spec, self.N, 8).w
-        rows = len(whole)
-        # From the middle of a W-block, across one or two boundaries, after
-        # a read further on, and ascending in steps.
-        for a, b in ((W // 2 + 3, W // 2 + 9), (W // 2 + 9, W + 17), (3, 5),
-                     (W - 1, 2 * W + 1), (2 * W + 1, rows), (W + 5, W + 6),
-                     (W + 100, W + 200)):
-            np.testing.assert_array_equal(pr.indep_disturbance(spec, 8, a, b), whole[a:b],
-                                          err_msg=f"{a}:{b}")
-        for a in (0, 7, W):
-            assert pr.indep_disturbance(spec, 8, a, a).size == 0
-        # Row t of W-block k is the t-th normal of the PCG64 stream seeded
-        # with the words [seed mod 2**32, seed div 2**32, 2, k].
-        eps = np.random.default_rng([8, 0, 2, 1]).standard_normal(W)
-        np.testing.assert_array_equal(whole[W:2 * W], spec.sigma_w * eps)
+        for seed in (5, 2 ** 32 + 7):
+            whole = pr.generate(spec, self.N, seed)
+            for chunk in (1, 997, pr._STREAM_BLOCK + 1):
+                blocks = islice(pr.stream(spec, seed, chunk=chunk), -(-rows // chunk))
+                for k, (x, w) in enumerate(blocks):
+                    assert w is None
+                    a, b = k * chunk, min((k + 1) * chunk, rows)
+                    np.testing.assert_array_equal(x[:b - a], whole.x[a:b])
+            words = [seed % 2 ** 32, seed // 2 ** 32, 2, 0]
+            eps = np.random.default_rng(words).standard_normal(rows)
+            np.testing.assert_array_equal(whole.w, spec.sigma_w * eps)
+            for n in (8190, 8191, 8192):  # a shorter run is a prefix
+                assert pr.generate(spec, n, seed).w.tobytes() == whole.w[:n + 1].tobytes()
 
     def test_invalid_chunk(self, indep):
         with pytest.raises(InvalidSpec):
@@ -225,8 +208,6 @@ class TestKeyedRng:
             pr.keyed_rng(seed)
         with pytest.raises(InvalidSpec):
             pr.generate(indep, 5, seed)
-        with pytest.raises(InvalidSpec):
-            pr.indep_disturbance(indep, seed, 0, 5)
 
     def test_empty_key_is_the_int_seed(self):
         for seed in (0, 1, 5, 2 ** 32 - 1, *self.BIG):
@@ -237,7 +218,7 @@ class TestKeyedRng:
         # A seed of at least 2**32 already fills two words as a list entry.
         for seed in self.BIG:
             for key in ((pr.KEY_SPLIT_FLAGS,), (pr.KEY_INDEP_W, 0), (pr.KEY_INDEP_W, 3),
-                        (pr.KEY_PASSAGE,), (pr.KEY_EXCURSION, 2)):
+                        (pr.KEY_PASSAGE,), (pr.KEY_EXCURSION, 2), (pr.KEY_OFF_BAND_W,)):
                 np.testing.assert_array_equal(
                     pr.keyed_rng(seed, *key).random(8),
                     np.random.default_rng([seed, *key]).random(8))
@@ -245,15 +226,10 @@ class TestKeyedRng:
     def test_streams_of_neighbouring_seeds_differ(self, indep):
         # Keyed by [seed, *key] alone, both pairs below drew the same numbers.
         for seed in (0, 5, 2 ** 32 - 1):
-            assert not np.array_equal(pr.indep_disturbance(indep, seed, 0, 6),
+            assert not np.array_equal(pr.generate(indep, 5, seed).w,
                                       pr.keyed_rng(seed + 2 ** 33).standard_normal(6))
             assert not np.array_equal(pr.keyed_rng(seed, pr.KEY_SPLIT_FLAGS).random(8),
                                       pr.keyed_rng(seed + 2 ** 32).random(8))
-
-    def test_stream_blocks_hold_whole_w_blocks(self):
-        # A default stream block starts on a W-block boundary, so reading
-        # its disturbance draws no row twice.
-        assert pr._STREAM_BLOCK % pr._W_BLOCK == 0
 
 
 def walk_rows(spec, seed, band, limit, fill):
@@ -337,14 +313,6 @@ class TestBandWalk:
                            ("far occupation", lambda x: ((x >= 18) & (x <= 30)).sum(axis=1)),
                            ("below occupation", lambda x: (x <= -3).sum(axis=1))):
             assert ks_two_sample(stat(filled), stat(plain)) <= crit2, name
-
-    def test_disturbance_at_rows(self, indep):
-        W = pr._W_BLOCK
-        whole = pr.indep_disturbance(indep, 4, 0, 3 * W + 10)
-        for rows in ([0], [5, 6, W - 1, W, 3 * W + 9], [W + 3], list(range(2 * W - 4, 2 * W + 4)),
-                     []):
-            rows = np.array(rows, dtype=np.int64)
-            np.testing.assert_array_equal(pr.indep_disturbance_at(indep, 4, rows), whole[rows])
 
 
 def reference_ar1(spec, rows, seed):
