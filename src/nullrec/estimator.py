@@ -44,10 +44,11 @@ differ from point to point, and exp(-d_j^2/2h_i^2) does not separate into a
 factor of j alone.
 
 The modal point needs only the largest density, so it screens and then
-verifies: _centred_sums bounds every point's sum, with an explicit bound on
-the rounding and the Taylor remainder.  Only the points whose upper bound
-reaches the largest lower bound get the direct window sum, so the pick is
-the one direct sums at every point would give.
+verifies, one block of _BLOCK sorted points and its windows at a time:
+_centred_sums bounds every point's sum, with an explicit bound on the
+rounding and the Taylor remainder.  Only the points whose upper bound
+reaches the largest lower bound of any block get the direct window sum, so
+the pick is the one direct sums at every point would give.
 """
 
 from __future__ import annotations
@@ -243,7 +244,7 @@ def cv_constant(x, z, grid, kernel: Kernel = EPANECHNIKOV) -> float:
     order = np.argsort(x, kind="stable")
     xs, zs = x[order], z[order]
     h_ref = 2.0 * DEFAULT_WINDOW_HALFWIDTH / 10.0
-    pilot = _kernel_sums(xs, h_ref, kernel, *_window(xs, h_ref, kernel))[0] / h_ref  # T_C p_hat
+    pilot = _kernel_sums(xs, h_ref, kernel, *_window(xs, h_ref, kernel, 0, xs.size))[0] / h_ref  # T_C p_hat
     k0 = float(kernel.weights(0.0))
 
     best_c0, best_err = None, math.inf
@@ -252,7 +253,7 @@ def cv_constant(x, z, grid, kernel: Kernel = EPANECHNIKOV) -> float:
         # Leaving a point out removes its own K(0) term.  Its neighborhood is
         # empty when its window holds no other point; the difference of the
         # sums below is rounding noise then, so it is not compared with 0.
-        lo, hi = _window(xs, h, kernel)
+        lo, hi = _window(xs, h, kernel, 0, xs.size)
         usable = hi - lo > 1
         if not usable.any():
             continue
@@ -279,11 +280,11 @@ def modal_value(x, kernel: Kernel = EPANECHNIKOV, pilot_h: Optional[float] = Non
 
     The density at a point is its direct window sum K((xs_j - x_i)/h).sum().
     Only the points that can still win are summed: _screen bounds every
-    point's sum from prefix sums, once over the sample and once more about
-    the survivors, and drops the points whose upper bound is below the tie
-    floor of the largest lower bound.  The bounds hold in floating point, so
-    the pick is the one direct sums at every point would give.  Equal
-    observations have equal sums, so only the first of each run is summed."""
+    point's sum from prefix sums, block by block over the sorted sample and
+    once more about the survivors, and drops the points whose upper bound is
+    below the tie floor of the largest lower bound so far.  The bounds hold
+    in floating point, so the pick is the one direct sums at every point
+    would give."""
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("modal_value needs a nonempty sample")
@@ -298,11 +299,28 @@ def modal_value(x, kernel: Kernel = EPANECHNIKOV, pilot_h: Optional[float] = Non
         pilot_h = 1.06 * sd * x.size ** (-0.2) if sd > 0 else 1.0
 
     xs = np.sort(x)
-    lo, hi = _window(xs, pilot_h, kernel)
-    points = np.flatnonzero(_screen(xs, pilot_h, kernel, xs, lo, hi))
+    floor, kept, head = -math.inf, [], ()
+    for a0 in range(0, xs.size, _BLOCK):
+        b0 = min(a0 + _BLOCK, xs.size)
+        lo, hi = _window(xs, pilot_h, kernel, a0, b0, head)
+        lo, head = lo[:b0 - a0], lo[b0 - a0:]
+        upper, block_floor = _screen(xs, pilot_h, kernel, xs[a0:b0], lo, hi)
+        floor = max(floor, block_floor)  # a NaN floor bounds nothing
+        keep = np.flatnonzero(~(upper < floor))
+        kept.append((keep + a0, lo[keep], hi[keep], upper[keep]))
+    points, lo, hi, upper = kept[0]
+    if len(kept) > 1:  # prune the earlier blocks by the final floor
+        points, lo, hi, upper = (np.concatenate(k) for k in zip(*kept))
+        keep = ~(upper < floor)
+        points, lo, hi = points[keep], lo[keep], hi[keep]
     if points.size > 1:
-        points = points[_screen(xs, pilot_h, kernel, xs[points], lo[points], hi[points])]
-    points = points[(points == 0) | (xs[points] != xs[points - 1])]
+        # Equal points have equal sums, and so have all windows of one point,
+        # K(0): the first of each stands for the rest.
+        keep = (points == 0) | (xs[points] != xs[points - 1])
+        keep[np.flatnonzero(hi - lo == 1)[1:]] = False
+        upper, floor = _screen(xs, pilot_h, kernel, xs[points], lo, hi)
+        keep &= ~(upper < floor)
+        points, lo, hi = points[keep], lo[keep], hi[keep]
     dens = _direct_sums(xs, pilot_h, kernel, lo, hi, points)[0]
     return float(xs[points[dens >= _tie_floor(float(dens.max()))][0]])
 
@@ -313,33 +331,32 @@ def _tie_floor(v: float) -> float:
 
 
 def _screen(xs: np.ndarray, h: float, kernel: Kernel, at: np.ndarray, lo: np.ndarray,
-            hi: np.ndarray) -> np.ndarray:
-    """Which of the sample points `at` (ascending, with windows [lo, hi) into
-    the sorted sample xs) may hold the largest direct sum
-    D_i = K((xs[lo_i:hi_i] - at_i)/h).sum(), up to the 1e-12 tie rule.
+            hi: np.ndarray) -> tuple[np.ndarray, float]:
+    """Every point's upper bound on the direct sum
+    D_i = K((xs[lo_i:hi_i] - at_i)/h).sum() at the sample points `at`
+    (ascending, with windows [lo, hi) into the sorted sample xs), and the
+    tie floor of the largest lower bound, up to the kernel's constant factor.
 
-    _centred_sums estimates every D_i, up to the kernel's constant factor,
-    with a bound on the distance from it: about the middle point of `at` for
-    the Epanechnikov kernel, and about the middle point of each block of
-    `at` one h wide for the truncated Gaussian (every point is kept when the
-    blocks hold fewer than ten points on average).  A point is kept unless
-    its upper bound is below the tie floor of the largest lower bound, which
-    no direct-sum winner or tie is; a bound that is NaN or infinite keeps
-    every point."""
+    _centred_sums estimates every D_i with a bound on the distance from it:
+    about the middle point of `at` for the Epanechnikov kernel, and about
+    the middle point of each block of `at` one h wide for the truncated
+    Gaussian (every upper bound is infinite when the blocks hold fewer than
+    ten points on average).  A point whose upper bound is below the tie
+    floor of any valid lower bound is no direct-sum winner or tie; a bound
+    that is NaN or infinite prunes nothing."""
     if kernel.kind == "epanechnikov":
         est, _, bound = _centred_sums(xs, h, kernel, at, lo, hi)
         top = float(est.max()) - bound
     else:
         blocks = _blocks(at, h)
         if 10 * len(blocks) > at.size:  # a block costs about ten direct sums
-            return np.ones(at.size, dtype=bool)
+            return np.full(at.size, math.inf), -math.inf
         parts = [_centred_sums(xs, h, kernel, at[a:b], lo[a:b], hi[a:b]) for a, b in blocks]
         est = np.concatenate([e for e, _, _ in parts])
         bound = np.repeat([b for _, _, b in parts], [b - a for a, b in blocks])
         top = float((est - bound).max())
-    floor = _tie_floor(top)
     est += bound
-    return ~(est < floor)
+    return est, _tie_floor(top)
 
 
 def _centred_sums(xs: np.ndarray, h, kernel: Kernel, at: np.ndarray, lo: np.ndarray,
@@ -454,15 +471,15 @@ def _centred_sums(xs: np.ndarray, h, kernel: Kernel, at: np.ndarray, lo: np.ndar
 def _direct_sums(xs: np.ndarray, h, kernel: Kernel, lo: np.ndarray, hi: np.ndarray,
                  points, v: Optional[np.ndarray] = None
                  ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """sum_j K((xs_j - xs_i)/h_i) over the window [lo_i, hi_i) of each point
-    i in `points` (an index array or slice), one window at a time, for one
-    bandwidth h or one per point; and the same sums weighted by v_j (None
-    when v is None)."""
-    hs = np.broadcast_to(h, xs.shape)[points].tolist()
+    """sum_j K((xs_j - xs_i)/h_i) over the window [lo_k, hi_k) of the k-th
+    point i of `points` (an index array or slice), one window at a time, for
+    one bandwidth h or one per sample point; and the same sums weighted by
+    v_j (None when v is None)."""
     at = xs[points].tolist()
+    hs = [h] * len(at) if np.ndim(h) == 0 else h[points].tolist()
     sums = np.empty(len(at))
     sums_v = None if v is None else np.empty(len(at))
-    for k, (a, b) in enumerate(zip(lo[points].tolist(), hi[points].tolist())):
+    for k, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
         w = kernel.weights((xs[a:b] - at[k]) / hs[k])
         sums[k] = w.sum()
         if v is not None:
@@ -470,28 +487,41 @@ def _direct_sums(xs: np.ndarray, h, kernel: Kernel, lo: np.ndarray, hi: np.ndarr
     return sums, sums_v
 
 
-def _window(xs: np.ndarray, h, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """Index bounds [lo, hi) at each point xs_i of the sorted sample xs of
-    exactly the points j of positive weight K((xs_j - xs_i)/h_i), for one
-    bandwidth h or one per point: a run through i, as K never grows with |u|.
-    The padded Kernel.support bounds a superset; _trim moves its ends in.
-    With one h, u_ji = -u_ij exactly, so hi_i counts the j with lo_j <= i."""
+def _window(xs: np.ndarray, h, kernel: Kernel, a0: int, b0: int, head=()
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Index bounds [lo, hi) at each point xs_i, a0 <= i < b0, of the sorted
+    sample xs of exactly the points j of positive weight K((xs_j - xs_i)/h_i),
+    for one bandwidth h or one per point of the range: a run through i, as K
+    never grows with |u|.  The padded Kernel.support bounds a superset; _trim
+    moves its ends in.  With one h, u_ji = -u_ij exactly, so hi_i counts the
+    j with lo_j <= i, and lo runs on over the points up to xs[b0-1] + pad;
+    `head` holds the lower ends already found of the first points."""
     pad = kernel.support(0.0, h)[1]
-    lo = _trim(xs, h, kernel, np.searchsorted(xs, xs - pad))
-    if np.ndim(h) == 0:
-        return lo, np.cumsum(np.bincount(lo, minlength=xs.size))[:xs.size]
-    return lo, _trim(xs, h, kernel, np.searchsorted(xs, xs + pad, side="right") - 1) + 1
+    if np.ndim(h):
+        at = xs[a0:b0]
+        return (_trim(xs, h, kernel, np.searchsorted(xs, at - pad), a0),
+                _trim(xs, h, kernel, np.searchsorted(xs, at + pad, side="right") - 1, a0) + 1)
+    e0 = b0 if b0 == xs.size else int(np.searchsorted(xs, xs[b0 - 1] + pad, side="right"))
+    c0 = a0 + len(head)  # the first point whose lower end is searched for
+    s0 = int(np.searchsorted(xs, xs[c0] - pad)) if 0 < c0 < e0 else 0
+    ys = xs[s0:e0]  # the slice that holds those lower ends
+    lo = _trim(ys, h, kernel, np.searchsorted(ys, ys[c0 - s0:] - pad), c0 - s0) + s0
+    if len(head):
+        lo = np.concatenate([head, lo])
+    r = int(lo[0])
+    return lo, np.cumsum(np.bincount(lo - r, minlength=b0 - r)[:b0 - r])[a0 - r:] + a0
 
 
-def _trim(xs: np.ndarray, h, kernel: Kernel, end: np.ndarray) -> np.ndarray:
-    """The window ends end_i (on either side of i) each moved towards i to the
-    nearest point of positive weight K((xs_j - xs_i)/h_i), by bisection: the
-    weight does not fall from end_i to i, which has weight."""
-    zero = np.flatnonzero(kernel.weights((xs[end] - xs) / h) == 0.0)
+def _trim(xs: np.ndarray, h, kernel: Kernel, end: np.ndarray, a0: int) -> np.ndarray:
+    """The window ends end_k (on either side of i = a0 + k) each moved towards
+    i to the nearest point of positive weight K((xs_j - xs_i)/h_k), by
+    bisection: the weight does not fall from end_k to i, which has weight."""
+    at = xs[a0:a0 + end.size]
+    zero = np.flatnonzero(kernel.weights((xs[end] - at) / h) == 0.0)
     if zero.size == 0:  # the common case
         return end
-    at, hz = xs[zero], (h if np.ndim(h) == 0 else h[zero])
-    out, inner = end[zero], zero  # weight 0 at out, positive at inner
+    at, hz = at[zero], (h if np.ndim(h) == 0 else h[zero])
+    out, inner = end[zero], zero + a0  # weight 0 at out, positive at inner
     while (np.abs(out - inner) > 1).any():
         mid = (out + inner) // 2  # out or inner itself once they are adjacent
         kept = kernel.weights((xs[mid] - at) / hz) > 0.0

@@ -456,15 +456,62 @@ def reference_modal_value(x, kernel=est.EPANECHNIKOV, pilot_h=None):
         sd = float(x.std())
         pilot_h = 1.06 * sd * x.size ** (-0.2) if sd > 0 else 1.0
     xs = np.sort(x)
-    dens = est._kernel_sums(xs, pilot_h, kernel, *est._window(xs, pilot_h, kernel))[0]
+    dens = est._kernel_sums(xs, pilot_h, kernel, *est._window(xs, pilot_h, kernel, 0, xs.size))[0]
     dmax = float(dens.max())
     return float(xs[dens >= dmax - abs(dmax) * 1e-12][0])
+
+
+def screen_mask(xs, h, kernel, lo, hi):
+    """Which points of the sorted sample xs one _screen pass over all of them keeps."""
+    upper, floor = est._screen(xs, h, kernel, xs, lo, hi)
+    return ~(upper < floor)
 
 
 KERNELS = [est.EPANECHNIKOV, est.gaussian_truncated(2.5)]
 
 
+def modal_screen_samples():
+    """TestModalScreen's samples, each with its pilot bandwidth (None for the
+    default): the walks, the all-equal sample, the duplicates and the ties."""
+    from nullrec.processes import ProcessSpec, generate, linear
+
+    spec = ProcessSpec(family="INDEP", f=linear())
+    samples = [(generate(spec, n - 1, seed=seed).x + shift, None)
+               for n in (2, 3, 50, 500, 3000) for shift in (0.0, 1e6) for seed in range(5)]
+    samples.append((np.full(500, -3.25), None))
+    rng = np.random.default_rng(13)
+    samples += [(x, None) for x in (np.round(rng.normal(size=2000), 1),
+                                    np.repeat(rng.normal(size=40), 25),
+                                    np.cumsum(rng.choice([-1.0, 1.0], size=3000)))]
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        y = np.abs(rng.normal(3.0, 1.0, size=int(rng.integers(20, 400))))
+        samples.append((np.concatenate([-y, y]), float(rng.uniform(0.2, 2.0))))
+    return samples
+
+
 class TestModalScreen:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
+    def test_blocks_match_reference(self, kernel, block, monkeypatch):
+        # Blocks of a few points: every block has a halo, the floor rises
+        # from block to block, and the earlier blocks' survivors are pruned
+        # again by the final floor.
+        samples = modal_screen_samples()
+        want = [reference_modal_value(x, kernel, h) for x, h in samples]
+        monkeypatch.setattr(est, "_BLOCK", block)
+        assert [est.modal_value(x, kernel, h) for x, h in samples] == want
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_windows_of_one_point(self, kernel):
+        from nullrec.processes import ProcessSpec, generate, linear
+
+        x = generate(ProcessSpec(family="INDEP", f=linear()), 19_999, seed=4).x
+        xs, h = np.sort(x), 1e-9
+        lo, hi = est._window(xs, h, kernel, 0, xs.size)
+        assert (hi - lo == 1).all()
+        assert est.modal_value(x, kernel, h) == reference_modal_value(x, kernel, h)
+
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("shift", [0.0, 1e6])
     @pytest.mark.parametrize("n", [2, 3, 50, 500, 3000])
@@ -492,8 +539,8 @@ class TestModalScreen:
         rng = np.random.default_rng(14)
         x = np.cumsum(rng.normal(size=500))
         xs, h = np.sort(x), 1e-9
-        lo, hi = est._window(xs, h, est.EPANECHNIKOV)
-        assert est._screen(xs, h, est.EPANECHNIKOV, xs, lo, hi).all()
+        lo, hi = est._window(xs, h, est.EPANECHNIKOV, 0, xs.size)
+        assert screen_mask(xs, h, est.EPANECHNIKOV, lo, hi).all()
         assert est.modal_value(x, pilot_h=h) == reference_modal_value(x, pilot_h=h)
 
     def test_screen_keeps_every_tie(self):
@@ -504,11 +551,11 @@ class TestModalScreen:
             y = np.abs(rng.normal(3.0, 1.0, size=int(rng.integers(20, 400))))
             xs = np.sort(np.concatenate([-y, y]))
             h = float(rng.uniform(0.2, 2.0))
-            lo, hi = est._window(xs, h, est.EPANECHNIKOV)
+            lo, hi = est._window(xs, h, est.EPANECHNIKOV, 0, xs.size)
             dens = est._direct_sums(xs, h, est.EPANECHNIKOV, lo, hi, slice(None))[0]
             ties = dens >= est._tie_floor(float(dens.max()))
             assert ties.sum() >= 2
-            assert est._screen(xs, h, est.EPANECHNIKOV, xs, lo, hi)[ties].all()
+            assert screen_mask(xs, h, est.EPANECHNIKOV, lo, hi)[ties].all()
 
     def test_screen_prunes_to_a_few_and_keeps_the_pick(self):
         from nullrec.processes import ProcessSpec, generate, linear
@@ -516,8 +563,8 @@ class TestModalScreen:
         x = generate(ProcessSpec(family="INDEP", f=linear()), 3000, seed=2).x
         xs = np.sort(x)
         h = 1.06 * float(x.std()) * x.size ** (-0.2)
-        lo, hi = est._window(xs, h, est.EPANECHNIKOV)
-        keep = est._screen(xs, h, est.EPANECHNIKOV, xs, lo, hi)
+        lo, hi = est._window(xs, h, est.EPANECHNIKOV, 0, xs.size)
+        keep = screen_mask(xs, h, est.EPANECHNIKOV, lo, hi)
         assert 1 <= keep.sum() < 10
         assert est.modal_value(x) in xs[keep]
 
@@ -542,7 +589,7 @@ GAUSS = est.gaussian_truncated(2.5)
 
 def gaussian_screen_sums(xs, h, kernel=GAUSS):
     """_screen's estimates and bounds at every point of the sorted sample xs."""
-    lo, hi = est._window(xs, h, kernel)
+    lo, hi = est._window(xs, h, kernel, 0, xs.size)
     parts = [est._centred_sums(xs, h, kernel, xs[a:b], lo[a:b], hi[a:b])
              for a, b in est._blocks(xs, h)]
     return (np.concatenate([p[0] for p in parts]),
@@ -599,7 +646,7 @@ class TestGaussianScreen:
                                                np.arange(-3, 4)])
             xs = np.sort(x)
             assert_bound_covers_direct_sums(x, h)
-            lo, hi = est._window(xs, h, GAUSS)
+            lo, hi = est._window(xs, h, GAUSS, 0, xs.size)
             dens = est._direct_sums(xs, h, GAUSS, lo, hi, slice(None))[0]
             shape = np.array([np.exp(-0.5 * ((xs[a:b] - v) / h) ** 2).sum()
                               for v, a, b in zip(xs, lo, hi)])
@@ -615,11 +662,11 @@ class TestGaussianScreen:
             y = np.abs(rng.normal(3.0, 1.0, size=int(rng.integers(200, 400))))
             xs = np.sort(np.concatenate([-y, y]))
             h = float(rng.uniform(0.4, 2.0))
-            lo, hi = est._window(xs, h, GAUSS)
+            lo, hi = est._window(xs, h, GAUSS, 0, xs.size)
             dens = est._direct_sums(xs, h, GAUSS, lo, hi, slice(None))[0]
             ties = dens >= est._tie_floor(float(dens.max()))
             assert ties.sum() >= 2
-            keep = est._screen(xs, h, GAUSS, xs, lo, hi)
+            keep = screen_mask(xs, h, GAUSS, lo, hi)
             assert keep[ties].all() and keep.sum() < xs.size / 10
 
     def test_screen_prunes_to_a_few_and_keeps_the_pick(self):
@@ -628,8 +675,8 @@ class TestGaussianScreen:
         x = generate(ProcessSpec(family="INDEP", f=linear()), 3000, seed=2).x
         xs = np.sort(x)
         h = 1.06 * float(x.std()) * x.size ** (-0.2)
-        lo, hi = est._window(xs, h, GAUSS)
-        keep = est._screen(xs, h, GAUSS, xs, lo, hi)
+        lo, hi = est._window(xs, h, GAUSS, 0, xs.size)
+        keep = screen_mask(xs, h, GAUSS, lo, hi)
         assert 1 <= keep.sum() < 10
         assert est.modal_value(x, GAUSS) in xs[keep]
 
@@ -646,7 +693,7 @@ class TestGaussianScreen:
 
         x = generate(ProcessSpec(family="INDEP", f=linear()), 1499, seed=0).x
         xs, h, kernel = np.sort(x), 0.5, est.gaussian_truncated(c)
-        lo, hi = est._window(xs, h, kernel)
+        lo, hi = est._window(xs, h, kernel, 0, xs.size)
         p = est._MAX_TERMS
         vacuous = []
         for a, b in est._blocks(xs, h):
@@ -691,7 +738,7 @@ class TestKernelSums:
             h_wide = h0 * rng.uniform(0.25, 1.5, xs.size)
             assert h_wide.max() > 4.0 * h_wide.min()
             for h in (h0, h0 * rng.uniform(0.5, 1.5, xs.size), h_cv, h_wide):
-                lo, hi = est._window(xs, h, kernel)
+                lo, hi = est._window(xs, h, kernel, 0, xs.size)
                 got, none = est._kernel_sums(xs, h, kernel, lo, hi)
                 got_z = est._kernel_sums(xs, h, kernel, lo, hi, zs)
                 # One pass gives the weighted sums and the same unweighted ones.
@@ -705,10 +752,10 @@ class TestKernelSums:
         # there; the truncated Gaussian weights |u| = c, so its are closed.
         xs = np.array([0.0, 1.0, 2.0, 2.0, 5.0])
         for h in (1.0, np.full(5, 1.0)):
-            lo, hi = est._window(xs, h, est.EPANECHNIKOV)
+            lo, hi = est._window(xs, h, est.EPANECHNIKOV, 0, xs.size)
             np.testing.assert_array_equal(lo, [0, 1, 2, 2, 4])
             np.testing.assert_array_equal(hi, [1, 2, 4, 4, 5])
-            lo, hi = est._window(xs, h, est.gaussian_truncated(1.0))
+            lo, hi = est._window(xs, h, est.gaussian_truncated(1.0), 0, xs.size)
             np.testing.assert_array_equal(lo, [0, 0, 1, 1, 4])
             np.testing.assert_array_equal(hi, [2, 4, 4, 4, 5])
 
@@ -749,10 +796,33 @@ class TestWindow:
         rng = np.random.default_rng(22)
         for xs, h in window_test_samples():
             for hh in (h, h * rng.uniform(0.5, 1.5, xs.size)):
-                lo, hi = est._window(xs, hh, kernel)
+                lo, hi = est._window(xs, hh, kernel, 0, xs.size)
                 want_lo, want_hi = brute_force_window(xs, hh, kernel)
                 np.testing.assert_array_equal(lo, want_lo)
                 np.testing.assert_array_equal(hi, want_hi)
+
+    @pytest.mark.parametrize("kernel", [est.EPANECHNIKOV, est.gaussian_truncated(2.5)])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_every_block_range(self, kernel, block):
+        # Range by range as modal_value steps through the sample, with the
+        # lower ends of each halo passed on to the next range.
+        rng = np.random.default_rng(23)
+        for xs, h in window_test_samples():
+            hh = h * rng.uniform(0.5, 1.5, xs.size)
+            want_lo, want_hi = brute_force_window(xs, h, kernel)
+            want_lo_hh, want_hi_hh = brute_force_window(xs, hh, kernel)
+            head = ()
+            for a0 in range(0, xs.size, block):
+                b0 = min(a0 + block, xs.size)
+                lo, hi = est._window(xs, h, kernel, a0, b0, head)
+                np.testing.assert_array_equal(lo, want_lo[a0:a0 + lo.size])
+                np.testing.assert_array_equal(hi, want_hi[a0:b0])
+                # lo covers the range and every point whose window reaches into it
+                assert lo.size >= b0 - a0 and (want_lo[a0 + lo.size:] >= b0).all()
+                head = lo[b0 - a0:]
+                lo, hi = est._window(xs, hh[a0:b0], kernel, a0, b0)
+                np.testing.assert_array_equal(lo, want_lo_hh[a0:b0])
+                np.testing.assert_array_equal(hi, want_hi_hh[a0:b0])
 
 
 class TestCvMemory:
@@ -785,3 +855,18 @@ class TestModalMemory:
         finally:
             tracemalloc.stop()
         assert peak < 99 * 2**20
+
+    @pytest.mark.parametrize("n", [1_000_000, 2_000_000])
+    def test_working_memory_does_not_grow_with_n(self, n):
+        # Beyond the sorted copy, modal_value holds one block of _BLOCK
+        # points with its windows at a time.
+        import tracemalloc
+
+        x = np.cumsum(np.random.default_rng(n).standard_normal(n))
+        tracemalloc.start()
+        try:
+            est.modal_value(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * n < 16 * 2**20
