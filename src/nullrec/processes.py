@@ -19,8 +19,9 @@ consumed in time-major order).  stream(spec, seed) yields the driving pair
 so a caller that stops at a data-dependent time draws each row once, and at
 most one block past it.  The INDEP disturbance, i.i.d. and independent of
 x, has its own keyed draws, handed out in time order to the rows a caller
-keeps.  generate, the one place that forms z = f(x) + w on a whole path, is
-the first block of the stream.  band_walk draws an INDEP walk only near a
+keeps.  generate, the one place that forms z = f(x) + w on a whole path,
+writes the stream's first n + 1 rows into its outputs block by block, so it
+holds its outputs and one block.  band_walk draws an INDEP walk only near a
 band, jumping over its far excursions by the exact first-passage law, so it
 is a walk in law but not generate's path for the seed.  Every generator in
 the package comes from keyed_rng.
@@ -138,18 +139,37 @@ def _ar1_stationary_sd(spec: ProcessSpec) -> float:
 
 
 def generate(spec: ProcessSpec, n: int, seed: int) -> GeneratedPath:
-    """Simulate the system for t = 0..n: the first block of stream() and
-    z = f(x) + w, with the INDEP disturbance w_t = sigma_w eps_t taken from
-    the first n + 1 normals of keyed_rng(seed, KEY_INDEP_W, 0), in time order.
+    """Simulate the system for t = 0..n: the first n + 1 rows of stream()
+    and z = f(x) + w, with the INDEP disturbance w_t = sigma_w eps_t taken
+    from the first n + 1 normals of keyed_rng(seed, KEY_INDEP_W, 0), in time
+    order.
 
-    The walk starts at x0 exactly; its increments are e_1..e_n.  z - f(x)
-    reproduces w identically."""
+    A path of at most _STREAM_BLOCK rows is one block of the stream.  A
+    longer one is written into x and w from k = ceil((n + 1) / _STREAM_BLOCK)
+    blocks of ceil((n + 1) / k) rows, so it draws fewer than k rows past row
+    n and holds its outputs plus one block.  The walk starts at x0 exactly;
+    its increments are e_1..e_n.  z - f(x) reproduces w identically."""
     if n < 0:
         raise InvalidSpec("n must be >= 0")
-    x, w = next(stream(spec, seed, chunk=n + 1))
+    rows = n + 1
+    if rows <= _STREAM_BLOCK:
+        x, w = next(stream(spec, seed, chunk=rows))
+    else:
+        blocks = -(-rows // _STREAM_BLOCK)
+        chunk = -(-rows // blocks)
+        x = np.empty(rows)
+        w = None if spec.family == "INDEP" else np.empty(rows)
+        for start, (xb, wb) in zip(range(0, rows, chunk), stream(spec, seed, chunk=chunk)):
+            end = min(start + chunk, rows)
+            x[start:end] = xb[:end - start]
+            if w is not None:
+                w[start:end] = wb[:end - start]
     if w is None:
-        w = spec.sigma_w * keyed_rng(seed, KEY_INDEP_W, 0).standard_normal(n + 1)
-    return GeneratedPath(x, w, spec.f(x) + w)
+        w = keyed_rng(seed, KEY_INDEP_W, 0).standard_normal(rows)
+        w *= spec.sigma_w
+    z = spec.f(x)
+    z += w
+    return GeneratedPath(x, w, z)
 
 
 def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK):
@@ -162,7 +182,8 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK):
     The state that links rows (the walk's running sum, w_{t-1}, e_{t-1} and
     eps_{t-1}, the chain states) is carried from block to block, and the
     draws are taken in time-major order, so the blocks concatenated are
-    bit-identical to one generate() call with the same seed.  Each block's
+    bit-identical to one block of their total length with the same seed,
+    and hence to generate's path.  Each block's
     draws refill one buffer, which no yielded array shares, so a caller may
     keep every block."""
     if chunk < 1:

@@ -237,42 +237,77 @@ def block_sums(traj: SplitTrajectory, g) -> BlockDecomposition:
 def _draw_step(model: FiniteMarkovModel, states: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Next state per replica from its row of P: the count of table entries
     <= u, as in :func:`nullrec.processes.step_chain`, read column by column.
-    The last column is all 1.0 and never counts, not even as the first."""
+    The last column is all 1.0 and never counts, not even as the first.
+    take casts its indices to intp on every call, so the states are cast
+    once; the result keeps their dtype."""
     cols = model.cum_P.T
-    nxt = (cols[0].take(states) <= u).astype(states.dtype)
+    idx = states.astype(np.intp, copy=False)
+    nxt = (cols[0].take(idx) <= u).astype(states.dtype)
     for col in cols[1:-1]:
-        nxt += col.take(states) <= u
+        nxt += col.take(idx) <= u
     return nxt
 
 
 def _split_ratio(model: FiniteMarkovModel, states: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    """R[states, nxt], looked up in the flat table."""
-    return model.R.ravel().take(states * model.d + nxt)
+    """R[states, nxt], looked up in the flat table by an intp index built
+    in place."""
+    idx = states.astype(np.intp)
+    idx *= model.d
+    idx += nxt
+    return model.R.ravel().take(idx)
+
+
+def _per_state(g, model: FiniteMarkovModel, name: str) -> np.ndarray:
+    """g as one float per state of `model`."""
+    g = np.asarray(g, dtype=float)
+    if g.shape != (model.d,):
+        raise ValueError(f"{name} must have length {model.d}, got shape {g.shape}")
+    return g
+
+
+def _check_block_count(n_blocks: int) -> None:
+    """Block indices are int32, so n_blocks must lie in [0, 2**31]."""
+    if not 0 <= n_blocks <= 1 << 31:
+        raise InvalidSpec(f"n_blocks must lie in [0, 2**31], got {n_blocks!r}")
 
 
 def sample_blocks(model: FiniteMarkovModel, g, n_blocks: int,
                   seed: int) -> tuple[np.ndarray, np.ndarray]:
     """n_blocks i.i.d. regeneration blocks of the split chain started from nu,
     returning (block sums of g, block lengths).  All replicas step in
-    lockstep; each stops at its first regeneration.  Live replicas are kept
-    compacted in block order: a round's k-th uniform goes to the k-th one."""
-    g = np.asarray(g, dtype=float)
+    lockstep; each stops at its first regeneration, when its sum and length
+    are written.  Live replicas are kept compacted in block order: a round's
+    k-th uniform goes to the k-th one.
+
+    The live state (block index, state, running sum) is int32, int32 and
+    float64, and each array of a round is dropped once it has been read, so
+    a round holds the live state and the draws of one step.  Indices are cast
+    to intp where they index: take and fancy indexing are slower on int32."""
+    g = _per_state(g, model, "g")
+    _check_block_count(n_blocks)
     rng = keyed_rng(seed)
 
-    x = draw_start(model, rng.random(n_blocks))
+    x = draw_start(model, rng.random(n_blocks)).astype(np.int32)
     U = np.empty(n_blocks)
     L = np.empty(n_blocks, dtype=np.int64)
-    block = np.arange(n_blocks)
+    block = np.arange(n_blocks, dtype=np.int32)
     u = g.take(x)
     for length in range(1, _MAX_BLOCK_ROUNDS + 1):
         if block.size == 0:
             return U, L
         nx = _draw_step(model, x, rng.random(block.size))
-        live = np.flatnonzero(rng.random(block.size) >= _split_ratio(model, x, nx))
-        U[block] = u
-        L[block] = length
+        stay = rng.random(block.size) >= _split_ratio(model, x, nx)
+        del x
+        end = np.flatnonzero(~stay)
+        done = block.take(end).astype(np.intp)
+        U[done] = u.take(end)
+        L[done] = length
+        live = np.flatnonzero(stay)
+        del stay, end, done
         block, x = block.take(live), nx.take(live)
-        u = u.take(live) + g.take(x)
+        del nx
+        u = u.take(live)
+        u += g.take(x)
     raise SamplingStalled("block sampling did not terminate; model may not regenerate")
 
 
@@ -282,34 +317,42 @@ def sample_compound_block_sums(x_model: FiniteMarkovModel, w_model: FiniteMarkov
     """For n_blocks i.i.d. compound regeneration blocks of the independent
     product chain, the per-block sums over X-subblocks of V^m, where V is the
     subblock sum of gX(X) gW(W).  Returns one array per requested order m.
-    Each round draws X steps, W steps, X flags, W flags, one per live block."""
-    gX = np.asarray(gX, dtype=float)
-    gW = np.asarray(gW, dtype=float)
+    Each round draws X steps, W steps, X flags, W flags, one per live block.
+    The live state (block index, X and W states, V) is kept as in
+    :func:`sample_blocks`."""
+    gX = _per_state(gX, x_model, "gX")
+    gW = _per_state(gW, w_model, "gW")
     orders = tuple(orders)
+    _check_block_count(n_blocks)
     rng = keyed_rng(seed)
 
-    x = draw_start(x_model, rng.random(n_blocks))
-    w = draw_start(w_model, rng.random(n_blocks))
+    x = draw_start(x_model, rng.random(n_blocks)).astype(np.int32)
+    w = draw_start(w_model, rng.random(n_blocks)).astype(np.int32)
     V = gX.take(x) * gW.take(w)
     S = {m: np.zeros(n_blocks) for m in orders}
-    block = np.arange(n_blocks)
+    block = np.arange(n_blocks, dtype=np.int32)
     for _ in range(_MAX_BLOCK_ROUNDS):
         if block.size == 0:
             return S
         nx = _draw_step(x_model, x, rng.random(block.size))
         nw = _draw_step(w_model, w, rng.random(block.size))
         y1 = rng.random(block.size) < _split_ratio(x_model, x, nx)
+        del x
         y2 = rng.random(block.size) < _split_ratio(w_model, w, nw)
+        del w
         sub_end = np.flatnonzero(y1)
-        ended, v_end = block.take(sub_end), V.take(sub_end)
+        ended, v_end = block.take(sub_end).astype(np.intp), V.take(sub_end)
         for m in orders:
             S[m][ended] += v_end ** m
         # -0.0 is the exact additive identity (-0.0 + x == x bit for bit,
         # x = +-0.0 included), so a fresh X-subblock starts at its first step.
         V[sub_end] = -0.0
         live = np.flatnonzero(~(y1 & y2))
+        del y1, y2, sub_end, ended, v_end
         block, x, w = block.take(live), nx.take(live), nw.take(live)
-        V = V.take(live) + gX.take(x) * gW.take(w)
+        del nx, nw
+        V = V.take(live)
+        V += gX.take(x) * gW.take(w)
     raise SamplingStalled("compound block sampling did not terminate")
 
 
@@ -318,6 +361,8 @@ def sample_embedded_counts(x_model: FiniteMarkovModel, w_model: FiniteMarkovMode
     """Transition counts of the W-chain observed at X-regeneration times,
     pooled over _EMBEDDED_REPLICAS independently evolving replicas, until at
     least n_pairs embedded steps have been recorded."""
+    if n_pairs < 0:
+        raise InvalidSpec(f"n_pairs must be >= 0, got {n_pairs!r}")
     rng = keyed_rng(seed)
 
     x = draw_start(x_model, rng.random(_EMBEDDED_REPLICAS))

@@ -131,27 +131,78 @@ class TestGenerate:
         np.testing.assert_array_equal(path.z, path.x + path.w)
 
 
+def reference_generate(spec, n, seed):
+    """generate as one stream block of n + 1 rows: the slow reference for
+    the block-by-block writes of a long path."""
+    x, w = next(pr.stream(spec, seed, chunk=n + 1))
+    if w is None:
+        w = spec.sigma_w * pr.keyed_rng(seed, pr.KEY_INDEP_W, 0).standard_normal(n + 1)
+    return pr.GeneratedPath(x, w, spec.f(x) + w)
+
+
+def family_specs():
+    """One spec of each family, with x0 != 0 and sigma_w != 1."""
+    rng = np.random.default_rng(4)
+    for family in pr.FAMILIES:
+        chains = {}
+        if family == "FINITE_PRODUCT":
+            chains = dict(x_chain=random_model(rng, d=3), w_chain=random_model(rng, d=5))
+        yield pr.ProcessSpec(family=family, f=pr.linear(1.5, -0.25), x0=-2.75,
+                             sigma_w=0.8, **chains)
+
+
+class TestGenerateAgainstOneBlock:
+    """generate writes a path of more than _STREAM_BLOCK rows block by block
+    into its outputs; every output equals the one-block reference."""
+
+    B = pr._STREAM_BLOCK
+
+    @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 3 * B + 5])
+    @pytest.mark.parametrize("seed", [0, 2 ** 32 + 7])
+    def test_outputs_match(self, rows, seed):
+        for spec in family_specs():
+            got, want = pr.generate(spec, rows - 1, seed), reference_generate(spec, rows - 1, seed)
+            for name in ("x", "w", "z"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (spec.family, name)
+
+
+class TestGenerateMemory:
+    # Beyond x, w and z, generate holds one block of the stream: its draw
+    # buffer (at most 3 columns of _STREAM_BLOCK floats), the block's x and w
+    # and those of the block before it (4 columns), the AR1 products b e and
+    # u (2 columns) and the Python floats of the AR1 recursion or of
+    # step_chain (about 4 columns per list, at most 3 lists): about 21
+    # columns, some 1.3 MiB.  The bound is 64 columns, 4 MiB; one block of
+    # the whole path would hold several 8-byte arrays of its length.
+    LIMIT = 64 * 8 * pr._STREAM_BLOCK
+
+    @pytest.mark.parametrize("spec", list(family_specs()), ids=lambda s: s.family)
+    def test_working_memory_is_one_block(self, spec):
+        import tracemalloc
+
+        rows = 200_000 if spec.family == "FINITE_PRODUCT" else 1_000_000
+        tracemalloc.start()
+        try:
+            path = pr.generate(spec, rows - 1, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.z.size == rows
+        assert peak - 3 * 8 * rows < self.LIMIT
+
+
 class TestStream:
     """The (x, w) blocks of stream() concatenated are bit-identical to one
-    generate() call, across block boundaries, for every family.  N + 1 rows
-    span more than two default blocks."""
+    block of the whole run, across block boundaries, for every family.
+    N + 1 rows span more than two default blocks."""
 
     N = 2 * pr._STREAM_BLOCK + 700
 
-    def _specs(self):
-        rng = np.random.default_rng(4)
-        for family in pr.FAMILIES:
-            chains = {}
-            if family == "FINITE_PRODUCT":
-                chains = dict(x_chain=random_model(rng, d=3), w_chain=random_model(rng, d=5))
-            yield pr.ProcessSpec(family=family, f=pr.linear(1.5, -0.25), x0=-2.75,
-                                 sigma_w=0.8, **chains)
-
     def test_blocks_match_one_shot(self):
         rows = self.N + 1
-        for spec in self._specs():
+        for spec in family_specs():
             for seed in (0, 21):
-                whole = pr.generate(spec, self.N, seed)
+                whole = reference_generate(spec, self.N, seed)
                 for chunk in (1, 997, pr._STREAM_BLOCK, rows):
                     blocks = list(islice(pr.stream(spec, seed, chunk=chunk), -(-rows // chunk)))
                     assert all(len(x) == chunk for x, _ in blocks)
@@ -175,7 +226,7 @@ class TestStream:
         # Blocks without w: generate's w is one draw over the whole path,
         # the first rows of stream (2, 0) in time order, across the 8192-row
         # boundary of the retired W-blocks.
-        spec = next(self._specs())
+        spec = next(family_specs())
         rows = self.N + 1
         for seed in (5, 2 ** 32 + 7):
             whole = pr.generate(spec, self.N, seed)

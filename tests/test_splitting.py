@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import nullrec.algebra as alg
 import nullrec.splitting as sp
 from nullrec.cli import write_trajectory_csv
-from nullrec.errors import InvalidHalfwidth, NumericError, SamplingStalled, UnknownProcessFamily
+from nullrec.errors import (InvalidHalfwidth, InvalidSpec, NumericError, SamplingStalled,
+                            UnknownProcessFamily)
 from nullrec.processes import ProcessSpec, draw_start, generate, linear, step_chain
 from tests.conftest import random_model
 
@@ -497,6 +498,76 @@ class TestVectorizedSamplers:
         with pytest.raises(SamplingStalled):
             sampler(two_state)
         assert issubclass(SamplingStalled, NumericError)
+
+
+class TestSamplerArguments:
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_g_of_wrong_length(self, d):
+        three = alg.load_model(CONFIGS / "threestate.json")
+        g = np.ones(d)
+        with pytest.raises(ValueError, match="g must have length 3"):
+            sp.sample_blocks(three, g, 10, seed=0)
+        with pytest.raises(ValueError, match="gX must have length 3"):
+            sp.sample_compound_block_sums(three, three, g, np.ones(3), (1,), 10, seed=0)
+        with pytest.raises(ValueError, match="gW must have length 3"):
+            sp.sample_compound_block_sums(three, three, np.ones(3), g, (1,), 10, seed=0)
+
+    # 2**31 + 1 is rejected before anything is allocated.
+    @pytest.mark.parametrize("n_blocks", [-1, 2 ** 31 + 1])
+    def test_block_count_out_of_range(self, two_state, n_blocks):
+        with pytest.raises(InvalidSpec, match="n_blocks"):
+            sp.sample_blocks(two_state, [1.0, 0.0], n_blocks, seed=0)
+        with pytest.raises(InvalidSpec, match="n_blocks"):
+            sp.sample_compound_block_sums(two_state, two_state, [1.0, 0.0], [1.0, 1.0], (1,),
+                                          n_blocks, seed=0)
+
+    def test_negative_pair_count(self, two_state):
+        with pytest.raises(InvalidSpec, match="n_pairs"):
+            sp.sample_embedded_counts(two_state, two_state, -1, seed=0)
+
+    def test_no_blocks(self, two_state):
+        U, L = sp.sample_blocks(two_state, [1.0, 0.0], 0, seed=0)
+        assert U.shape == L.shape == (0,) and L.dtype == np.int64
+        S = sp.sample_compound_block_sums(two_state, two_state, [1.0, 0.0], [1.0, 1.0], (1, 2),
+                                          0, seed=0)
+        assert all(S[m].shape == (0,) for m in (1, 2))
+
+
+class TestSamplerMemory:
+    """Working memory of the lockstep samplers at 1e6 blocks, beyond their
+    outputs (8 bytes per block for U, L and each order's sums).  Per block,
+    the live state is 16 bytes for sample_blocks (int32 block index and
+    state, float64 sum) and 20 for the compound sampler (int32 block index
+    and two states, float64 V).  One step draws 29 bytes: its uniform, the
+    states cast to intp and one table column (8 each), a bool and the int32
+    next state.  The compound sampler holds the X step's next state while it
+    draws the W step.  That is 16 + 29 = 45 bytes per block and
+    20 + 4 + 29 = 53; the bounds allow 3 bytes per block more."""
+
+    N = 1_000_000
+
+    @staticmethod
+    def _peak(fn, *args):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_sample_blocks(self):
+        three = alg.load_model(CONFIGS / "threestate.json")
+        peak = self._peak(sp.sample_blocks, three, [1.0, -1.0, 2.0], self.N, 5)
+        assert peak - 16 * self.N < 48 * self.N
+
+    def test_compound_block_sums(self):
+        two = alg.load_model(CONFIGS / "twostate.json")
+        three = alg.load_model(CONFIGS / "threestate.json")
+        peak = self._peak(sp.sample_compound_block_sums, two, three, [0.5, -1.0],
+                          [1.0, 0.25, -0.75], (1, 2), self.N, 6)
+        assert peak - 16 * self.N < 56 * self.N
 
 
 class TestSamplersAgainstSlowReference:
