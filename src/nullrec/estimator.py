@@ -48,7 +48,11 @@ verifies, one block of _BLOCK sorted points and its windows at a time:
 _centred_sums bounds every point's sum, with an explicit bound on the
 rounding and the Taylor remainder.  Only the points whose upper bound
 reaches the largest lower bound of any block get the direct window sum, so
-the pick is the one direct sums at every point would give.
+the pick is the one direct sums at every point would give; a lone survivor
+is the pick and gets none.  With one bandwidth the Epanechnikov screen
+works in place and reuses the offsets and window ends it already holds.
+The sample must be finite, and for the default pilot bandwidth so must its
+sd, computed by the IEEE operations of x.std().
 """
 
 from __future__ import annotations
@@ -275,8 +279,10 @@ def modal_value(x, kernel: Kernel = EPANECHNIKOV, pilot_h: Optional[float] = Non
     a realization-dependent central evaluation point.
 
     Ties (within one part in 1e12) go to the leftmost observation.  The
-    default pilot bandwidth is Silverman's 1.06 sd n^{-1/5}; a given one
-    must be finite and positive, with a square that does not underflow.
+    default pilot bandwidth is Silverman's 1.06 sd n^{-1/5}, with sd bit for
+    bit x.std(); a given one must be finite and positive, with a square that
+    does not underflow.  A sample with a NaN or an infinite value, or whose
+    sd is not finite (its squares overflow), raises ValueError.
 
     The density at a point is its direct window sum K((xs_j - x_i)/h).sum().
     Only the points that can still win are summed: _screen bounds every
@@ -284,7 +290,8 @@ def modal_value(x, kernel: Kernel = EPANECHNIKOV, pilot_h: Optional[float] = Non
     once more about the survivors, and drops the points whose upper bound is
     below the tie floor of the largest lower bound so far.  The bounds hold
     in floating point, so the pick is the one direct sums at every point
-    would give."""
+    would give.  A lone survivor is that pick without a direct sum: the
+    point of the largest lower bound always survives."""
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("modal_value needs a nonempty sample")
@@ -292,13 +299,23 @@ def modal_value(x, kernel: Kernel = EPANECHNIKOV, pilot_h: Optional[float] = Non
                                     and pilot_h * pilot_h > 0.0):
         raise ValueError(f"pilot bandwidth must be finite and positive with a nonzero square, "
                          f"got {pilot_h!r}")
-    if x.size == 1:
-        return float(x[0])
     if pilot_h is None:
-        sd = float(x.std())
+        # x.std()'s IEEE operations: the mean, the deviations, their squares
+        # in place, their mean and the square root.
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            dev = x - x.sum() / x.size
+            dev *= dev
+            sd = math.sqrt(dev.sum() / x.size)
+        del dev  # before the sorted copy
+        if not math.isfinite(sd):
+            raise ValueError(f"the default pilot bandwidth needs a finite sample sd, got {sd!r}")
         pilot_h = 1.06 * sd * x.size ** (-0.2) if sd > 0 else 1.0
 
     xs = np.sort(x)
+    if not (math.isfinite(xs[0]) and math.isfinite(xs[-1])):  # NaN sorts last
+        raise ValueError("modal_value needs a finite sample")
+    if xs.size == 1:
+        return float(xs[0])
     floor, kept, head = -math.inf, [], ()
     for a0 in range(0, xs.size, _BLOCK):
         b0 = min(a0 + _BLOCK, xs.size)
@@ -306,8 +323,8 @@ def modal_value(x, kernel: Kernel = EPANECHNIKOV, pilot_h: Optional[float] = Non
         lo, head = lo[:b0 - a0], lo[b0 - a0:]
         upper, block_floor = _screen(xs, pilot_h, kernel, xs[a0:b0], lo, hi)
         floor = max(floor, block_floor)  # a NaN floor bounds nothing
-        keep = np.flatnonzero(~(upper < floor))
-        kept.append((keep + a0, lo[keep], hi[keep], upper[keep]))
+        keep = (~(upper < floor)).nonzero()[0]
+        kept.append((keep + a0 if a0 else keep, lo[keep], hi[keep], upper[keep]))
     points, lo, hi, upper = kept[0]
     if len(kept) > 1:  # prune the earlier blocks by the final floor
         points, lo, hi, upper = (np.concatenate(k) for k in zip(*kept))
@@ -321,6 +338,8 @@ def modal_value(x, kernel: Kernel = EPANECHNIKOV, pilot_h: Optional[float] = Non
         upper, floor = _screen(xs, pilot_h, kernel, xs[points], lo, hi)
         keep &= ~(upper < floor)
         points, lo, hi = points[keep], lo[keep], hi[keep]
+    if points.size == 1:  # the pick: every pruned point's sum is below its tie floor
+        return float(xs[points[0]])
     dens = _direct_sums(xs, pilot_h, kernel, lo, hi, points)[0]
     return float(xs[points[dens >= _tie_floor(float(dens.max()))][0]])
 
@@ -366,9 +385,10 @@ def _centred_sums(xs: np.ndarray, h, kernel: Kernel, at: np.ndarray, lo: np.ndar
     from one pass of prefix sums over the points a..b-1 of all the windows
     [lo_i, hi_i) of the points at_i, with offsets d = xs[a:b] - c.  No term
     grows with |x|, so the sums do not change when the sample is shifted.
-    Returns the sums, the sums weighted by v (None when v is None) and, for
-    one bandwidth, one bound on the distance of the sums from the direct
-    window sums of the shape (None for one bandwidth per point).
+    Returns the sums, the sums weighted by v (None when v is None; only one
+    bandwidth per point takes weights) and, for one bandwidth, one bound on
+    the distance of the sums from the direct window sums of the shape (None
+    for one bandwidth per point).
 
     Epanechnikov, for one bandwidth h (a scalar) or an array of one per point
     of `at`: E_i = sum_j (1 - ((xs_j - at_i)/h_i)^2), the direct sum / 0.75.
@@ -431,7 +451,39 @@ def _centred_sums(xs: np.ndarray, h, kernel: Kernel, at: np.ndarray, lo: np.ndar
         return est, None, 2.0 * (rounding(p) + rem + eps * m * (m + kc * kc + kc + 6.0 + r + rho))
 
     p1 = np.zeros(m + 1)
-    np.cumsum(d, out=p1[1:])
+    np.add.accumulate(d, out=p1[1:])  # np.cumsum's sums, without its wrapper
+    if one_h:
+        # One bandwidth, no weights (the modal screen, whose `at` holds at
+        # most _BLOCK points): the expression below in place, each element
+        # through the same IEEE operations.  `at` holds distinct sample
+        # points, each inside its own window, so at.size == m means `at` is
+        # xs[a:b] and the offsets at_i - c are d itself.  The windows index
+        # the prefix sums directly when a = 0, and p1 takes the sums of d^2
+        # once read.
+        i, j = (lo, hi) if a == 0 else (lo - a, hi - a)
+        di = d if at.size == m else at - c
+        s0 = j - i
+        t = p1[j]
+        t -= p1[i]
+        t *= 2.0
+        t -= di * s0
+        t *= di  # d_i (2 S1 - d_i S0), before d is squared in place
+        d *= d
+        p2 = p1
+        np.add.accumulate(d, out=p2[1:])
+        hh = h * h
+        est = p2[j]
+        est -= p2[i]
+        est -= t
+        est /= hh
+        np.subtract(s0, est, out=est)
+        sq = float(p2[-1])
+        r = float(max(c - at[0], at[-1] - c))
+        g = eps * (max(abs(at[0]), abs(at[-1])) + r + 2.0 * h) / h
+        bound = (2.0 * eps * (((m + 4) * (sq + 2.0 * r * math.sqrt(m * sq)) + 4.0 * r * r * m) / hh
+                              + m * (m + 4.0))
+                 + 8.0 * m * g * (1.0 + g) ** 2)
+        return est, None, bound
     if v is not None:
         dv = d * v[a:b]
         q0 = np.concatenate([[0.0], np.cumsum(v[a:b])])
@@ -451,21 +503,13 @@ def _centred_sums(xs: np.ndarray, h, kernel: Kernel, at: np.ndarray, lo: np.ndar
     for k in range(0, at.size, _BLOCK):  # in blocks, so the temporaries stay small
         i, j = lo[k:k + _BLOCK] - a, hi[k:k + _BLOCK] - a
         di = at[k:k + _BLOCK] - c
-        hk = hh if one_h else hh[k:k + _BLOCK]
+        hk = hh[k:k + _BLOCK]
         s0 = j - i
         est[k:k + _BLOCK] = s0 - (p2[j] - p2[i] - di * (2.0 * (p1[j] - p1[i]) - di * s0)) / hk
         if v is not None:
             s0 = q0[j] - q0[i]
             est_v[k:k + _BLOCK] = s0 - (q2[j] - q2[i] - di * (2.0 * (q1[j] - q1[i]) - di * s0)) / hk
-    if not one_h:
-        return est, est_v, None
-    sq = float(p2[-1])
-    r = float(max(c - at[0], at[-1] - c))
-    g = eps * (max(abs(at[0]), abs(at[-1])) + r + 2.0 * h) / h
-    bound = (2.0 * eps * (((m + 4) * (sq + 2.0 * r * math.sqrt(m * sq)) + 4.0 * r * r * m) / hh
-                          + m * (m + 4.0))
-             + 8.0 * m * g * (1.0 + g) ** 2)
-    return est, est_v, bound
+    return est, est_v, None
 
 
 def _direct_sums(xs: np.ndarray, h, kernel: Kernel, lo: np.ndarray, hi: np.ndarray,
@@ -497,7 +541,7 @@ def _window(xs: np.ndarray, h, kernel: Kernel, a0: int, b0: int, head=()
     j with lo_j <= i, and lo runs on over the points up to xs[b0-1] + pad;
     `head` holds the lower ends already found of the first points."""
     pad = kernel.support(0.0, h)[1]
-    if np.ndim(h):
+    if not np.isscalar(h):
         at = xs[a0:b0]
         return (_trim(xs, h, kernel, np.searchsorted(xs, at - pad), a0),
                 _trim(xs, h, kernel, np.searchsorted(xs, at + pad, side="right") - 1, a0) + 1)
@@ -505,11 +549,16 @@ def _window(xs: np.ndarray, h, kernel: Kernel, a0: int, b0: int, head=()
     c0 = a0 + len(head)  # the first point whose lower end is searched for
     s0 = int(np.searchsorted(xs, xs[c0] - pad)) if 0 < c0 < e0 else 0
     ys = xs[s0:e0]  # the slice that holds those lower ends
-    lo = _trim(ys, h, kernel, np.searchsorted(ys, ys[c0 - s0:] - pad), c0 - s0) + s0
+    lo = _trim(ys, h, kernel, np.searchsorted(ys, ys[c0 - s0:] - pad), c0 - s0)
+    if s0:
+        lo += s0
     if len(head):
         lo = np.concatenate([head, lo])
     r = int(lo[0])
-    return lo, np.cumsum(np.bincount(lo - r, minlength=b0 - r)[:b0 - r])[a0 - r:] + a0
+    hi = np.add.accumulate(np.bincount(lo - r if r else lo, minlength=b0 - r)[:b0 - r])[a0 - r:]
+    if a0:
+        hi += a0
+    return lo, hi
 
 
 def _trim(xs: np.ndarray, h, kernel: Kernel, end: np.ndarray, a0: int) -> np.ndarray:
@@ -517,9 +566,18 @@ def _trim(xs: np.ndarray, h, kernel: Kernel, end: np.ndarray, a0: int) -> np.nda
     i to the nearest point of positive weight K((xs_j - xs_i)/h_k), by
     bisection: the weight does not fall from end_k to i, which has weight."""
     at = xs[a0:a0 + end.size]
-    zero = np.flatnonzero(kernel.weights((xs[end] - at) / h) == 0.0)
-    if zero.size == 0:  # the common case
+    u = xs[end]
+    u -= at
+    if kernel.kind == "epanechnikov":
+        # K(u) = 0 exactly where u^2 >= 1, and the rounded |xs_j - xs_i| / h
+        # is at least 1 exactly where |xs_j - xs_i| >= h.
+        zero = np.abs(u, out=u) >= h
+    else:
+        u /= h
+        zero = kernel.weights(u) == 0.0
+    if not zero.any():  # the common case
         return end
+    zero = np.flatnonzero(zero)
     at, hz = at[zero], (h if np.ndim(h) == 0 else h[zero])
     out, inner = end[zero], zero + a0  # weight 0 at out, positive at inner
     while (np.abs(out - inner) > 1).any():

@@ -38,7 +38,6 @@ is order-independent.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -278,6 +277,8 @@ def run_clt(protocol: CltProtocol, threads: Optional[int] = None) -> CltExperime
     Deterministic given the protocol (including base_seed) and independent of
     `threads`: replication r always uses derive_seed(base_seed, r)."""
     if threads and threads > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not loaded by a serial run
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunk = max(1, protocol.reps // (threads * 8))
             records = list(pool.map(partial(_run_rep, protocol),

@@ -19,12 +19,13 @@ consumed in time-major order).  stream(spec, seed) yields the driving pair
 so a caller that stops at a data-dependent time draws each row once, and at
 most one block past it.  The INDEP disturbance, i.i.d. and independent of
 x, has its own keyed draws, handed out in time order to the rows a caller
-keeps.  generate, the one place that forms z = f(x) + w on a whole path,
-writes the stream's first n + 1 rows into its outputs block by block, so it
-holds its outputs and one block.  band_walk draws an INDEP walk only near a
-band, jumping over its far excursions by the exact first-passage law, so it
-is a walk in law but not generate's path for the seed.  Every generator in
-the package comes from keyed_rng.
+keeps.  _driving_pair writes the stream's first n + 1 rows into its
+outputs block by block, so it holds its outputs and one block; generate,
+the one place that forms z = f(x) + w on a whole path, adds z to them, and
+splitting.simulate_split takes them without z.  band_walk draws an INDEP
+walk only near a band, jumping over its far excursions by the exact
+first-passage law, so it is a walk in law but not generate's path for the
+seed.  Every generator in the package comes from keyed_rng.
 """
 
 from __future__ import annotations
@@ -139,16 +140,24 @@ def _ar1_stationary_sd(spec: ProcessSpec) -> float:
 
 
 def generate(spec: ProcessSpec, n: int, seed: int) -> GeneratedPath:
-    """Simulate the system for t = 0..n: the first n + 1 rows of stream()
-    and z = f(x) + w, with the INDEP disturbance w_t = sigma_w eps_t taken
-    from the first n + 1 normals of keyed_rng(seed, KEY_INDEP_W, 0), in time
-    order.
+    """Simulate the system for t = 0..n: the driving pair (x, w) of
+    _driving_pair and z = f(x) + w.  z - f(x) reproduces w identically."""
+    x, w = _driving_pair(spec, n, seed)
+    z = spec.f(x)
+    z += w
+    return GeneratedPath(x, w, z)
+
+
+def _driving_pair(spec: ProcessSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and w over t = 0..n: the first n + 1 rows of stream(), with the
+    INDEP disturbance w_t = sigma_w eps_t taken from the first n + 1 normals
+    of keyed_rng(seed, KEY_INDEP_W, 0), in time order.
 
     A path of at most _STREAM_BLOCK rows is one block of the stream.  A
     longer one is written into x and w from k = ceil((n + 1) / _STREAM_BLOCK)
     blocks of ceil((n + 1) / k) rows, so it draws fewer than k rows past row
     n and holds its outputs plus one block.  The walk starts at x0 exactly;
-    its increments are e_1..e_n.  z - f(x) reproduces w identically."""
+    its increments are e_1..e_n."""
     if n < 0:
         raise InvalidSpec("n must be >= 0")
     rows = n + 1
@@ -167,9 +176,7 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> GeneratedPath:
     if w is None:
         w = keyed_rng(seed, KEY_INDEP_W, 0).standard_normal(rows)
         w *= spec.sigma_w
-    z = spec.f(x)
-    z += w
-    return GeneratedPath(x, w, z)
+    return x, w
 
 
 def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK):

@@ -30,7 +30,9 @@ import numpy as np
 
 from .algebra import FiniteMarkovModel
 from .errors import InvalidHalfwidth, InvalidSpec, SamplingStalled, UnknownProcessFamily
-from .processes import KEY_SPLIT_FLAGS, ProcessSpec, draw_start, generate, keyed_rng, step_chain
+# generate is no longer called here, but bench/tracing.py patches splitting.generate.
+from .processes import (KEY_SPLIT_FLAGS, ProcessSpec, _driving_pair, draw_start, generate,
+                        keyed_rng, step_chain)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MAX_BLOCK_ROUNDS = 1_000_000  # lockstep steps before a block sampler gives up
@@ -146,8 +148,7 @@ def simulate_split(process, n: int, seed: int) -> SplitTrajectory:
         raise InvalidSpec("the shipped walk atom assumes standard-normal increments "
                           f"(sigma_e = 1), got {process.sigma_e!r}")
     atom = gaussian_rw_atom(process.halfwidth)
-    path = generate(process, n + 1, seed)
-    x_ext = path.x
+    x_ext, w = _driving_pair(process, n + 1, seed)  # generate's path, without its z
     u = keyed_rng(seed, KEY_SPLIT_FLAGS).random(n + 1)
     in_c = (x_ext >= atom.lo) & (x_ext <= atom.hi)
     # The ratio is zero unless both ends of the step lie in the atom.
@@ -156,7 +157,7 @@ def simulate_split(process, n: int, seed: int) -> SplitTrajectory:
     y = np.zeros(n + 1, dtype=np.uint8)
     y[both] = u[both] < atom.s_level * atom.nu_density / _norm_pdf(dx)
     return SplitTrajectory(x=x_ext[:n + 1], y=y, tau=np.flatnonzero(y), seed=seed,
-                           w=path.w[:n + 1])
+                           w=w[:n + 1])
 
 
 def regeneration_stats(traj: SplitTrajectory) -> RegenStats:

@@ -433,6 +433,24 @@ class TestModalValue:
         with pytest.raises(ValueError, match="pilot bandwidth"):
             est.modal_value(np.array([0.0, 1.0, 1.0, 3.0]), pilot_h=pilot_h)
 
+    @pytest.mark.parametrize("pilot_h", [None, 1.0])
+    @pytest.mark.parametrize("x", [[0.0, math.nan, 1.0], [0.0, math.inf, 1.0],
+                                   [-math.inf, 0.0, 1.0], [math.nan]])
+    def test_rejects_a_sample_that_is_not_finite(self, x, pilot_h):
+        with pytest.raises(ValueError, match="finite"):
+            est.modal_value(np.array(x), pilot_h=pilot_h)
+
+    def test_overflowing_squares(self):
+        # 1e200 squared overflows, so the default pilot would be infinite,
+        # every weight K(0), and the four points would tie at -1e200.  With a
+        # given pilot bandwidth the screen's bound overflows and prunes
+        # nothing, and the direct sums find the mode.
+        x = np.array([1e200, -1e200, 3.0, 3.0])
+        with pytest.raises(ValueError, match="finite sample sd"):
+            est.modal_value(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert est.modal_value(x, pilot_h=1.0) == 3.0
+
     @pytest.mark.parametrize("kernel", [est.EPANECHNIKOV, est.gaussian_truncated(2.5)])
     def test_translation_equivariance_on_walks(self, kernel):
         from nullrec.processes import ProcessSpec, generate, linear
@@ -487,6 +505,17 @@ def modal_screen_samples():
     for _ in range(20):
         y = np.abs(rng.normal(3.0, 1.0, size=int(rng.integers(20, 400))))
         samples.append((np.concatenate([-y, y]), float(rng.uniform(0.2, 2.0))))
+    rng = np.random.default_rng(16)
+    # One sharp mode, so the first screen leaves one survivor: in one block
+    # of 1000 points and across two.
+    samples += [(np.concatenate([rng.uniform(-30.0, 30.0, k), rng.normal(0.0, 0.05, k // 10)]),
+                 None) for k in (600, 1500)]
+    # Two copies 32 apart of a cluster on a grid of 1/64: the modes of the
+    # copies are distinct points with exactly equal direct sums.
+    y = np.round(64.0 * rng.normal(size=60)) / 64.0
+    samples.append((np.concatenate([y + 16.0, y - 16.0]), None))
+    # Every window holds its point alone.
+    samples.append((np.cumsum(rng.normal(size=300)), 1e-9))
     return samples
 
 
@@ -513,7 +542,7 @@ class TestModalScreen:
         assert est.modal_value(x, kernel, h) == reference_modal_value(x, kernel, h)
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.parametrize("shift", [0.0, 1e6, 1e12])
     @pytest.mark.parametrize("n", [2, 3, 50, 500, 3000])
     def test_matches_reference_on_walks(self, kernel, shift, n):
         from nullrec.processes import ProcessSpec, generate, linear
@@ -522,6 +551,7 @@ class TestModalScreen:
         for seed in range(5):
             x = generate(spec, n - 1, seed=seed).x + shift
             assert est.modal_value(x, kernel) == reference_modal_value(x, kernel)
+            assert_bound_covers_direct_sums(x, kernel=kernel)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_all_equal_sample(self, kernel):
@@ -569,49 +599,67 @@ class TestModalScreen:
         assert est.modal_value(x) in xs[keep]
 
     @pytest.mark.parametrize("name", ["clt_modal_indep.json", "clt_modal_shared.json"])
-    def test_shipped_modal_protocols(self, name):
+    def test_shipped_modal_protocols(self, name, monkeypatch):
         import json
         from pathlib import Path
 
         from nullrec.montecarlo import derive_seed, protocols_from_dict
         from nullrec.processes import generate
 
+        pilots, window = [], est._window
+        monkeypatch.setattr(est, "_window", lambda xs, h, *a: pilots.append(h) or window(xs, h, *a))
         path = Path(__file__).resolve().parents[1] / "configs" / name
         for proto in protocols_from_dict(json.loads(path.read_text())):
             for rep in range(200):
                 x = generate(proto.process, proto.n, derive_seed(proto.base_seed, rep)).x
+                pilots.clear()
                 got = est.modal_value(x, proto.kernel)
+                # The default pilot is bit for bit the one from x.std().
+                assert pilots[0] == 1.06 * float(x.std()) * x.size ** (-0.2)
                 assert got == reference_modal_value(x, proto.kernel), (proto.protocol_id, rep)
 
 
 GAUSS = est.gaussian_truncated(2.5)
 
 
-def gaussian_screen_sums(xs, h, kernel=GAUSS):
-    """_screen's estimates and bounds at every point of the sorted sample xs."""
+def screen_sums(xs, h, kernel, blocks):
+    """_centred_sums' estimates and bounds at every point of the sorted
+    sample xs, each block [a, b) of `blocks` about its own middle point."""
     lo, hi = est._window(xs, h, kernel, 0, xs.size)
-    parts = [est._centred_sums(xs, h, kernel, xs[a:b], lo[a:b], hi[a:b])
-             for a, b in est._blocks(xs, h)]
+    parts = [est._centred_sums(xs, h, kernel, xs[a:b], lo[a:b], hi[a:b]) for a, b in blocks]
     return (np.concatenate([p[0] for p in parts]),
             np.concatenate([np.broadcast_to(p[2], p[0].shape) for p in parts]))
 
 
-def slow_gaussian_sums(xs, h, kernel=GAUSS):
+def slow_shape_sums(xs, h, kernel=GAUSS):
     """The slow reference: K((xs - xs_i)/h).sum() over the whole sample at
-    every point, times the kernel's constant, from the points within 1.01 c h
-    (K is 0 further out)."""
-    scale = est._SQRT_2PI * math.erf(kernel.c / math.sqrt(2.0))
-    lo = np.searchsorted(xs, xs - 1.01 * kernel.c * h)
-    hi = np.searchsorted(xs, xs + 1.01 * kernel.c * h, side="right")
-    return scale * np.array([kernel.weights((xs[a:b] - v) / h).sum()
-                             for v, a, b in zip(xs, lo, hi)])
+    every point, over the kernel's constant (0.75 for the Epanechnikov
+    kernel), from the points within 1.01 r h (K is 0 further out)."""
+    r = kernel.support_radius
+    lo = np.searchsorted(xs, xs - 1.01 * r * h)
+    hi = np.searchsorted(xs, xs + 1.01 * r * h, side="right")
+    sums = np.array([kernel.weights((xs[a:b] - v) / h).sum() for v, a, b in zip(xs, lo, hi)])
+    if kernel.kind == "epanechnikov":
+        return sums / 0.75
+    return est._SQRT_2PI * math.erf(kernel.c / math.sqrt(2.0)) * sums
 
 
-def assert_bound_covers_direct_sums(x, h=None):
+def assert_bound_covers_direct_sums(x, h=None, kernel=GAUSS):
+    """The screen's estimates lie within their bound of the direct sums: the
+    truncated Gaussian's in blocks one h wide; the Epanechnikov kernel's in
+    one block, as modal_value screens a sample of at most _BLOCK points, and
+    in thirds, whose windows reach into their neighbours."""
     xs = np.sort(x)
     h = 1.06 * float(xs.std()) * xs.size ** (-0.2) if h is None else h
-    got, bound = gaussian_screen_sums(xs, h)
-    assert np.all(np.abs(got - slow_gaussian_sums(xs, h)) <= bound)
+    want = slow_shape_sums(xs, h, kernel)
+    if kernel.kind == "epanechnikov":
+        cuts = sorted({0, xs.size // 3, 2 * xs.size // 3, xs.size})
+        partitions = [[(0, xs.size)], list(zip(cuts[:-1], cuts[1:]))]
+    else:
+        partitions = [est._blocks(xs, h)]
+    for blocks in partitions:
+        got, bound = screen_sums(xs, h, kernel, blocks)
+        assert np.all(np.abs(got - want) <= bound)
 
 
 class TestGaussianScreen:

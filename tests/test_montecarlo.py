@@ -1,9 +1,11 @@
 import math
+import subprocess
 import sys
 import threading
 import tracemalloc
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -100,6 +102,16 @@ class TestRunClt:
         parallel = mc.run_clt(proto, threads=2)
         np.testing.assert_array_equal(serial.values, parallel.values)
         assert [r.status for r in serial.records] == [r.status for r in parallel.records]
+
+    def test_import_leaves_the_process_pool_out(self):
+        # Only run_clt(threads > 1) needs concurrent.futures.process.
+        src = str(Path(mc.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import nullrec; "
+                "print('concurrent.futures.process' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_status_counts_partition_reps(self):
         spec = ProcessSpec(family="INDEP", f=linear())

@@ -207,6 +207,22 @@ class TestSimulateSplit:
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
         assert not np.array_equal(a.x, c.x)
 
+    def test_walk_rides_on_generates_path_without_its_response(self):
+        # x and w (8 bytes per row each), y (1), the flags' uniforms (8) and
+        # the atom masks stay under 28 bytes per row; generate's z would add 8.
+        import tracemalloc
+
+        spec, n = ProcessSpec(family="INDEP", f=linear()), 1_000_000
+        tracemalloc.start()
+        try:
+            traj = sp.simulate_split(spec, n, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * n
+        path = generate(spec, n + 1, 7)
+        assert np.array_equal(traj.x, path.x[:n + 1]) and np.array_equal(traj.w, path.w[:n + 1])
+
     def test_walk_flags_only_inside_atom_set(self):
         spec = ProcessSpec(family="INDEP", f=linear(), halfwidth=0.5)
         traj = sp.simulate_split(spec, 100_000, seed=3)
