@@ -33,15 +33,17 @@ _kernel_sums, in O(n) memory.  Sums at many points come from one routine,
 _centred_sums: prefix-sum differences of offsets to one middle point
 (locally re-centred, as in Seifert, Brockmann, Engel & Gasser 1994 and Fan
 & Marron 1994).  For the Epanechnikov kernel these are the window sums of
-1, d and d^2; _kernel_sums sums blocks of the sorted sample 5 max(h) wide,
-each about its own middle point, so the sums do not change when the sample
-is shifted.  For the truncated Gaussian they are the window sums of
-exp(-d^2/2h^2) d^k, the terms of the Taylor series of exp(d_i d_j / h^2)
-(Greengard & Strain 1991), taken about the middle of blocks one h wide so
-that the series is short, with an explicit remainder.  Truncated-Gaussian
-cross-validation stays on the direct window-by-window sums: its bandwidths
-differ from point to point, and exp(-d_j^2/2h_i^2) does not separate into a
-factor of j alone.
+1, d and d^2 (and of v, d v and d^2 v for weights v), formed in place from
+one prefix buffer by one path that serves the modal screen (one bandwidth)
+and cross-validation (one bandwidth per point) alike; _kernel_sums sums
+blocks of the sorted sample 5 max(h) wide, each about its own middle point,
+so the sums do not change when the sample is shifted.  For the truncated
+Gaussian they are the window sums of exp(-d^2/2h^2) d^k, the terms of the
+Taylor series of exp(d_i d_j / h^2) (Greengard & Strain 1991), taken about
+the middle of blocks one h wide so that the series is short, with an
+explicit remainder.  Truncated-Gaussian cross-validation stays on the
+direct window-by-window sums: its bandwidths differ from point to point, and
+exp(-d_j^2/2h_i^2) does not separate into a factor of j alone.
 
 The modal point needs only the largest density, so it screens and then
 verifies, one block of _BLOCK sorted points and its windows at a time:
@@ -49,10 +51,8 @@ _centred_sums bounds every point's sum, with an explicit bound on the
 rounding and the Taylor remainder.  Only the points whose upper bound
 reaches the largest lower bound of any block get the direct window sum, so
 the pick is the one direct sums at every point would give; a lone survivor
-is the pick and gets none.  With one bandwidth the Epanechnikov screen
-works in place and reuses the offsets and window ends it already holds.
-The sample must be finite, and for the default pilot bandwidth so must its
-sd, computed by the IEEE operations of x.std().
+is the pick and gets none.  The sample must be finite, and for the default
+pilot bandwidth so must its sd, computed by the IEEE operations of x.std().
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from .errors import (
 )
 
 DEFAULT_WINDOW_HALFWIDTH = 2.5
-_BLOCK = 1 << 16  # points per chunk of _centred_sums' estimates
+_BLOCK = 1 << 16  # sorted points per block of modal_value's screen
 _EPS = float(np.finfo(float).eps)
 _MAX_TERMS = 64  # Taylor terms of the Gaussian form; binding only for c above about 15
 _SQRT_PI = math.sqrt(math.pi)
@@ -164,8 +164,8 @@ def nw_estimate(x, z, x_eval: float, h: float, kernel: Kernel = EPANECHNIKOV,
     z = np.asarray(z, dtype=float)
     if x.shape != z.shape:
         raise ValueError("x and z must have equal length")
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"bandwidth must be positive and finite, got {h!r}")
     rows, k = _positive_weights(x, x_eval, h, kernel)
     raw = float(k.sum())
     if raw <= 0.0:
@@ -295,10 +295,6 @@ def modal_value(x, kernel: Kernel = EPANECHNIKOV, pilot_h: Optional[float] = Non
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("modal_value needs a nonempty sample")
-    if pilot_h is not None and not (math.isfinite(pilot_h) and pilot_h > 0.0
-                                    and pilot_h * pilot_h > 0.0):
-        raise ValueError(f"pilot bandwidth must be finite and positive with a nonzero square, "
-                         f"got {pilot_h!r}")
     if pilot_h is None:
         # x.std()'s IEEE operations: the mean, the deviations, their squares
         # in place, their mean and the square root.
@@ -310,6 +306,11 @@ def modal_value(x, kernel: Kernel = EPANECHNIKOV, pilot_h: Optional[float] = Non
         if not math.isfinite(sd):
             raise ValueError(f"the default pilot bandwidth needs a finite sample sd, got {sd!r}")
         pilot_h = 1.06 * sd * x.size ** (-0.2) if sd > 0 else 1.0
+    elif math.isfinite(pilot_h) and pilot_h > 0.0 and pilot_h * pilot_h > 0.0:
+        pilot_h = float(pilot_h)  # a 0-d array or np.float64 pilot is one bandwidth too
+    else:
+        raise ValueError(f"pilot bandwidth must be finite and positive with a nonzero square, "
+                         f"got {pilot_h!r}")
 
     xs = np.sort(x)
     if not (math.isfinite(xs[0]) and math.isfinite(xs[-1])):  # NaN sorts last
@@ -385,16 +386,17 @@ def _centred_sums(xs: np.ndarray, h, kernel: Kernel, at: np.ndarray, lo: np.ndar
     from one pass of prefix sums over the points a..b-1 of all the windows
     [lo_i, hi_i) of the points at_i, with offsets d = xs[a:b] - c.  No term
     grows with |x|, so the sums do not change when the sample is shifted.
-    Returns the sums, the sums weighted by v (None when v is None; only one
-    bandwidth per point takes weights) and, for one bandwidth, one bound on
-    the distance of the sums from the direct window sums of the shape (None
-    for one bandwidth per point).
+    Returns the sums, the sums weighted by v (None when v is None, and for
+    the truncated Gaussian) and, for one bandwidth, one bound on the
+    distance of the sums from the direct window sums of the shape (None for
+    one bandwidth per point).
 
     Epanechnikov, for one bandwidth h (a scalar) or an array of one per point
     of `at`: E_i = sum_j (1 - ((xs_j - at_i)/h_i)^2), the direct sum / 0.75.
     With S0, S1, S2 the window sums of v, d v and d^2 v (v_j = 1 for E_i, so
-    S0 = hi_i - lo_i), E_i = S0 - (S2 - d_i (2 S1 - d_i S0)) / h_i^2.  With
-    m = b - a, r = max |d_i| and X = max |at_i|, E_i is within
+    S0 = hi_i - lo_i), E_i = S0 - (S2 - d_i (2 S1 - d_i S0)) / h_i^2, formed
+    in place with one prefix buffer, the weighted sums before d is squared.
+    With m = b - a, r = max |d_i| and X = max |at_i|, E_i for one h is within
 
         2 eps ( ((m + 4) (sum d^2 + 2 r sqrt(m sum d^2)) + 4 r^2 m) / h^2
                 + m (m + 4) )  +  8 m g (1 + g)^2,   g = eps (X + r + 2h) / h
@@ -450,66 +452,43 @@ def _centred_sums(xs: np.ndarray, h, kernel: Kernel, at: np.ndarray, lo: np.ndar
         kc = kernel.c
         return est, None, 2.0 * (rounding(p) + rem + eps * m * (m + kc * kc + kc + 6.0 + r + rho))
 
-    p1 = np.zeros(m + 1)
-    np.add.accumulate(d, out=p1[1:])  # np.cumsum's sums, without its wrapper
-    if one_h:
-        # One bandwidth, no weights (the modal screen, whose `at` holds at
-        # most _BLOCK points): the expression below in place, each element
-        # through the same IEEE operations.  `at` holds distinct sample
-        # points, each inside its own window, so at.size == m means `at` is
-        # xs[a:b] and the offsets at_i - c are d itself.  The windows index
-        # the prefix sums directly when a = 0, and p1 takes the sums of d^2
-        # once read.
-        i, j = (lo, hi) if a == 0 else (lo - a, hi - a)
-        di = d if at.size == m else at - c
-        s0 = j - i
-        t = p1[j]
-        t -= p1[i]
+    # The expression above in place, each element through the same IEEE
+    # operations, with one prefix buffer pk for every power.  `at` holds
+    # distinct sample points, each inside its own window, so at.size == m
+    # means `at` is xs[a:b] and the offsets at_i - c are d itself.
+    i, j = (lo, hi) if a == 0 else (lo - a, hi - a)
+    di = d if at.size == m else at - c
+    pk, hh = np.zeros(m + 1), h * h
+
+    def expand(s0, w):  # the sums from S0 and w = d v, which becomes d^2 v in place
+        np.add.accumulate(w, out=pk[1:])  # np.cumsum's sums, without its wrapper
+        t = pk[j]
+        t -= pk[i]
         t *= 2.0
         t -= di * s0
-        t *= di  # d_i (2 S1 - d_i S0), before d is squared in place
-        d *= d
-        p2 = p1
-        np.add.accumulate(d, out=p2[1:])
-        hh = h * h
-        est = p2[j]
-        est -= p2[i]
+        t *= di  # d_i (2 S1 - d_i S0), before w (perhaps d itself) is squared
+        w *= d
+        np.add.accumulate(w, out=pk[1:])
+        est = pk[j]
+        est -= pk[i]
         est -= t
         est /= hh
-        np.subtract(s0, est, out=est)
-        sq = float(p2[-1])
-        r = float(max(c - at[0], at[-1] - c))
-        g = eps * (max(abs(at[0]), abs(at[-1])) + r + 2.0 * h) / h
-        bound = (2.0 * eps * (((m + 4) * (sq + 2.0 * r * math.sqrt(m * sq)) + 4.0 * r * r * m) / hh
-                              + m * (m + 4.0))
-                 + 8.0 * m * g * (1.0 + g) ** 2)
-        return est, None, bound
+        return np.subtract(s0, est, out=est)
+
+    est_v = None
     if v is not None:
-        dv = d * v[a:b]
-        q0 = np.concatenate([[0.0], np.cumsum(v[a:b])])
-        q1 = np.zeros(m + 1)
-        np.cumsum(dv, out=q1[1:])
-        dv *= d  # d^2 v, in place
-        q2 = np.zeros(m + 1)
-        np.cumsum(dv, out=q2[1:])
-        del dv
-    d *= d  # d^2, in place
-    p2 = np.zeros(m + 1)
-    np.cumsum(d, out=p2[1:])
-    del d
-    hh = h * h
-    est = np.empty(at.size)
-    est_v = None if v is None else np.empty(at.size)
-    for k in range(0, at.size, _BLOCK):  # in blocks, so the temporaries stay small
-        i, j = lo[k:k + _BLOCK] - a, hi[k:k + _BLOCK] - a
-        di = at[k:k + _BLOCK] - c
-        hk = hh[k:k + _BLOCK]
-        s0 = j - i
-        est[k:k + _BLOCK] = s0 - (p2[j] - p2[i] - di * (2.0 * (p1[j] - p1[i]) - di * s0)) / hk
-        if v is not None:
-            s0 = q0[j] - q0[i]
-            est_v[k:k + _BLOCK] = s0 - (q2[j] - q2[i] - di * (2.0 * (q1[j] - q1[i]) - di * s0)) / hk
-    return est, est_v, None
+        np.add.accumulate(v[a:b], out=pk[1:])
+        est_v = expand(pk[j] - pk[i], d * v[a:b])
+    est = expand(j - i, d)
+    if not one_h:
+        return est, est_v, None
+    sq = float(pk[-1])
+    r = float(max(c - at[0], at[-1] - c))
+    g = eps * (max(abs(at[0]), abs(at[-1])) + r + 2.0 * h) / h
+    bound = (2.0 * eps * (((m + 4) * (sq + 2.0 * r * math.sqrt(m * sq)) + 4.0 * r * r * m) / hh
+                          + m * (m + 4.0))
+             + 8.0 * m * g * (1.0 + g) ** 2)
+    return est, est_v, bound
 
 
 def _direct_sums(xs: np.ndarray, h, kernel: Kernel, lo: np.ndarray, hi: np.ndarray,

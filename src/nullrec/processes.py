@@ -45,7 +45,7 @@ FAMILIES = ("INDEP", "SHARED_INNOVATION", "AR1_LINKED", "MA_LINKED", "FINITE_PRO
 
 _SQ5 = math.sqrt(0.5)
 _SQ3 = math.sqrt(3.0)
-_STEP_CHUNK = 1 << 16  # rows per Python-list slice of step_chain and the AR1 loop
+_STEP_CHUNK = 1 << 16  # rows per Python-list slice of step_chain, the AR1 loop and _split_chain
 _STREAM_BLOCK = 1 << 13  # rows per block of stream: small blocks reuse freed heap memory
 _MARGIN = 8.0  # band_walk steps within this many sigma_e of the band; part of its draws
 _WALK_BLOCK = 1 << 9  # normals per stepped block of band_walk; part of its draws

@@ -31,8 +31,8 @@ import numpy as np
 from .algebra import FiniteMarkovModel
 from .errors import InvalidHalfwidth, InvalidSpec, SamplingStalled, UnknownProcessFamily
 # generate is no longer called here, but bench/tracing.py patches splitting.generate.
-from .processes import (KEY_SPLIT_FLAGS, ProcessSpec, _driving_pair, draw_start, generate,
-                        keyed_rng, step_chain)
+from .processes import (_STEP_CHUNK, KEY_SPLIT_FLAGS, ProcessSpec, _driving_pair, draw_start,
+                        generate, keyed_rng, step_chain)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MAX_BLOCK_ROUNDS = 1_000_000  # lockstep steps before a block sampler gives up
@@ -112,11 +112,19 @@ class BlockDecomposition(NamedTuple):
 def _split_chain(model: FiniteMarkovModel, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Index path x_0..x_n started from nu, with flags y_0..y_n (the flag at
     n uses one transition beyond the kept path).  The uniforms interleave:
-    u[0] draws x_0, then u[2t+1] the step out of x_t and u[2t+2] its flag."""
-    u = rng.random(2 * n + 3)
-    x = step_chain(model, int(draw_start(model, u[0])), u[1::2])
-    y = (u[2::2] < model.R[x[:-1], x[1:]]).astype(np.uint8)
-    return x[:-1], y
+    u[0] draws x_0, then u[2t+1] the step out of x_t and u[2t+2] its flag.
+    They are drawn _STEP_CHUNK rows at a time, each block stepping on from
+    the last state, so the path holds its outputs and one block's draws.  A
+    block is one slice of step_chain, so its fixed cost per call (cum_P's
+    rows as Python lists, large for a large chain) stays small beside it."""
+    x, y = np.empty(n + 1, dtype=np.int64), np.empty(n + 1, dtype=np.uint8)
+    xi = int(draw_start(model, rng.random()))
+    for a in range(0, n + 1, _STEP_CHUNK):
+        b = min(a + _STEP_CHUNK, n + 1)
+        u = rng.random(2 * (b - a))
+        p = step_chain(model, xi, u[0::2])
+        x[a:b], y[a:b], xi = p[:-1], u[1::2] < model.R[p[:-1], p[1:]], int(p[-1])
+    return x, y
 
 
 def simulate_split(process, n: int, seed: int) -> SplitTrajectory:

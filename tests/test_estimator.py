@@ -62,7 +62,7 @@ class TestNwEstimate:
         with pytest.raises(EmptyNeighborhood):
             est.nw_estimate([10.0, 11.0], [1.0, 2.0], x_eval=0.0, h=0.5)
 
-    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_bandwidth(self, h):
         with pytest.raises(ValueError, match="bandwidth must be positive"):
             est.nw_estimate([0.0, 1.0], [1.0, 2.0], x_eval=0.0, h=h)
@@ -418,7 +418,9 @@ class TestModalValue:
         dens = np.array([est.EPANECHNIKOV.weights((xs - v) / h).sum() for v in xs])
         dmax = dens.max()
         expected = xs[dens >= dmax - abs(dmax) * 1e-12][0]
-        assert est.modal_value(data, pilot_h=h) == expected
+        # A numpy scalar or a 0-d array is the same one bandwidth.
+        for pilot_h in (h, np.float64(h), np.array(h)):
+            assert est.modal_value(data, pilot_h=pilot_h) == expected
 
     def test_truncated_gaussian_path(self):
         rng = np.random.default_rng(10)
@@ -795,6 +797,31 @@ class TestKernelSums:
                     want = direct_kernel_sums(xs, h, kernel, v)
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_centred_sums_equal_the_plain_expression(self, shift):
+        # The whole sample (a = 0, `at` is xs[a:b]) and its middle third,
+        # whose windows reach outside it, for one bandwidth and one per
+        # point, with and without weights: bit for bit the plain expression.
+        from nullrec.processes import ProcessSpec, generate, linear
+
+        rng = np.random.default_rng(31)
+        for seed in range(3):
+            path = generate(ProcessSpec(family="INDEP", f=linear()), 1500, seed=seed)
+            order = np.argsort(path.x, kind="stable")
+            xs, zs = path.x[order] + shift, path.z[order]
+            h0 = 1.06 * float(xs.std()) * xs.size ** (-0.2)
+            k = xs.size // 3
+            for h in (h0, h0 * rng.uniform(0.5, 1.5, xs.size)):
+                lo, hi = est._window(xs, h, est.EPANECHNIKOV, 0, xs.size)
+                assert lo[k] < k and hi[2 * k - 1] > 2 * k
+                for a0, b0 in ((0, xs.size), (k, 2 * k)):
+                    hk = h if np.ndim(h) == 0 else h[a0:b0]
+                    args = (xs, hk, est.EPANECHNIKOV, xs[a0:b0], lo[a0:b0], hi[a0:b0])
+                    got, got_v, _ = est._centred_sums(*args, zs)
+                    assert np.array_equal(est._centred_sums(*args)[0], got)
+                    assert np.array_equal(got, reference_centred_sums(*args))
+                    assert np.array_equal(got_v, reference_centred_sums(*args, zs))
+
     def test_window_edges(self):
         # The Epanechnikov weight is 0 at |u| = 1, so its windows are open
         # there; the truncated Gaussian weights |u| = c, so its are closed.
@@ -806,6 +833,20 @@ class TestKernelSums:
             lo, hi = est._window(xs, h, est.gaussian_truncated(1.0), 0, xs.size)
             np.testing.assert_array_equal(lo, [0, 0, 1, 1, 4])
             np.testing.assert_array_equal(hi, [2, 4, 4, 4, 5])
+
+
+def reference_centred_sums(xs, h, kernel, at, lo, hi, v=None):
+    """The slow reference for _centred_sums' Epanechnikov sums: the window
+    sums of v, d v and d^2 v from np.cumsum, and its docstring's expression
+    S0 - (S2 - d_i (2 S1 - d_i S0)) / h_i^2 written out plainly."""
+    a, b = int(lo.min()), int(hi.max())
+    c = at[at.size // 2]
+    d = xs[a:b] - c
+    v = np.ones(b - a) if v is None else v[a:b]
+    p0, p1, p2 = (np.concatenate([[0.0], np.cumsum(w)]) for w in (v, d * v, d * v * d))
+    i, j, di, hh = lo - a, hi - a, at - c, h * h
+    s0 = p0[j] - p0[i]
+    return s0 - (p2[j] - p2[i] - di * (2.0 * (p1[j] - p1[i]) - di * s0)) / hh
 
 
 def brute_force_window(xs, h, kernel):

@@ -223,6 +223,21 @@ class TestSimulateSplit:
         path = generate(spec, n + 1, 7)
         assert np.array_equal(traj.x, path.x[:n + 1]) and np.array_equal(traj.w, path.w[:n + 1])
 
+    def test_finite_chain_steps_block_by_block(self):
+        # x (8 bytes per row), y (1), tau (8 per regeneration, about 0.3 per
+        # row here) and one block's uniforms stay under 16 bytes per row;
+        # all 2n + 3 uniforms at once would add 16.
+        import tracemalloc
+
+        model, n = alg.load_model(CONFIGS / "threestate.json"), 1_000_000
+        tracemalloc.start()
+        try:
+            sp.simulate_split(model, n, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n
+
     def test_walk_flags_only_inside_atom_set(self):
         spec = ProcessSpec(family="INDEP", f=linear(), halfwidth=0.5)
         traj = sp.simulate_split(spec, 100_000, seed=3)
