@@ -148,6 +148,11 @@ class FiniteMarkovModel:
         return _cumulative(self.P)
 
     @cached_property
+    def cum_P_rows(self) -> tuple:
+        """cum_P's rows as tuples of Python floats, for step_chain's bisection."""
+        return tuple(map(tuple, self.cum_P.tolist()))
+
+    @cached_property
     def R(self) -> np.ndarray:
         """Split ratio s(x) nu(y) / p(x, y), zero where p(x, y) = 0."""
         return _read_only(np.divide(np.outer(self.s, self.nu), self.P,

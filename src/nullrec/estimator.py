@@ -27,8 +27,8 @@ cross-validation.
 The estimate at one point is a direct O(n) sum over the rows of positive
 weight, in time order, so any subset of the sample that keeps those rows
 gives the same sums bit for bit; _window gives each sample point the range
-of exactly those rows.  Cross-validation needs sums at every sample point,
-unweighted and weighted by the response, and gets both from one pass of
+of exactly those rows.  Cross-validation (Epanechnikov only) needs sums at
+every sample point, unweighted and weighted by the response: one pass of
 _kernel_sums, in O(n) memory.  Sums at many points come from one routine,
 _centred_sums: prefix-sum differences of offsets to one middle point
 (locally re-centred, as in Seifert, Brockmann, Engel & Gasser 1994 and Fan
@@ -41,9 +41,7 @@ so the sums do not change when the sample is shifted.  For the truncated
 Gaussian they are the window sums of exp(-d^2/2h^2) d^k, the terms of the
 Taylor series of exp(d_i d_j / h^2) (Greengard & Strain 1991), taken about
 the middle of blocks one h wide so that the series is short, with an
-explicit remainder.  Truncated-Gaussian cross-validation stays on the
-direct window-by-window sums: its bandwidths differ from point to point, and
-exp(-d_j^2/2h_i^2) does not separate into a factor of j alone.
+explicit remainder.
 
 The modal point needs only the largest density, so it screens and then
 verifies, one block of _BLOCK sorted points and its windows at a time:
@@ -233,10 +231,11 @@ def _occupation(x: np.ndarray, window: tuple[float, float]) -> int:
     return int(np.count_nonzero(inside))
 
 
-def cv_constant(x, z, grid, kernel: Kernel = EPANECHNIKOV) -> float:
+def cv_constant(x, z, grid) -> float:
     """Pick the bandwidth constant c0 from `grid` (each finite and > 0)
-    minimizing the leave-one-out squared prediction error under the local
-    bandwidth rule, skipping points whose leave-one-out neighborhood is empty."""
+    minimizing the leave-one-out squared prediction error of the Epanechnikov
+    estimate under the local bandwidth rule, skipping points whose
+    leave-one-out neighborhood is empty."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     if len(x) < 20:
@@ -248,8 +247,8 @@ def cv_constant(x, z, grid, kernel: Kernel = EPANECHNIKOV) -> float:
     order = np.argsort(x, kind="stable")
     xs, zs = x[order], z[order]
     h_ref = 2.0 * DEFAULT_WINDOW_HALFWIDTH / 10.0
-    pilot = _kernel_sums(xs, h_ref, kernel, *_window(xs, h_ref, kernel, 0, xs.size))[0] / h_ref  # T_C p_hat
-    k0 = float(kernel.weights(0.0))
+    pilot = _kernel_sums(xs, h_ref, *_window(xs, h_ref, EPANECHNIKOV, 0, xs.size))[0] / h_ref  # T_C p_hat
+    k0 = float(EPANECHNIKOV.weights(0.0))
 
     best_c0, best_err = None, math.inf
     for c0 in grid:
@@ -257,11 +256,11 @@ def cv_constant(x, z, grid, kernel: Kernel = EPANECHNIKOV) -> float:
         # Leaving a point out removes its own K(0) term.  Its neighborhood is
         # empty when its window holds no other point; the difference of the
         # sums below is rounding noise then, so it is not compared with 0.
-        lo, hi = _window(xs, h, kernel, 0, xs.size)
+        lo, hi = _window(xs, h, EPANECHNIKOV, 0, xs.size)
         usable = hi - lo > 1
         if not usable.any():
             continue
-        wsum, wz = _kernel_sums(xs, h, kernel, lo, hi, zs)
+        wsum, wz = _kernel_sums(xs, h, lo, hi, zs)
         wsum -= k0
         wz -= k0 * zs
         pred = wz[usable] / wsum[usable]
@@ -341,7 +340,7 @@ def modal_value(x, kernel: Kernel = EPANECHNIKOV, pilot_h: Optional[float] = Non
         points, lo, hi = points[keep], lo[keep], hi[keep]
     if points.size == 1:  # the pick: every pruned point's sum is below its tie floor
         return float(xs[points[0]])
-    dens = _direct_sums(xs, pilot_h, kernel, lo, hi, points)[0]
+    dens = _direct_sums(xs, pilot_h, kernel, lo, hi, points)
     return float(xs[points[dens >= _tie_floor(float(dens.max()))][0]])
 
 
@@ -491,23 +490,12 @@ def _centred_sums(xs: np.ndarray, h, kernel: Kernel, at: np.ndarray, lo: np.ndar
     return est, est_v, bound
 
 
-def _direct_sums(xs: np.ndarray, h, kernel: Kernel, lo: np.ndarray, hi: np.ndarray,
-                 points, v: Optional[np.ndarray] = None
-                 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """sum_j K((xs_j - xs_i)/h_i) over the window [lo_k, hi_k) of the k-th
-    point i of `points` (an index array or slice), one window at a time, for
-    one bandwidth h or one per sample point; and the same sums weighted by
-    v_j (None when v is None)."""
-    at = xs[points].tolist()
-    hs = [h] * len(at) if np.ndim(h) == 0 else h[points].tolist()
-    sums = np.empty(len(at))
-    sums_v = None if v is None else np.empty(len(at))
-    for k, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
-        w = kernel.weights((xs[a:b] - at[k]) / hs[k])
-        sums[k] = w.sum()
-        if v is not None:
-            sums_v[k] = w @ v[a:b]
-    return sums, sums_v
+def _direct_sums(xs: np.ndarray, h: float, kernel: Kernel, lo: np.ndarray, hi: np.ndarray,
+                 points) -> np.ndarray:
+    """sum_j K((xs_j - xs_i)/h) over the window [lo_k, hi_k) of the k-th
+    point i of `points` (an index array or slice), one window at a time."""
+    return np.array([kernel.weights((xs[a:b] - v) / h).sum()
+                     for v, a, b in zip(xs[points].tolist(), lo.tolist(), hi.tolist())])
 
 
 def _window(xs: np.ndarray, h, kernel: Kernel, a0: int, b0: int, head=()
@@ -574,17 +562,14 @@ def _blocks(x: np.ndarray, width: float) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _kernel_sums(xs: np.ndarray, h, kernel: Kernel, lo: np.ndarray, hi: np.ndarray,
+def _kernel_sums(xs: np.ndarray, h, lo: np.ndarray, hi: np.ndarray,
                  v: Optional[np.ndarray] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """sum_j K((xs_j - xs_i)/h_i) over the windows [lo, hi) of _window at
-    every point xs_i of the sorted sample xs, for one bandwidth h or one per
-    point, and the same sums weighted by v_j (None when v is None).
-    Truncated-Gaussian sums are summed window by window; Epanechnikov sums
-    come from _centred_sums on blocks of the sample 5 max(h) wide."""
-    if kernel.kind != "epanechnikov":
-        return _direct_sums(xs, h, kernel, lo, hi, slice(None), v)
+    """Epanechnikov sums sum_j K((xs_j - xs_i)/h_i) over the windows [lo, hi)
+    of _window at every point xs_i of the sorted sample xs, for one bandwidth
+    h or one per point, and the same sums weighted by v_j (None when v is
+    None): from _centred_sums on blocks of the sample 5 max(h) wide."""
     hs = np.broadcast_to(h, xs.shape)
-    parts = [_centred_sums(xs, hs[a:b], kernel, xs[a:b], lo[a:b], hi[a:b], v)
+    parts = [_centred_sums(xs, hs[a:b], EPANECHNIKOV, xs[a:b], lo[a:b], hi[a:b], v)
              for a, b in _blocks(xs, 5.0 * float(np.max(h)))]
     est_v = None if v is None else 0.75 * np.concatenate([e for _, e, _ in parts])
     return 0.75 * np.concatenate([e for e, _, _ in parts]), est_v  # K(u) = 0.75 (1 - u^2)

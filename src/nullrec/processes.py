@@ -45,7 +45,6 @@ FAMILIES = ("INDEP", "SHARED_INNOVATION", "AR1_LINKED", "MA_LINKED", "FINITE_PRO
 
 _SQ5 = math.sqrt(0.5)
 _SQ3 = math.sqrt(3.0)
-_STEP_CHUNK = 1 << 16  # rows per Python-list slice of step_chain, the AR1 loop and _split_chain
 _STREAM_BLOCK = 1 << 13  # rows per block of stream: small blocks reuse freed heap memory
 _MARGIN = 8.0  # band_walk steps within this many sigma_e of the band; part of its draws
 _WALK_BLOCK = 1 << 9  # normals per stepped block of band_walk; part of its draws
@@ -84,8 +83,12 @@ class Transfer:
     def __post_init__(self):
         if self.kind not in ("linear", "table"):
             raise InvalidSpec(f"unknown transfer kind {self.kind!r}")
-        if self.kind == "table" and (len(self.xs) != len(self.ys) or len(self.xs) < 2):
-            raise InvalidSpec("table transfer needs matching xs/ys of length >= 2")
+        xs, ys = np.asarray(self.xs, dtype=float), np.asarray(self.ys, dtype=float)
+        # np.interp checks none of this: it reads a decreasing or NaN grid silently.
+        if self.kind == "table" and not (xs.size == ys.size >= 2 and np.isfinite(ys).all()
+                                         and np.isfinite(xs).all() and (np.diff(xs) > 0).all()):
+            raise InvalidSpec("table transfer needs xs and ys of one length >= 2, finite ys "
+                              "and finite, strictly increasing xs")
 
     def __call__(self, x):
         if self.kind == "linear":
@@ -226,15 +229,13 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK):
         if fam == "SHARED_INNOVATION":
             w = _SQ5 * E[:, 0] + _SQ5 * E[:, 1]
         elif fam == "AR1_LINKED":
-            # w_t = (a w_{t-1} + b e_t) + u_t over Python floats, a slice at a time.
+            # w_t = (a w_{t-1} + b e_t) + u_t over Python floats.
             be, u = b * e, spec.sigma_u * E[:, 1]
             w = np.empty(chunk)
             w[0] = w_prev = float(_ar1_stationary_sd(spec) * E[0, 1] if start == 0
                                   else a * w_prev + be[0] + u[0])
-            for i0 in range(1, chunk, _STEP_CHUNK):
-                rows = slice(i0, i0 + _STEP_CHUNK)
-                w[rows] = [w_prev := a * w_prev + be_t + u_t
-                           for be_t, u_t in zip(be[rows].tolist(), u[rows].tolist())]
+            w[1:] = [w_prev := a * w_prev + be_t + u_t
+                     for be_t, u_t in zip(be[1:].tolist(), u[1:].tolist())]
         elif fam == "MA_LINKED":
             w = np.empty(chunk)
             w[0] = E[0, 2] if start == 0 else (E[0, 0] + e_prev + eps_prev) / _SQ3
@@ -324,19 +325,13 @@ def _bes3_bridge(a: float, sigma: float, tau: float, n: int, rng) -> np.ndarray:
 
 def step_chain(model: FiniteMarkovModel, start: int, u: np.ndarray) -> np.ndarray:
     """State-index path x_0..x_n of a finite chain from the state index
-    x_0 = start, by inverse CDF: x_{t+1} from row x_t of P with u[t], the
-    count of entries <= u[t] in that row's cumulative table.  The uniforms
-    are read in bounded chunks, so the Python-level copies stay small
-    however long the path."""
-    rows = model.cum_P.tolist()
+    x_0 = start, by inverse CDF: x_{t+1} is the count of entries <= u[t] in
+    row x_t of model.cum_P_rows, listed once per model.  The package's callers
+    pass blocks of at most 65536 uniforms, read as one Python list."""
+    rows = model.cum_P_rows
     x = np.empty(len(u) + 1, dtype=np.int64)
     x[0] = xi = start
-    for i0 in range(0, len(u), _STEP_CHUNK):
-        chunk = []
-        for v in u[i0:i0 + _STEP_CHUNK].tolist():
-            xi = bisect_right(rows[xi], v)
-            chunk.append(xi)
-        x[i0 + 1:i0 + 1 + len(chunk)] = chunk
+    x[1:] = [xi := bisect_right(rows[xi], v) for v in u.tolist()]
     return x
 
 
@@ -398,24 +393,35 @@ def empirical_corr_decay(spec: ProcessSpec, ts, reps: int, seed: int = 0):
 
 # --- spec (de)serialization ----------------------------------------------------
 
+_TRANSFER_KEYS = {"linear": ("kind", "a", "b"), "table": ("kind", "xs", "ys")}
+_SPEC_KEYS = ("family", "f", "params", "x0")
+_FLOAT_PARAMS = ("a", "b", "sigma_e", "sigma_u", "sigma_w", "halfwidth")
+_CHAIN_PARAMS = ("x_chain", "w_chain")
+
+
+def _check_keys(obj: dict, allowed, where: str) -> None:
+    if unknown := sorted(set(obj) - set(allowed)):
+        raise InvalidSpec(f"unknown {where} key(s) {unknown}; expected some of {list(allowed)}")
+
+
 def transfer_from_dict(obj: dict) -> Transfer:
     kind = obj.get("kind", "linear")
+    if kind not in _TRANSFER_KEYS:
+        raise InvalidSpec(f"unknown transfer kind {kind!r}; expected one of {list(_TRANSFER_KEYS)}")
+    _check_keys(obj, _TRANSFER_KEYS[kind], f"{kind} transfer")
     if kind == "linear":
         return Transfer("linear", a=float(obj.get("a", 1.0)), b=float(obj.get("b", 0.0)))
-    return Transfer("table", xs=tuple(float(v) for v in obj["xs"]),
-                    ys=tuple(float(v) for v in obj["ys"]))
+    return Transfer("table", xs=tuple(float(v) for v in obj.get("xs", ())),
+                    ys=tuple(float(v) for v in obj.get("ys", ())))
 
 
 def spec_from_dict(obj: dict) -> ProcessSpec:
+    """The spec of a JSON object; an unknown key or transfer kind raises InvalidSpec."""
+    _check_keys(obj, _SPEC_KEYS, "spec")
     params = obj.get("params", {})
-    kwargs = {}
-    for key in ("a", "b", "sigma_e", "sigma_u", "sigma_w", "halfwidth"):
-        if key in params:
-            kwargs[key] = float(params[key])
-    if "x_chain" in params:
-        kwargs["x_chain"] = model_from_dict(params["x_chain"])
-    if "w_chain" in params:
-        kwargs["w_chain"] = model_from_dict(params["w_chain"])
+    _check_keys(params, _FLOAT_PARAMS + _CHAIN_PARAMS, "params")
+    kwargs = {key: float(params[key]) for key in _FLOAT_PARAMS if key in params}
+    kwargs.update((key, model_from_dict(params[key])) for key in _CHAIN_PARAMS if key in params)
     return ProcessSpec(
         family=obj["family"],
         f=transfer_from_dict(obj.get("f", {})),

@@ -1218,6 +1218,16 @@ class TestModelCache:
         np.testing.assert_array_equal(model.cum_nu, [1.0, 1.0, 1.0, 1.0])
         assert (np.diff(model.cum_P, axis=1) >= 0.0).all()
 
+    def test_cum_P_rows_list_the_table_once(self):
+        model = random_model(np.random.default_rng(33), d=6)
+        rows = model.cum_P_rows
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+        assert [list(row) for row in rows] == model.cum_P.tolist()
+        assert model.cum_P_rows is rows
+        again = pickle.loads(pickle.dumps(model))
+        assert "cum_P_rows" not in again.__dict__
+        assert again.cum_P_rows == rows
+
     def test_split_ratio_zero_off_support(self):
         P = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
         model = alg.FiniteMarkovModel(states=(0, 1, 2), P=P, s=[0.4, 0.0, 0.4],

@@ -83,6 +83,15 @@ class TestSimulate:
         assert err["error"] == "IoFailure" and err["exit_code"] == 3
         assert not (out / "metadata.json").exists()
 
+    @pytest.mark.parametrize("spec", [{"family": "INDEP", "params": {"sigma_W": 3.0}},
+                                      {"family": "INDEP", "f": {"kind": "sin"}},
+                                      {"family": "INDEP", "f": {"kind": "table", "xs": [0, 2, 1],
+                                                                "ys": [0, 1, 2]}}])
+    def test_unknown_spec_key_or_bad_table_exit_4(self, spec, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert_invalid_spec_exit(["simulate", "--spec", str(path), "--n", "10"], tmp_path, capsys)
+
     def test_invalid_chain_maps_to_validation_exit(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -282,6 +291,13 @@ class TestClt:
         assert main(["clt", "--protocol", str(proto), "--out", str(out)]) == 4
         assert not out.exists()
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidSpec"
+
+    def test_unknown_process_key_exit_4(self, tmp_path, capsys):
+        proto = self._protocol_file(tmp_path)
+        obj = json.loads(proto.read_text())
+        obj["process"]["params"] = {"sigma_W": 3.0}
+        proto.write_text(json.dumps(obj))
+        assert_invalid_spec_exit(["clt", "--protocol", str(proto)], tmp_path, capsys)
 
 
 class TestAlgebraCommands:

@@ -40,6 +40,28 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             pr.Transfer("cubic")
 
+    BAD_TABLES = {"decreasing": ((0.0, 2.0, 1.0), (0.0, 1.0, 2.0)),
+                  "repeated": ((0.0, 1.0, 1.0), (0.0, 1.0, 2.0)),
+                  "nan-x": ((0.0, math.nan), (0.0, 1.0)), "inf-x": ((0.0, math.inf), (0.0, 1.0)),
+                  "nan-y": ((0.0, 1.0), (0.0, math.nan)), "inf-y": ((0.0, 1.0), (-math.inf, 1.0)),
+                  "lengths": ((0.0, 1.0, 2.0), (0.0, 1.0))}
+
+    @pytest.mark.parametrize("case", BAD_TABLES)
+    def test_table_needs_finite_increasing_xs(self, case):
+        # np.interp would read (0, 2, 1) as f(0.5) = 0.25 and f(1.5) = 2.
+        xs, ys = self.BAD_TABLES[case]
+        with pytest.raises(InvalidSpec, match="table transfer"):
+            pr.Transfer("table", xs=xs, ys=ys)
+        with pytest.raises(InvalidSpec, match="table transfer"):
+            pr.spec_from_dict({"family": "INDEP", "f": {"kind": "table", "xs": xs, "ys": ys}})
+
+    def test_valid_table_interpolates_as_np_interp(self):
+        xs, ys = (-2.0, -0.5, 0.0, 3.0), (4.0, 0.25, 0.0, 9.0)
+        table = pr.spec_from_dict({"family": "INDEP",
+                                   "f": {"kind": "table", "xs": xs, "ys": ys}}).f
+        x = np.linspace(-3.0, 4.0, 57)
+        assert np.array_equal(table(x), np.interp(x, xs, ys))
+
 
 class TestLinearTransferAgainstReference:
     """The linear transfer, built in place, equals a * x + b bit for bit."""
@@ -455,3 +477,16 @@ class TestSpecJson:
         spec = pr.spec_from_dict({"family": "INDEP"})
         assert spec.f.kind == "linear" and spec.f.a == 1.0 and spec.f.b == 0.0
         assert spec.x0 == 0.0 and spec.halfwidth == 0.5
+
+    @pytest.mark.parametrize("spec, unknown", [
+        ({"family": "INDEP", "x_0": 5}, "'x_0'"),
+        ({"family": "INDEP", "params": {"sigma_W": 3.0}}, "'sigma_W'"),
+        ({"family": "INDEP", "f": {"kind": "linear", "slope": 2}}, "'slope'"),
+        ({"family": "INDEP", "f": {"slope": 2}}, "'slope'"),
+        ({"family": "INDEP", "f": {"kind": "linear", "xs": [0, 1]}}, "'xs'"),
+        ({"family": "INDEP", "f": {"kind": "table", "xs": [0, 1], "ys": [0, 1], "a": 2}}, "'a'"),
+        ({"family": "INDEP", "f": {"kind": "sin"}}, "'sin'"),
+    ])
+    def test_unknown_keys_and_kinds_raise(self, spec, unknown):
+        with pytest.raises(InvalidSpec, match=unknown):
+            pr.spec_from_dict(spec)
