@@ -31,6 +31,7 @@ from .montecarlo import (
     derive_seed,
     ks_normal,
     run_clt,
+    run_protocols,
     trend_report,
 )
 from .processes import (

@@ -56,6 +56,7 @@ from .errors import (
     OrderTooLarge,
     SeriesDiverges,
     TruncationInsufficient,
+    check_keys,
 )
 
 STOCHASTIC_TOL = 1e-12
@@ -596,7 +597,9 @@ def compound_block_moment(x_model: FiniteMarkovModel, w_model: FiniteMarkovModel
 def model_from_dict(obj: dict) -> FiniteMarkovModel:
     """Build a model from the chain-file form
     {states: [labels], P: [[...]], s: [...], nu: [...]}; reals may be
-    decimal strings or doubles."""
+    decimal strings or doubles.  Any other key raises InvalidSpec."""
+    check_keys(obj, ("states", "P", "s", "nu"), "chain")
+
     def conv(x):
         if isinstance(x, list):
             return [conv(v) for v in x]

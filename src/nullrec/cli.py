@@ -37,8 +37,9 @@ from .algebra import (
     sigma2_from_series,
 )
 from .estimator import EPANECHNIKOV, Kernel, local_bandwidth, nw_estimate
+# cli.run_clt is not called here; bench/tracing.py wraps it by name.
 from .montecarlo import (TREND_ALPHA, CltExperimentResult, ks_pvalue, protocols_from_dict,
-                         run_clt, trend_report)
+                         run_clt, run_protocols, trend_report)
 from .processes import generate, load_spec
 from .splitting import SplitTrajectory, simulate_split
 
@@ -190,7 +191,7 @@ def _cmd_clt(args) -> int:
         from dataclasses import replace
         protocols = [replace(p, base_seed=args.seed) for p in protocols]
     threads = _threads(args)
-    results = [run_clt(p, threads=threads) for p in protocols]
+    results = run_protocols(protocols, threads=threads)
 
     out = _out_dir(args.out)
     for res in results:

@@ -122,6 +122,13 @@ class WrongFamily(ValidationError):
     pass
 
 
+def check_keys(obj: dict, allowed, where: str) -> None:
+    """Raise InvalidSpec when a JSON object has a key outside `allowed`, so a
+    misspelt key is an error rather than ignored."""
+    if unknown := sorted(set(obj) - set(allowed)):
+        raise InvalidSpec(f"unknown {where} key(s) {unknown}; expected some of {list(allowed)}")
+
+
 # --- estimation ---------------------------------------------------------------
 
 class EmptyNeighborhood(EmptyDataError):

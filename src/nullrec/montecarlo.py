@@ -32,7 +32,12 @@ standard normal, so no normal is fitted.
 
 Per-replication seeds come from a splitmix64 mix of (base_seed, index), so
 serial and parallel execution produce bit-identical results and aggregation
-is order-independent.
+is order-independent.  The sizes of a protocol file share each replication's
+seed, and so its path: run_protocols draws that path once, at the largest
+size, and reads every smaller size from its first rows (modal) or its band
+rows up to the size's own stopping time (fixed_point).  Since a shorter path
+with the same seed is a prefix of a longer one, the outputs equal those of
+one-size runs, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from .errors import (
     IncomparableProtocols,
     InvalidSpec,
     TooFewValues,
+    check_keys,
 )
 from .estimator import EPANECHNIKOV, Kernel, local_bandwidth, modal_value, nw_estimate
 from .processes import (KEY_INDEP_W, KEY_OFF_BAND_W, ProcessSpec, band_walk, generate,
@@ -185,19 +191,24 @@ def _rows(protocol: CltProtocol, seed: int, band: tuple[float, float]):
             return
 
 
-def _fixed_point_path(protocol: CltProtocol, seed: int, band: tuple[float, float]):
-    """(x, z, T + 1): the rows t <= T whose x lies in the closed band, which
+def _fixed_point_paths(group, seed: int, band: tuple[float, float]) -> list:
+    """For each protocol of `group`, which differ only in local_count, its
+    (x, z, T + 1): the rows t <= T whose x lies in the closed band, which
     holds the closed window, in time order, with T the first time
     `local_count` observations have fallen in the window; None when
-    T > max_path_length.  No row after T's block is drawn, and the window
-    and z = f(x) + w are evaluated on the band rows only; INDEP's w is drawn
-    for those rows alone, once T is found."""
-    lo, hi = protocol.window
+    T > max_path_length.  The group's path is read once, up to its largest
+    T, and no row after that T's block is drawn; each protocol's rows are a
+    prefix of the rows read.  The window and z = f(x) + w are evaluated on
+    the band rows only; INDEP's w is drawn for those rows alone, by band
+    rank, once the last T is found."""
+    first = group[0]
+    lo, hi = first.window
     b_lo, b_hi = band
-    missing = protocol.local_count
-    spec = protocol.process
+    counts = sorted({p.local_count for p in group})
+    stops = {}  # local_count -> (band rows up to T, T + 1)
+    seen = kept = 0  # window rows and band rows before the block
     xs, ws = [], []
-    for start, x, w in _rows(protocol, seed, band):
+    for start, x, w in _rows(first, seed, band):
         keep = x >= b_lo
         keep &= x <= b_hi
         keep = keep.nonzero()[0]
@@ -205,19 +216,27 @@ def _fixed_point_path(protocol: CltProtocol, seed: int, band: tuple[float, float
             continue
         band_x = x[keep]
         inside = ((band_x >= lo) & (band_x <= hi)).nonzero()[0]
-        stop = len(inside) >= missing
-        if stop:
-            keep = keep[:inside[missing - 1] + 1]
-            band_x = band_x[:len(keep)]
+        while len(stops) < len(counts) and seen + len(inside) >= counts[len(stops)]:
+            row = int(inside[counts[len(stops)] - seen - 1])
+            stops[counts[len(stops)]] = (kept + row + 1, start + int(keep[row]) + 1)
         xs.append(band_x)
         if w is not None:
             ws.append(w[keep])
-        if stop:
-            x = np.concatenate(xs)
-            w = np.concatenate(ws) if ws else _indep_w(protocol, seed, x)
-            return x, spec.f(x) + w, start + int(keep[-1]) + 1
-        missing -= len(inside)
-    return None
+        if len(stops) == len(counts):
+            break
+        seen += len(inside)
+        kept += len(keep)
+    if not stops:
+        return [None] * len(group)
+    rows = stops[max(stops)][0]
+    x = np.concatenate(xs)[:rows]
+    w = np.concatenate(ws)[:rows] if ws else _indep_w(first, seed, x)
+    z = first.process.f(x) + w
+    cuts = []
+    for p in group:
+        stop = stops.get(p.local_count)
+        cuts.append(None if stop is None else (x[:stop[0]], z[:stop[0]], stop[1]))
+    return cuts
 
 
 def _indep_w(protocol: CltProtocol, seed: int, x: np.ndarray) -> np.ndarray:
@@ -236,24 +255,33 @@ def _indep_w(protocol: CltProtocol, seed: int, x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _run_rep(protocol: CltProtocol, rep: int) -> RepRecord:
-    seed = derive_seed(protocol.base_seed, rep)
-    spec = protocol.process
-    if protocol.mode == "modal":
-        path = generate(spec, protocol.n, seed)
-        x, z, length = path.x, path.z, protocol.n + 1
-        x_eval = modal_value(x, protocol.kernel)
-        size, window, band = protocol.n, None, _WHOLE_PATH
+def _run_group_rep(group, rep: int) -> tuple:
+    """Replication `rep` of every protocol in `group`, which differ only in
+    size: one path, drawn once up to the largest size, and one RepRecord
+    per protocol, in group order."""
+    first = group[0]
+    seed = derive_seed(first.base_seed, rep)
+    if first.mode == "modal":
+        path = generate(first.process, max(p.n for p in group), seed)
+        cuts = [(path.x[:p.n + 1], path.z[:p.n + 1], p.n + 1) for p in group]
+        band = _WHOLE_PATH
     else:
-        band = _band(protocol)
-        cut = _fixed_point_path(protocol, seed, band)
-        if cut is None:
-            # Right-censored: the stopping time is beyond the guard.
-            return _rejection(rep, seed, None, GUARD, protocol.max_path_length + 1)
-        x, z, length = cut
-        x_eval = protocol.x_eval
-        size, window = protocol.local_count, protocol.window
+        band = _band(first)
+        cuts = _fixed_point_paths(group, seed, band)
+    return tuple(_record(p, rep, seed, cut, band) for p, cut in zip(group, cuts))
 
+
+def _record(protocol: CltProtocol, rep: int, seed: int, cut, band) -> RepRecord:
+    """The record of one size of a replication from its rows `cut`, an
+    (x, z, path length) triple, or None for a guard rejection."""
+    if cut is None:
+        # Right-censored: the stopping time is beyond the guard.
+        return _rejection(rep, seed, None, GUARD, protocol.max_path_length + 1)
+    x, z, length = cut
+    if protocol.mode == "modal":
+        x_eval, window = modal_value(x, protocol.kernel), None
+    else:
+        x_eval, window = protocol.x_eval, protocol.window
     try:
         if protocol.fixed_h is not None:
             h = protocol.fixed_h
@@ -262,30 +290,57 @@ def _run_rep(protocol: CltProtocol, rep: int) -> RepRecord:
             s_lo, s_hi = protocol.kernel.support(x_eval, h)
             if not band[0] <= s_lo <= s_hi <= band[1]:
                 # h reaches past the band: read the path again, whole.
-                x, z, _ = _fixed_point_path(protocol, seed, _WHOLE_PATH)
+                x, z, _ = _fixed_point_paths((protocol,), seed, _WHOLE_PATH)[0]
         report = nw_estimate(x, z, x_eval, h, protocol.kernel, window=window,
-                             f_true_at_x=float(spec.f(x_eval)))
+                             f_true_at_x=float(protocol.process.f(x_eval)))
     except (EmptyNeighborhood, EmptyOccupation):
-        return _rejection(rep, seed, size, EMPTY, length)
-    return RepRecord(rep, seed, size, float(x_eval), float(h), report.sum_k,
+        return _rejection(rep, seed, protocol.size, EMPTY, length)
+    return RepRecord(rep, seed, protocol.size, float(x_eval), float(h), report.sum_k,
                      report.f_hat, report.studentized, ADMITTED, length)
 
 
-def run_clt(protocol: CltProtocol, threads: Optional[int] = None) -> CltExperimentResult:
-    """Run all replications and aggregate.
+def run_protocols(protocols, threads: Optional[int] = None) -> list[CltExperimentResult]:
+    """Run all replications of each protocol and aggregate; one result per
+    protocol, in input order.
 
-    Deterministic given the protocol (including base_seed) and independent of
-    `threads`: replication r always uses derive_seed(base_seed, r)."""
+    Protocols that agree in _comparability_key and base_seed differ only in
+    size, and form a group.  Replication r of a group draws its path once,
+    from derive_seed(base_seed, r), up to the group's largest size, and each
+    size reads its own prefix of it: rows 0..n for modal, the band rows up
+    to its own stopping time for fixed_point.  A shorter path with the same
+    seed is a prefix of a longer one, so every result equals that of its
+    protocol run alone, bit for bit.  Deterministic given the protocols and
+    independent of `threads`; a pool task is one replication of a group."""
+    protocols = list(protocols)
+    groups = {}
+    for i, p in enumerate(protocols):
+        groups.setdefault((_comparability_key(p), p.base_seed), []).append(i)
+    groups = [(idx, tuple(protocols[i] for i in idx)) for idx in groups.values()]
     if threads and threads > 1:
         from concurrent.futures import ProcessPoolExecutor  # not loaded by a serial run
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, protocol.reps // (threads * 8))
-            records = list(pool.map(partial(_run_rep, protocol),
-                                    range(protocol.reps), chunksize=chunk))
+            runs = [list(pool.map(partial(_run_group_rep, group), range(group[0].reps),
+                                  chunksize=max(1, group[0].reps // (threads * 8))))
+                    for _, group in groups]
     else:
-        records = [_run_rep(protocol, r) for r in range(protocol.reps)]
+        runs = [[_run_group_rep(group, r) for r in range(group[0].reps)] for _, group in groups]
+    records = [None] * len(protocols)
+    for (idx, _), reps in zip(groups, runs):
+        for i, recs in zip(idx, zip(*reps)):
+            records[i] = recs
+    return [_aggregate(p, recs) for p, recs in zip(protocols, records)]
 
+
+def run_clt(protocol: CltProtocol, threads: Optional[int] = None) -> CltExperimentResult:
+    """Run all replications of one protocol and aggregate: replication r
+    uses derive_seed(base_seed, r), whatever `threads`."""
+    return run_protocols([protocol], threads)[0]
+
+
+def _aggregate(protocol: CltProtocol, records: tuple) -> CltExperimentResult:
+    """One protocol's result from its records, in replication order; raises
+    AllRejected when none is admitted."""
     values = np.array([r.studentized for r in records if r.status == ADMITTED])
     admitted = len(values)
     rejected_empty = sum(1 for r in records if r.status == EMPTY)
@@ -295,7 +350,7 @@ def run_clt(protocol: CltProtocol, threads: Optional[int] = None) -> CltExperime
     ks = ks_normal(values) if admitted >= 10 else math.nan
     mean = float(values.mean())
     sd = float(values.std(ddof=1)) if admitted >= 2 else math.nan
-    return CltExperimentResult(protocol=protocol, records=tuple(records),
+    return CltExperimentResult(protocol=protocol, records=records,
                                values=values, admitted=admitted,
                                rejected_empty=rejected_empty, guard_exceeded=guard,
                                ks_distance=ks, mean=mean, sd=sd)
@@ -384,8 +439,17 @@ def trend_report(results) -> TrendReport:
 
 # --- protocol files ---------------------------------------------------------
 
+_KERNEL_KEYS = {"epanechnikov": ("kind",), "gaussian_truncated": ("kind", "c")}
+_PROTOCOL_KEYS = ("id", "mode", "process", "reps", "base_seed", "kernel", "bandwidth",
+                  "max_path_length")
+_MODE_KEYS = {"modal": ("n",), "fixed_point": ("local_count", "x_eval", "window")}
+
+
 def kernel_from_dict(obj: dict) -> Kernel:
     kind = obj.get("kind", "epanechnikov")
+    if kind not in _KERNEL_KEYS:
+        raise InvalidSpec(f"unknown kernel kind {kind!r}; expected one of {list(_KERNEL_KEYS)}")
+    check_keys(obj, _KERNEL_KEYS[kind], f"{kind} kernel")
     if kind == "epanechnikov":
         return EPANECHNIKOV
     return Kernel(kind, c=float(obj.get("c", 2.5)))
@@ -393,13 +457,19 @@ def kernel_from_dict(obj: dict) -> Kernel:
 
 def protocols_from_dict(obj: dict) -> list[CltProtocol]:
     """Expand a protocol file into one protocol per requested size (a scalar
-    or list under 'n' for modal, 'local_count' for fixed_point)."""
+    or list under 'n' for modal, 'local_count' for fixed_point).  A key that
+    the file's mode does not read, at the top level or in 'bandwidth' or
+    'kernel', raises InvalidSpec."""
     mode = obj["mode"]
+    if mode not in _MODE_KEYS:
+        raise InvalidSpec(f"unknown mode {mode!r}; expected one of {list(_MODE_KEYS)}")
+    check_keys(obj, _PROTOCOL_KEYS + _MODE_KEYS[mode], f"{mode} protocol")
     sizes = obj["n"] if mode == "modal" else obj["local_count"]
     if not isinstance(sizes, (list, tuple)):
         sizes = [sizes]
     base_id = obj.get("id", f"{mode}-{obj['process'].get('family', '?').lower()}")
     bw = obj.get("bandwidth", {})
+    check_keys(bw, ("c0", "h"), "bandwidth")
     common = dict(
         process=spec_from_dict(obj["process"]),
         mode=mode,

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import FiniteMarkovModel, model_from_dict
-from .errors import InvalidSpec, UnknownProcessFamily, WrongFamily
+from .errors import InvalidSpec, UnknownProcessFamily, WrongFamily, check_keys
 
 FAMILIES = ("INDEP", "SHARED_INNOVATION", "AR1_LINKED", "MA_LINKED", "FINITE_PRODUCT")
 
@@ -72,7 +72,10 @@ def keyed_rng(seed: int, *key: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class Transfer:
     """Transfer function descriptor: linear a*x + b, or a lookup table with
-    linear interpolation (testing aid)."""
+    linear interpolation (testing aid).  A table's grid is converted to float
+    arrays once, at construction; equality and hashing go by the tuple
+    fields.  The arrays are private, and writeable: np.interp copies a
+    read-only grid on every call."""
 
     kind: str = "linear"
     a: float = 1.0
@@ -83,19 +86,23 @@ class Transfer:
     def __post_init__(self):
         if self.kind not in ("linear", "table"):
             raise InvalidSpec(f"unknown transfer kind {self.kind!r}")
-        xs, ys = np.asarray(self.xs, dtype=float), np.asarray(self.ys, dtype=float)
+        if self.kind == "linear":
+            return
+        xs, ys = np.array(self.xs, dtype=float), np.array(self.ys, dtype=float)
         # np.interp checks none of this: it reads a decreasing or NaN grid silently.
-        if self.kind == "table" and not (xs.size == ys.size >= 2 and np.isfinite(ys).all()
-                                         and np.isfinite(xs).all() and (np.diff(xs) > 0).all()):
+        if not (xs.size == ys.size >= 2 and np.isfinite(ys).all() and np.isfinite(xs).all()
+                and (np.diff(xs) > 0).all()):
             raise InvalidSpec("table transfer needs xs and ys of one length >= 2, finite ys "
                               "and finite, strictly increasing xs")
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_ys", ys)
 
     def __call__(self, x):
         if self.kind == "linear":
             out = self.a * np.asarray(x, dtype=float)
             out += self.b
             return out
-        return np.interp(x, self.xs, self.ys)
+        return np.interp(x, self._xs, self._ys)
 
 
 def linear(a: float = 1.0, b: float = 0.0) -> Transfer:
@@ -399,16 +406,11 @@ _FLOAT_PARAMS = ("a", "b", "sigma_e", "sigma_u", "sigma_w", "halfwidth")
 _CHAIN_PARAMS = ("x_chain", "w_chain")
 
 
-def _check_keys(obj: dict, allowed, where: str) -> None:
-    if unknown := sorted(set(obj) - set(allowed)):
-        raise InvalidSpec(f"unknown {where} key(s) {unknown}; expected some of {list(allowed)}")
-
-
 def transfer_from_dict(obj: dict) -> Transfer:
     kind = obj.get("kind", "linear")
     if kind not in _TRANSFER_KEYS:
         raise InvalidSpec(f"unknown transfer kind {kind!r}; expected one of {list(_TRANSFER_KEYS)}")
-    _check_keys(obj, _TRANSFER_KEYS[kind], f"{kind} transfer")
+    check_keys(obj, _TRANSFER_KEYS[kind], f"{kind} transfer")
     if kind == "linear":
         return Transfer("linear", a=float(obj.get("a", 1.0)), b=float(obj.get("b", 0.0)))
     return Transfer("table", xs=tuple(float(v) for v in obj.get("xs", ())),
@@ -417,9 +419,9 @@ def transfer_from_dict(obj: dict) -> Transfer:
 
 def spec_from_dict(obj: dict) -> ProcessSpec:
     """The spec of a JSON object; an unknown key or transfer kind raises InvalidSpec."""
-    _check_keys(obj, _SPEC_KEYS, "spec")
+    check_keys(obj, _SPEC_KEYS, "spec")
     params = obj.get("params", {})
-    _check_keys(params, _FLOAT_PARAMS + _CHAIN_PARAMS, "params")
+    check_keys(params, _FLOAT_PARAMS + _CHAIN_PARAMS, "params")
     kwargs = {key: float(params[key]) for key in _FLOAT_PARAMS if key in params}
     kwargs.update((key, model_from_dict(params[key])) for key in _CHAIN_PARAMS if key in params)
     return ProcessSpec(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import nullrec.algebra as alg
 from nullrec.errors import (
+    InvalidSpec,
     MinorizationViolated,
     NotIrreducible,
     NotStochastic,
@@ -1143,6 +1144,13 @@ class TestChainFiles:
         })
         assert model.d == 2
         np.testing.assert_array_equal(model.P, 0.5 * np.ones((2, 2)))
+
+    @pytest.mark.parametrize("key", ["pi", "P0", "state"])
+    def test_unknown_key_raises(self, key):
+        chain = {"states": [0, 1], "P": [[0.5, 0.5], [0.5, 0.5]], "s": [0.5, 0.5],
+                 "nu": [0.5, 0.5], key: [0.5, 0.5]}
+        with pytest.raises(InvalidSpec, match=f"'{key}'"):
+            alg.model_from_dict(chain)
 
     def test_validation_on_load(self):
         with pytest.raises(MinorizationViolated):

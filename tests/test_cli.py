@@ -152,6 +152,7 @@ MALFORMED_CHAINS = {
     "nan_entry": ({**GOOD_CHAIN, "P": [["nan", 0.5], [0.5, 0.5]]}, "InvalidSpec", 4),
     "one_row_P": ({**GOOD_CHAIN, "P": [[0.5, 0.5]]}, "InvalidSpec", 4),
     "short_s": ({**GOOD_CHAIN, "s": [0.5]}, "InvalidSpec", 4),
+    "extra_key": ({**GOOD_CHAIN, "pi": [0.5, 0.5]}, "InvalidSpec", 4),
 }
 
 
@@ -274,9 +275,9 @@ class TestClt:
         import nullrec.cli as cli
 
         def never(*args, **kwargs):
-            raise AssertionError("run_clt was called")
+            raise AssertionError("run_protocols was called")
 
-        monkeypatch.setattr(cli, "run_clt", never)
+        monkeypatch.setattr(cli, "run_protocols", never)
         monkeypatch.delenv("NULLREC_THREADS", raising=False)
         if env is not None:
             monkeypatch.setenv("NULLREC_THREADS", env)
@@ -291,6 +292,16 @@ class TestClt:
         assert main(["clt", "--protocol", str(proto), "--out", str(out)]) == 4
         assert not out.exists()
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidSpec"
+
+    @pytest.mark.parametrize("where, key", [(None, "kernal"), (None, "base_sed"),
+                                            (None, "x_eval"), ("bandwidth", "C0"),
+                                            ("kernel", "c")])
+    def test_unknown_protocol_key_exit_4(self, where, key, tmp_path, capsys):
+        proto = self._protocol_file(tmp_path)
+        obj = json.loads(proto.read_text())
+        (obj.setdefault(where, {}) if where else obj)[key] = 1.0
+        proto.write_text(json.dumps(obj))
+        assert_invalid_spec_exit(["clt", "--protocol", str(proto)], tmp_path, capsys)
 
     def test_unknown_process_key_exit_4(self, tmp_path, capsys):
         proto = self._protocol_file(tmp_path)

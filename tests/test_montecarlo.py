@@ -3,7 +3,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 from functools import partial
 from pathlib import Path
 from statistics import NormalDist
@@ -25,7 +25,7 @@ from nullrec.cli import write_replication_csv, write_summary_csv
 from nullrec.estimator import _occupation, local_bandwidth, nw_estimate
 from nullrec import processes
 from nullrec.processes import ProcessSpec, generate, linear, stream
-from tests.conftest import ks_two_sample, ks_two_sample_critical
+from tests.conftest import ks_two_sample, ks_two_sample_critical, random_model
 
 
 def modal_protocol(n=300, reps=40, seed=123, family="INDEP", f=None, **kw):
@@ -151,6 +151,18 @@ class TestRunClt:
             mc.run_clt(proto)
 
 
+def run_rep(protocol, rep):
+    """Replication `rep` of `protocol`, run as a group of one."""
+    (record,) = mc._run_group_rep((protocol,), rep)
+    return record
+
+
+def fixed_point_path(protocol, seed, band):
+    """The band rows of one fixed-point replication, read as a group of one."""
+    (cut,) = mc._fixed_point_paths((protocol,), seed, band)
+    return cut
+
+
 def seed_words(seed, *key):
     """The PCG64 stream of keyed_rng(seed, *key), built from its words."""
     return np.random.default_rng([seed % 2 ** 32, seed // 2 ** 32, *key])
@@ -238,8 +250,8 @@ class TestFixedPointStream:
         assert list(mc.run_clt(protocol).records) == reference
         # The band is the whole path's band rows, bit for bit.
         for rec in reference:
-            band = mc._fixed_point_path(protocol, rec.seed, mc._band(protocol))
-            whole = mc._fixed_point_path(protocol, rec.seed, mc._WHOLE_PATH)
+            band = fixed_point_path(protocol, rec.seed, mc._band(protocol))
+            whole = fixed_point_path(protocol, rec.seed, mc._WHOLE_PATH)
             if rec.status == mc.GUARD:
                 assert band is None and whole is None
                 continue
@@ -257,7 +269,7 @@ class TestFixedPointStream:
         assert {r.status for r in reference} == {mc.ADMITTED, mc.EMPTY, mc.GUARD}
         for chunk in (1, 97, processes._STREAM_BLOCK):
             monkeypatch.setattr(mc, "stream", partial(stream, chunk=chunk))
-            assert [mc._run_rep(protocol, r) for r in range(protocol.reps)] == reference
+            assert [run_rep(protocol, r) for r in range(protocol.reps)] == reference
 
     def test_block_boundary_at_stopping_index(self, protocol, monkeypatch):
         # Stream blocks cut the linked families' paths; band_walk's INDEP
@@ -271,14 +283,14 @@ class TestFixedPointStream:
             stop = rec.path_length - 1
             for chunk in (stop, stop + 1):  # stop opens a block / ends one
                 monkeypatch.setattr(mc, "stream", partial(stream, chunk=chunk))
-                assert mc._run_rep(protocol, r) == rec
+                assert run_rep(protocol, r) == rec
 
     def test_long_reps_leave_no_rows_for_short_ones(self, protocol, reference):
         # Guard reps first (they are the longest), then admitted reps from the
         # longest down, one after another on one thread.
         order = sorted(range(protocol.reps), key=lambda r: -reference[r].path_length)
         assert reference[order[0]].status == mc.GUARD
-        assert [mc._run_rep(protocol, r) for r in order] == [reference[r] for r in order]
+        assert [run_rep(protocol, r) for r in order] == [reference[r] for r in order]
 
     def test_concurrent_runs_keep_their_records(self, protocol):
         # Long paths and the local bandwidth rule, so that any state shared
@@ -330,13 +342,13 @@ class TestFixedPointStream:
         protocol = replace(protocol, x_eval=x_eval, fixed_h=fixed_h, c0=c0)
         whole = []
 
-        def counting(protocol, seed, band):
+        def counting(group, seed, band):
             whole.append(band == mc._WHOLE_PATH)
-            return fixed_point_path(protocol, seed, band)
+            return fixed_point_paths(group, seed, band)
 
-        fixed_point_path = mc._fixed_point_path
-        monkeypatch.setattr(mc, "_fixed_point_path", counting)
-        records = [mc._run_rep(protocol, r) for r in range(protocol.reps)]
+        fixed_point_paths = mc._fixed_point_paths
+        monkeypatch.setattr(mc, "_fixed_point_paths", counting)
+        records = [run_rep(protocol, r) for r in range(protocol.reps)]
         assert records == [reference_fixed_point_rep(protocol, r) for r in range(protocol.reps)]
         admitted = sum(r.status == mc.ADMITTED for r in records)
         assert admitted > 0
@@ -354,10 +366,10 @@ class TestFixedPointStream:
         protocol = mc.CltProtocol(process=spec, mode="fixed_point", reps=1, base_seed=271828,
                                   x_eval=7.5, window=(5.0, 10.0), local_count=800,
                                   max_path_length=1_000_000)
-        mc._run_rep(replace(protocol, max_path_length=1000), 0)  # first-call imports
+        run_rep(replace(protocol, max_path_length=1000), 0)  # first-call imports
         tracemalloc.start()
         try:
-            record = mc._run_rep(protocol, 0)
+            record = run_rep(protocol, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -385,7 +397,7 @@ class TestFixedPointEdges:
               "lower level": b_lo - m / 2, "zone edge": b_lo - m,
               "past the zone": np.nextafter(b_lo - m, -math.inf)}[where]
         proto = replace(proto, process=replace(proto.process, x0=x0))
-        records = [mc._run_rep(proto, r) for r in range(proto.reps)]
+        records = [run_rep(proto, r) for r in range(proto.reps)]
         assert records == [reference_fixed_point_rep(proto, r) for r in range(proto.reps)]
         assert any(r.status == mc.ADMITTED for r in records)
 
@@ -399,21 +411,21 @@ class TestFixedPointEdges:
             return iter(walks[-1])
 
         monkeypatch.setattr(mc, "band_walk", band_walk)
-        assert mc._run_rep(proto, 0) == mc._rejection(0, mc.derive_seed(21, 0), None, mc.GUARD,
+        assert run_rep(proto, 0) == mc._rejection(0, mc.derive_seed(21, 0), None, mc.GUARD,
                                                       1_000_001)
         assert walks == [[]]
 
     def test_zero_sigma_is_a_guard(self):
         proto = self.protocol(sigma_e=0.0)
-        assert all(mc._run_rep(proto, r).status == mc.GUARD for r in range(proto.reps))
+        assert all(run_rep(proto, r).status == mc.GUARD for r in range(proto.reps))
 
     def test_stop_on_the_guard_row(self):
         proto = self.protocol()
-        records = [mc._run_rep(proto, r) for r in range(proto.reps)]
+        records = [run_rep(proto, r) for r in range(proto.reps)]
         rec = max((r for r in records if r.status == mc.ADMITTED), key=lambda r: r.path_length)
         stop = rec.path_length - 1
-        assert mc._run_rep(replace(proto, max_path_length=stop), rec.rep) == rec
-        assert mc._run_rep(replace(proto, max_path_length=stop - 1), rec.rep) == \
+        assert run_rep(replace(proto, max_path_length=stop), rec.rep) == rec
+        assert run_rep(replace(proto, max_path_length=stop - 1), rec.rep) == \
             mc._rejection(rec.rep, rec.seed, None, mc.GUARD, stop)
 
     def test_threads_keep_records(self):
@@ -458,7 +470,7 @@ def test_band_disturbance_is_normal_and_independent_of_the_walk():
     b_lo, b_hi = mc._band(proto)
     eps, level, step = [], [], []
     for r in range(proto.reps):
-        cut = mc._fixed_point_path(proto, mc.derive_seed(proto.base_seed, r), mc._WHOLE_PATH)
+        cut = fixed_point_path(proto, mc.derive_seed(proto.base_seed, r), mc._WHOLE_PATH)
         if cut is None:
             continue
         x, w, _ = cut
@@ -502,6 +514,166 @@ class TestClosedWindowOnStateValues:
     def test_records_equal_reference(self, protocol):
         assert list(mc.run_clt(protocol).records) == [
             reference_fixed_point_rep(protocol, r) for r in range(protocol.reps)]
+
+
+def reference_fixed_point_path(protocol, seed, band):
+    """One size's band rows, read on their own: the loop that stops at this
+    protocol's local_count, with no other size in view."""
+    lo, hi = protocol.window
+    b_lo, b_hi = band
+    missing = protocol.local_count
+    xs, ws = [], []
+    for start, x, w in mc._rows(protocol, seed, band):
+        keep = ((x >= b_lo) & (x <= b_hi)).nonzero()[0]
+        band_x = x[keep]
+        inside = ((band_x >= lo) & (band_x <= hi)).nonzero()[0]
+        stop = len(inside) >= missing
+        if stop:
+            keep = keep[:inside[missing - 1] + 1]
+            band_x = band_x[:len(keep)]
+        xs.append(band_x)
+        if w is not None:
+            ws.append(w[keep])
+        if stop:
+            x = np.concatenate(xs)
+            w = np.concatenate(ws) if ws else mc._indep_w(protocol, seed, x)
+            return x, protocol.process.f(x) + w, start + int(keep[-1]) + 1
+        missing -= len(inside)
+    return None
+
+
+def reference_rep(protocol, rep):
+    """Replication `rep` of one size alone: its own path, drawn at its own
+    size."""
+    seed = mc.derive_seed(protocol.base_seed, rep)
+    spec = protocol.process
+    if protocol.mode == "modal":
+        path = generate(spec, protocol.n, seed)
+        x, z, length = path.x, path.z, protocol.n + 1
+        x_eval, window, band = mc.modal_value(x, protocol.kernel), None, mc._WHOLE_PATH
+    else:
+        band = mc._band(protocol)
+        cut = reference_fixed_point_path(protocol, seed, band)
+        if cut is None:
+            return mc._rejection(rep, seed, None, mc.GUARD, protocol.max_path_length + 1)
+        x, z, length = cut
+        x_eval, window = protocol.x_eval, protocol.window
+    try:
+        h = protocol.fixed_h
+        if h is None:
+            h = local_bandwidth(x, x_eval, window, protocol.c0, protocol.kernel)
+            s_lo, s_hi = protocol.kernel.support(x_eval, h)
+            if not band[0] <= s_lo <= s_hi <= band[1]:
+                x, z, _ = reference_fixed_point_path(protocol, seed, mc._WHOLE_PATH)
+        report = nw_estimate(x, z, x_eval, h, protocol.kernel, window=window,
+                             f_true_at_x=float(spec.f(x_eval)))
+    except (EmptyNeighborhood, EmptyOccupation):
+        return mc._rejection(rep, seed, protocol.size, mc.EMPTY, length)
+    return mc.RepRecord(rep, seed, protocol.size, float(x_eval), float(h), report.sum_k,
+                        report.f_hat, report.studentized, mc.ADMITTED, length)
+
+
+def reference_run_clt(protocol):
+    """The records of the per-size loop that run_protocols replaced, its
+    slow reference: every replication of every size draws its own path."""
+    return [reference_rep(protocol, r) for r in range(protocol.reps)]
+
+
+def record_fields(records):
+    """Each record's fields, floats as their hex form, so -0.0 and 0.0 differ."""
+    return [[v.hex() if isinstance(v, float) else v for v in astuple(r)] for r in records]
+
+
+def sizes_of(protocol, sizes):
+    key = "n" if protocol.mode == "modal" else "local_count"
+    return [replace(protocol, protocol_id=f"size-{size}", **{key: size}) for size in sizes]
+
+
+class TestGroupedSizes:
+    """run_protocols draws a replication's path once for every size of a
+    group and reads each size from it; each result equals its size run on
+    its own (reference_run_clt), field for field, at 1 and 2 threads."""
+
+    def modal(self, family):
+        rng = np.random.default_rng(4)
+        chains = {}
+        if family == "FINITE_PRODUCT":
+            chains = dict(x_chain=random_model(rng, d=3), w_chain=random_model(rng, d=4))
+        spec = ProcessSpec(family=family, f=linear(1.5, -0.25), x0=-2.75, sigma_w=0.8, **chains)
+        sizes = [300, 40, 150] if family != "INDEP" else [300, 9000, 40]  # 9000: two blocks
+        return sizes_of(mc.CltProtocol(process=spec, mode="modal", reps=8, base_seed=17, n=1),
+                        sizes)
+
+    def fixed_point(self, family, **kw):
+        spec = ProcessSpec(family=family, f=linear(0.5, 1.0))
+        proto = mc.CltProtocol(process=spec, mode="fixed_point", reps=30, base_seed=3,
+                               x_eval=7.5, window=(5.0, 10.0), local_count=1,
+                               max_path_length=6000, **kw)
+        return sizes_of(proto, [60, 20, 120, 60])
+
+    def check(self, protocols, threads):
+        results = mc.run_protocols(protocols, threads=threads)
+        assert [r.protocol for r in results] == protocols
+        for res, proto in zip(results, protocols):
+            assert record_fields(res.records) == record_fields(reference_run_clt(proto))
+        return results
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_modal_every_family(self, threads, monkeypatch):
+        protocols = [p for family in processes.FAMILIES for p in self.modal(family)]
+        calls = []
+        monkeypatch.setattr(mc, "generate", lambda spec, n, seed: calls.append(n) or
+                            generate(spec, n, seed))
+        self.check(protocols, threads)
+        if threads == 1:  # one path per replication of each family, at its largest size
+            assert sorted(calls) == sorted([300] * 8 * 4 + [9000] * 8)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_fixed_point_indep_guards_and_rereads(self, threads, monkeypatch):
+        # c0 = 4 sends some admitted reps past the band, to a whole-path read;
+        # the tight guard censors the larger sizes of some reps and not the
+        # smaller ones.
+        protocols = self.fixed_point("INDEP", c0=4.0)
+        rereads = []
+        paths = mc._fixed_point_paths
+
+        def counting(group, seed, band):
+            rereads.append(band == mc._WHOLE_PATH)
+            return paths(group, seed, band)
+
+        monkeypatch.setattr(mc, "_fixed_point_paths", counting)
+        results = self.check(protocols, threads)
+        if threads == 1:
+            assert sum(rereads) > 0 and len(rereads) - sum(rereads) == protocols[0].reps
+        status = [[r.status for r in res.records] for res in results]
+        assert {s for row in status for s in row} == {mc.ADMITTED, mc.EMPTY, mc.GUARD}
+        by_size = dict(zip((p.local_count for p in protocols), status))
+        assert any(a == mc.ADMITTED and b == mc.GUARD for a, b in zip(by_size[20], by_size[120]))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_fixed_point_linked_family(self, threads):
+        results = self.check(self.fixed_point("AR1_LINKED", fixed_h=0.3), threads)
+        assert {r.status for res in results for r in res.records} >= {mc.ADMITTED, mc.GUARD}
+
+    def test_groups_keep_input_order(self):
+        # Two groups interleaved, a third protocol that differs in its seed
+        # alone, and a fixed-point group of one.
+        modal = self.modal("SHARED_INNOVATION")
+        fixed = self.fixed_point("INDEP", fixed_h=0.3)[:1]
+        protocols = [modal[0], fixed[0], modal[1], replace(modal[2], base_seed=18), modal[2]]
+        results = mc.run_protocols(protocols)
+        for res, proto in zip(results, protocols):
+            assert res.protocol is proto
+            assert record_fields(res.records) == record_fields(mc.run_clt(proto).records)
+
+    def test_all_rejected_is_raised_for_the_first_protocol_in_order(self):
+        # 10_000 window rows do not fit under the guard of 6000 rows.  The
+        # first and last protocols form one group, run before the second.
+        ok, never = self.fixed_point("INDEP", fixed_h=0.3)[:2]
+        never = replace(never, local_count=10_000)
+        protocols = [ok, replace(never, reps=9, base_seed=5), never]
+        with pytest.raises(AllRejected, match="all 9 replications"):
+            mc.run_protocols(protocols)
 
 
 class TestTrendReport:
@@ -642,6 +814,27 @@ class TestCsvAndJson:
         assert [p.protocol_id for p in protos] == ["walk-noise-500", "walk-noise-1000",
                                                    "walk-noise-3000"]
         assert all(p.c0 == 1.0 and p.fixed_h is None for p in protos)
+
+    @pytest.mark.parametrize("edit, unknown", [
+        ({"kernal": {"kind": "epanechnikov"}}, "'kernal'"),
+        ({"base_sed": 7}, "'base_sed'"),
+        ({"local_count": 100}, "'local_count'"),  # a fixed_point key in a modal file
+        ({"bandwidth": {"C0": 1.0}}, "'C0'"),
+        ({"kernel": {"kind": "epanechnikov", "c": 2.5}}, "'c'"),
+        ({"kernel": {"kind": "gaussian_truncated", "radius": 2.5}}, "'radius'"),
+        ({"kernel": {"kind": "gaussian"}}, "'gaussian'"),
+        ({"mode": "fixed"}, "'fixed'"),
+    ])
+    def test_protocols_from_dict_rejects_unknown_keys(self, edit, unknown):
+        obj = {"mode": "modal", "process": {"family": "INDEP"}, "n": 50, "reps": 10}
+        with pytest.raises(InvalidSpec, match=unknown):
+            mc.protocols_from_dict(dict(obj, **edit))
+
+    def test_protocols_from_dict_truncated_gaussian_radius(self):
+        obj = {"mode": "modal", "process": {"family": "INDEP"}, "n": 50, "reps": 10,
+               "kernel": {"kind": "gaussian_truncated", "c": 1.5}}
+        (proto,) = mc.protocols_from_dict(obj)
+        assert proto.kernel == mc.Kernel("gaussian_truncated", c=1.5)
 
     def test_protocols_from_dict_fixed_bandwidth_and_point(self):
         obj = {

@@ -63,6 +63,31 @@ class TestSpecValidation:
         assert np.array_equal(table(x), np.interp(x, xs, ys))
 
 
+class TestTableTransfer:
+    """A table converts its grid once, at construction."""
+
+    GRID = np.linspace(-3.0, 3.0, 2001)
+
+    def table(self, shift=0.0):
+        return pr.Transfer("table", xs=tuple(self.GRID.tolist()),
+                           ys=tuple((np.sin(self.GRID) + shift).tolist()))
+
+    def test_calls_match_np_interp_on_arrays(self):
+        table = self.table()
+        ys = np.sin(self.GRID)
+        for x in (np.linspace(-4.0, 4.0, 777), self.GRID, np.array([-3.0, 0.1, 3.0]), 0.25):
+            assert np.asarray(table(x)).tobytes() == np.asarray(
+                np.interp(x, self.GRID, ys)).tobytes()
+
+    def test_equal_specs_hash_and_compare_equal(self):
+        # run_protocols groups protocols by their process, table included.
+        a, b = self.table(), self.table()
+        assert a == b and hash(a) == hash(b)
+        assert a != self.table(shift=1.0)
+        specs = [pr.ProcessSpec(family="INDEP", f=t) for t in (a, b)]
+        assert specs[0] == specs[1] and hash(specs[0]) == hash(specs[1])
+
+
 class TestLinearTransferAgainstReference:
     """The linear transfer, built in place, equals a * x + b bit for bit."""
 
@@ -186,6 +211,23 @@ class TestGenerateAgainstOneBlock:
             got, want = pr.generate(spec, rows - 1, seed), reference_generate(spec, rows - 1, seed)
             for name in ("x", "w", "z"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (spec.family, name)
+
+
+class TestShorterRunIsAPrefix:
+    """generate(spec, n, seed) is rows 0..n of generate(spec, N, seed), byte
+    for byte: run_protocols draws a replication's path once, at its largest
+    size, and reads each smaller size from its first rows."""
+
+    B = pr._STREAM_BLOCK
+    N = 3 * B + 5
+
+    @pytest.mark.parametrize("n", [0, 1, 500, B - 1, B, B + 1])
+    def test_every_family(self, n):
+        for spec in family_specs():
+            short, whole = pr.generate(spec, n, 9), pr.generate(spec, self.N, 9)
+            for name in ("x", "w", "z"):
+                assert getattr(short, name).tobytes() == \
+                    getattr(whole, name)[:n + 1].tobytes(), (spec.family, name)
 
 
 class TestGenerateMemory:
