@@ -122,6 +122,8 @@ class CltProtocol:
             if self.local_count < 1:
                 raise InvalidSpec("fixed_point mode requires local_count >= 1")
             lo, hi = self.window
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise InvalidSpec(f"window ends must be finite, got {self.window!r}")
             if not (lo < self.x_eval < hi):
                 raise InvalidSpec(f"x_eval {self.x_eval!r} must lie inside the window {self.window!r}")
             object.__setattr__(self, "window", (float(lo), float(hi)))

@@ -18,9 +18,9 @@ consumed in time-major order).  stream(spec, seed) yields the driving pair
 (x, w) as consecutive row blocks that carry the linking state between them,
 so a caller that stops at a data-dependent time draws each row once, and at
 most one block past it.  The INDEP disturbance, i.i.d. and independent of
-x, has its own keyed draws, handed out in time order to the rows a caller
-keeps.  _driving_pair writes the stream's first n + 1 rows into its
-outputs block by block, so it holds its outputs and one block; generate,
+x, has its own keyed draws, one per row in time order.  _driving_pair
+writes the stream's first n + 1 rows into its outputs block by block, so it
+holds its outputs and one block; generate,
 the one place that forms z = f(x) + w on a whole path, adds z to them, and
 splitting.simulate_split takes them without z.  band_walk draws an INDEP
 walk only near a band, jumping over its far excursions by the exact
@@ -128,6 +128,11 @@ class ProcessSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise UnknownProcessFamily(f"unknown family {self.family!r}")
+        if not all(map(math.isfinite, (self.a, self.b, self.x0))):
+            raise InvalidSpec(f"a, b and x0 must be finite, got {self.a!r}, {self.b!r}, {self.x0!r}")
+        scales = (self.sigma_e, self.sigma_u, self.sigma_w)
+        if not all(math.isfinite(s) and s >= 0 for s in scales):
+            raise InvalidSpec(f"sigma_e, sigma_u and sigma_w must be finite and >= 0, got {scales!r}")
         if self.family == "AR1_LINKED" and not abs(self.a) < 1:
             raise InvalidSpec(f"AR1_LINKED requires |a| < 1, got a={self.a!r}")
         if self.family == "FINITE_PRODUCT" and (self.x_chain is None or self.w_chain is None):
@@ -159,9 +164,7 @@ def generate(spec: ProcessSpec, n: int, seed: int) -> GeneratedPath:
 
 
 def _driving_pair(spec: ProcessSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """x and w over t = 0..n: the first n + 1 rows of stream(), with the
-    INDEP disturbance w_t = sigma_w eps_t taken from the first n + 1 normals
-    of keyed_rng(seed, KEY_INDEP_W, 0), in time order.
+    """x and w over t = 0..n: the first n + 1 rows of stream().
 
     A path of at most _STREAM_BLOCK rows is one block of the stream.  A
     longer one is written into x and w from k = ceil((n + 1) / _STREAM_BLOCK)
@@ -172,29 +175,23 @@ def _driving_pair(spec: ProcessSpec, n: int, seed: int) -> tuple[np.ndarray, np.
         raise InvalidSpec("n must be >= 0")
     rows = n + 1
     if rows <= _STREAM_BLOCK:
-        x, w = next(stream(spec, seed, chunk=rows))
-    else:
-        blocks = -(-rows // _STREAM_BLOCK)
-        chunk = -(-rows // blocks)
-        x = np.empty(rows)
-        w = None if spec.family == "INDEP" else np.empty(rows)
-        for start, (xb, wb) in zip(range(0, rows, chunk), stream(spec, seed, chunk=chunk)):
-            end = min(start + chunk, rows)
-            x[start:end] = xb[:end - start]
-            if w is not None:
-                w[start:end] = wb[:end - start]
-    if w is None:
-        w = keyed_rng(seed, KEY_INDEP_W, 0).standard_normal(rows)
-        w *= spec.sigma_w
+        return next(stream(spec, seed, chunk=rows))
+    blocks = -(-rows // _STREAM_BLOCK)
+    chunk = -(-rows // blocks)
+    x, w = np.empty(rows), np.empty(rows)
+    for start, (xb, wb) in zip(range(0, rows, chunk), stream(spec, seed, chunk=chunk)):
+        end = min(start + chunk, rows)
+        x[start:end] = xb[:end - start]
+        w[start:end] = wb[:end - start]
     return x, w
 
 
 def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK):
     """Endless run of the driving pair as consecutive `chunk`-row blocks:
-    rows 0..chunk-1, then chunk..2 chunk-1, and so on, each an (x, w) pair.
-    w is None for INDEP, whose disturbance has its own keyed draws
-    (KEY_INDEP_W), for the caller to hand to the rows it keeps; the caller
-    forms z = f(x) + w.
+    rows 0..chunk-1, then chunk..2 chunk-1, and so on, each an (x, w) pair;
+    the caller forms z = f(x) + w.  INDEP's disturbance w_t = sigma_w eps_t
+    takes eps from keyed_rng(seed, KEY_INDEP_W, 0), one normal per row in
+    time order.
 
     The state that links rows (the walk's running sum, w_{t-1}, e_{t-1} and
     eps_{t-1}, the chain states) is carried from block to block, and the
@@ -223,17 +220,18 @@ def stream(spec: ProcessSpec, seed: int, chunk: int = _STREAM_BLOCK):
 
     a, b = spec.a, spec.b
     walk = w_prev = e_prev = eps_prev = 0.0
-    if fam == "INDEP":
-        # One normal per row for the walk; w has its own keyed draws.
-        E, w = np.empty(chunk), None
-    else:
-        E = np.empty((chunk, 3 if fam == "MA_LINKED" else 2))
+    if fam == "INDEP":  # one normal per row for the walk; w has its own keyed draws
+        eps = keyed_rng(seed, KEY_INDEP_W, 0)
+    E = np.empty((chunk, {"INDEP": 1, "MA_LINKED": 3}.get(fam, 2)))
     start = 0
     while True:
         rng.standard_normal(out=E)
-        e = spec.sigma_e * (E if fam == "INDEP" else E[:, 0])
+        e = spec.sigma_e * E[:, 0]
 
-        if fam == "SHARED_INNOVATION":
+        if fam == "INDEP":
+            w = eps.standard_normal(chunk)
+            w *= spec.sigma_w
+        elif fam == "SHARED_INNOVATION":
             w = _SQ5 * E[:, 0] + _SQ5 * E[:, 1]
         elif fam == "AR1_LINKED":
             # w_t = (a w_{t-1} + b e_t) + u_t over Python floats.
@@ -334,7 +332,7 @@ def step_chain(model: FiniteMarkovModel, start: int, u: np.ndarray) -> np.ndarra
     """State-index path x_0..x_n of a finite chain from the state index
     x_0 = start, by inverse CDF: x_{t+1} is the count of entries <= u[t] in
     row x_t of model.cum_P_rows, listed once per model.  The package's callers
-    pass blocks of at most 65536 uniforms, read as one Python list."""
+    pass blocks of at most _STREAM_BLOCK uniforms, read as one Python list."""
     rows = model.cum_P_rows
     x = np.empty(len(u) + 1, dtype=np.int64)
     x[0] = xi = start

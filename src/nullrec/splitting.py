@@ -31,17 +31,13 @@ import numpy as np
 from .algebra import FiniteMarkovModel
 from .errors import InvalidHalfwidth, InvalidSpec, SamplingStalled, UnknownProcessFamily
 # generate is no longer called here, but bench/tracing.py patches splitting.generate.
-from .processes import (KEY_SPLIT_FLAGS, ProcessSpec, _driving_pair, draw_start, generate,
-                        keyed_rng, step_chain)
+from .processes import (_STREAM_BLOCK, KEY_SPLIT_FLAGS, ProcessSpec, _driving_pair, draw_start,
+                        generate, keyed_rng, step_chain)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MAX_BLOCK_ROUNDS = 1_000_000  # lockstep steps before a block sampler gives up
 _EMBEDDED_REPLICAS = 20_000
 _MAX_EMBEDDED_ROUNDS = 10_000_000
-# Rows per block of _split_chain, 1 MiB of uniforms.  8192 lowers the traced
-# peak from 14.5 to 9.6 bytes per row at n = 1e6, but its effect on the peak
-# RSS of split_simulate has been measured both ways, so the size stays.
-_STEP_CHUNK = 1 << 16
 
 
 def _norm_pdf(x):
@@ -117,13 +113,13 @@ def _split_chain(model: FiniteMarkovModel, n: int, rng) -> tuple[np.ndarray, np.
     """Index path x_0..x_n started from nu, with flags y_0..y_n (the flag at
     n uses one transition beyond the kept path).  The uniforms interleave:
     u[0] draws x_0, then u[2t+1] the step out of x_t and u[2t+2] its flag.
-    They are drawn _STEP_CHUNK rows at a time, each block stepping on from
-    the last state with one step_chain call, so the path holds its outputs
-    and one block's draws."""
+    They are drawn in blocks of processes._STREAM_BLOCK rows, each stepping
+    on from the last state with one step_chain call, so the path holds its
+    outputs and one block's draws."""
     x, y = np.empty(n + 1, dtype=np.int64), np.empty(n + 1, dtype=np.uint8)
     xi = int(draw_start(model, rng.random()))
-    for a in range(0, n + 1, _STEP_CHUNK):
-        b = min(a + _STEP_CHUNK, n + 1)
+    for a in range(0, n + 1, _STREAM_BLOCK):
+        b = min(a + _STREAM_BLOCK, n + 1)
         u = rng.random(2 * (b - a))
         p = step_chain(model, xi, u[0::2])
         x[a:b], y[a:b], xi = p[:-1], u[1::2] < model.R[p[:-1], p[1:]], int(p[-1])

@@ -310,6 +310,39 @@ class TestClt:
         proto.write_text(json.dumps(obj))
         assert_invalid_spec_exit(["clt", "--protocol", str(proto)], tmp_path, capsys)
 
+    def test_nan_x0_exit_4(self, tmp_path, capsys):
+        # Unchecked, it reaches modal_value's pilot bandwidth as a ValueError.
+        proto = self._protocol_file(tmp_path)
+        obj = json.loads(proto.read_text())
+        obj["process"]["x0"] = "nan"
+        proto.write_text(json.dumps(obj))
+        assert_invalid_spec_exit(["clt", "--protocol", str(proto)], tmp_path, capsys)
+
+    @pytest.mark.parametrize("process, window", [({"family": "INDEP", "params": {"sigma_e": -1}},
+                                                  [5.0, 10.0]),
+                                                 ({"family": "INDEP"}, ["-inf", 10.0])])
+    def test_bad_fixed_point_inputs_exit_4(self, process, window, tmp_path, capsys):
+        # Unchecked, a negative sigma_e rejects every replication (exit 7),
+        # and an infinite window end reaches local_bandwidth as a ValueError.
+        proto = tmp_path / "fp.json"
+        proto.write_text(json.dumps({"id": "fp", "mode": "fixed_point", "process": process,
+                                     "x_eval": 7.5, "window": window, "local_count": 20,
+                                     "reps": 5, "max_path_length": 20_000}))
+        assert_invalid_spec_exit(["clt", "--protocol", str(proto)], tmp_path, capsys)
+
+    def test_trend_violation_is_reported(self, tmp_path, capsys):
+        # f = x^2 is curved, so the smoothing bias of the estimate moves the
+        # studentized values off N(0, 1).
+        xs = np.linspace(-200.0, 200.0, 401)
+        proto = tmp_path / "square.json"
+        proto.write_text(json.dumps({
+            "id": "square", "mode": "modal",
+            "process": {"family": "INDEP",
+                        "f": {"kind": "table", "xs": xs.tolist(), "ys": (xs ** 2).tolist()}},
+            "n": [200, 400], "reps": 60, "base_seed": 3}))
+        assert main(["clt", "--protocol", str(proto), "--out", str(tmp_path / "out")]) == 0
+        assert "trend: violation (largest size rejects N(0, 1)" in capsys.readouterr().out
+
 
 class TestAlgebraCommands:
     def test_moments_check_output(self, chain_path, capsys):

@@ -62,6 +62,10 @@ class TestNwEstimate:
         with pytest.raises(EmptyNeighborhood):
             est.nw_estimate([10.0, 11.0], [1.0, 2.0], x_eval=0.0, h=0.5)
 
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="equal length"):
+            est.nw_estimate([0.0, 1.0], [1.0], x_eval=0.0, h=0.5)
+
     @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_bandwidth(self, h):
         with pytest.raises(ValueError, match="bandwidth must be positive"):
@@ -396,6 +400,10 @@ class TestCvConstant:
 class TestModalValue:
     def test_single_point(self):
         assert est.modal_value(np.array([0.0])) == 0.0
+
+    def test_empty_sample(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            est.modal_value([])
 
     def test_tie_goes_left(self):
         left = -5.0 + 0.1 * np.array([-1.0, 0.0, 1.0] * 17)

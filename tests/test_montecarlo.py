@@ -79,6 +79,14 @@ class TestProtocolValidation:
             mc.CltProtocol(process=spec, mode="fixed_point", reps=5, x_eval=7.5,
                            window=(5.0, 10.0), local_count=0)
 
+    @pytest.mark.parametrize("window", [(-math.inf, 10.0), (5.0, math.inf), (math.nan, 10.0),
+                                        (5.0, math.nan)])
+    def test_window_ends_must_be_finite(self, window):
+        # local_bandwidth raises a ValueError on an infinite window end.
+        with pytest.raises(InvalidSpec):
+            mc.CltProtocol(process=ProcessSpec(family="INDEP"), mode="fixed_point", reps=5,
+                           x_eval=7.5, window=window, local_count=50)
+
     @pytest.mark.parametrize("kw", [dict(fixed_h=0.0, c0=None), dict(fixed_h=-0.5, c0=None),
                                     dict(fixed_h=math.nan, c0=None), dict(fixed_h=math.inf),
                                     dict(c0=-1.0), dict(c0=0.0), dict(c0=math.nan),

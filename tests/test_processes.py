@@ -31,6 +31,24 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             pr.ProcessSpec(family="FINITE_PRODUCT")
 
+    @pytest.mark.parametrize("param", ["a", "b", "x0", "sigma_e", "sigma_u", "sigma_w"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_parameters_must_be_finite(self, param, value):
+        with pytest.raises(InvalidSpec):
+            pr.ProcessSpec(family="INDEP", **{param: value})
+
+    @pytest.mark.parametrize("param", ["sigma_e", "sigma_u", "sigma_w"])
+    def test_scales_must_not_be_negative(self, param):
+        # A negative sigma_e would give band_walk a negative margin, so it
+        # would skip every band row.
+        with pytest.raises(InvalidSpec):
+            pr.ProcessSpec(family="INDEP", **{param: -1.0})
+        pr.ProcessSpec(family="INDEP", **{param: 0.0})
+
+    def test_negative_length(self, indep):
+        with pytest.raises(InvalidSpec):
+            pr.generate(indep, -1, 0)
+
     def test_transfer_kinds(self):
         assert pr.linear(2.0, 1.0)(3.0) == 7.0
         table = pr.Transfer("table", xs=(0.0, 1.0), ys=(0.0, 2.0))
@@ -182,8 +200,6 @@ def reference_generate(spec, n, seed):
     """generate as one stream block of n + 1 rows: the slow reference for
     the block-by-block writes of a long path."""
     x, w = next(pr.stream(spec, seed, chunk=n + 1))
-    if w is None:
-        w = spec.sigma_w * pr.keyed_rng(seed, pr.KEY_INDEP_W, 0).standard_normal(n + 1)
     return pr.GeneratedPath(x, w, spec.f(x) + w)
 
 
@@ -273,23 +289,16 @@ class TestStream:
                     # Each block's draws refill one buffer: no array of a block
                     # may share it with the next block's arrays.
                     for b0, b1 in zip(blocks[:3], blocks[1:4]):
-                        assert not any(np.shares_memory(u, v) for u in b0 for v in b1
-                                       if u is not None and v is not None)
+                        assert not any(np.shares_memory(u, v) for u in b0 for v in b1)
                     x = np.concatenate([x for x, _ in blocks])[:rows]
                     np.testing.assert_array_equal(x, whole.x, err_msg=f"{spec.family} x {chunk}")
-                    if spec.family == "INDEP":  # w has its own draws, one per row
-                        assert all(w is None for _, w in blocks)
-                        eps = pr.keyed_rng(seed, pr.KEY_INDEP_W, 0).standard_normal(rows)
-                        w = spec.sigma_w * eps
-                    else:
-                        w = np.concatenate([w for _, w in blocks])[:rows]
+                    w = np.concatenate([w for _, w in blocks])[:rows]
                     np.testing.assert_array_equal(w, whole.w, err_msg=f"{spec.family} w {chunk}")
                     np.testing.assert_array_equal(spec.f(x) + w, whole.z)
 
-    def test_bare_indep_blocks_read_the_disturbance(self):
-        # Blocks without w: generate's w is one draw over the whole path,
-        # the first rows of stream (2, 0) in time order, across the 8192-row
-        # boundary of the retired W-blocks.
+    def test_indep_blocks_read_the_disturbance(self):
+        # Each block's w is its rows of generate's w, which is one draw over
+        # the whole path: the first rows of stream (2, 0) in time order.
         spec = next(family_specs())
         rows = self.N + 1
         for seed in (5, 2 ** 32 + 7):
@@ -297,9 +306,9 @@ class TestStream:
             for chunk in (1, 997, pr._STREAM_BLOCK + 1):
                 blocks = islice(pr.stream(spec, seed, chunk=chunk), -(-rows // chunk))
                 for k, (x, w) in enumerate(blocks):
-                    assert w is None
                     a, b = k * chunk, min((k + 1) * chunk, rows)
                     np.testing.assert_array_equal(x[:b - a], whole.x[a:b])
+                    np.testing.assert_array_equal(w[:b - a], whole.w[a:b])
             words = [seed % 2 ** 32, seed // 2 ** 32, 2, 0]
             eps = np.random.default_rng(words).standard_normal(rows)
             np.testing.assert_array_equal(whole.w, spec.sigma_w * eps)

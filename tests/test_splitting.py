@@ -225,8 +225,9 @@ class TestSimulateSplit:
 
     def test_finite_chain_steps_block_by_block(self):
         # x (8 bytes per row), y (1), tau (8 per regeneration, about 0.3 per
-        # row here) and one block's uniforms stay under 16 bytes per row;
-        # all 2n + 3 uniforms at once would add 16.
+        # row here) and one block's draws and step lists come to 11.4 bytes
+        # per row at n = 1e6 with blocks of _STREAM_BLOCK = 8192 rows, and to
+        # 13.8 with 65536-row blocks; all 2n + 3 uniforms at once would add 16.
         import tracemalloc
 
         model, n = alg.load_model(CONFIGS / "threestate.json"), 1_000_000
@@ -236,7 +237,7 @@ class TestSimulateSplit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * n
+        assert peak < 12.5 * n
 
     def test_walk_flags_only_inside_atom_set(self):
         spec = ProcessSpec(family="INDEP", f=linear(), halfwidth=0.5)
@@ -432,6 +433,11 @@ class TestBlockSums:
         traj = sp.simulate_split(two_state, 1000, seed=4)
         bd = sp.block_sums(traj, np.zeros(2))
         assert bd.u0 == 0.0 and bd.tail == 0.0 and not bd.blocks.any()
+
+    def test_array_g_needs_a_finite_chain(self):
+        traj = sp.simulate_split(ProcessSpec(family="INDEP", f=linear()), 100, seed=4)
+        with pytest.raises(ValueError, match="finite-state"):
+            sp.block_sums(traj, np.ones(2))
 
     @given(st.integers(0, 1000))
     def test_recombination(self, seed):
